@@ -295,7 +295,13 @@ def cmd_eval(args) -> int:
 def cmd_diffuse(args) -> int:
     import numpy as np
 
-    from .diffusion import DiffusionConfig, diffusion_steps, exact_solve, l1_distance
+    from .diffusion import (
+        DiffusionConfig,
+        diffusion_steps,
+        error_bound,
+        exact_solve,
+        l1_distance,
+    )
     from .features import load_features
     from .graph import build_graph, normalize, read_edge_tsv
 
@@ -320,7 +326,7 @@ def cmd_diffuse(args) -> int:
         residual = "" if prev is None else f"{l1_distance(state, prev):.10g}"
         if with_exact:
             err = l1_distance(state, t_star)
-            bound = (1.0 - args.c) ** k * l1_distance(t_star, t0)
+            bound = error_bound(t0, t_star, args.c, k)
             rows.append(f"{k},{residual},{err:.10g},{bound:.10g}")
         else:
             rows.append(f"{k},{residual}")

@@ -12,6 +12,19 @@ the local features into the positive channel:
 The stacked state T = [p; m] contracts toward the unique fixed point at rate
 (1 - c) per step, because the block operator's maximum column sum is at most 1
 (see graph.column_sums_of_b).
+
+The iteration runs on the sum and difference channels s = p + m and
+d = p - m, which decouple:
+
+    s_next = (1 - c) * S^T s + c * h,    S = NA+ + NA-
+    d_next = (1 - c) * D^T d + c * h,    D = NA+ - NA-
+
+S and D share one sparsity pattern, so a step is one sparse product with
+blockdiag(S^T, D^T) on the stacked [s; d]. Column sums of |S^T| and |D^T|
+are at most 1, so the (1 - c)^K contraction bound holds for each channel on
+its own. The p/m state is recovered once, as p = (s + d) / 2 and
+m = (s - d) / 2. `exact_solve` stays on the per-sign block operator, so it is
+an independent oracle for this iteration.
 """
 
 from __future__ import annotations
@@ -75,6 +88,34 @@ def initial_state(
     return DiffusionState(h_tilde.copy(), rng.uniform(-1.0, 1.0, size=h_tilde.shape))
 
 
+def _restart_walk(op, z: np.ndarray, inject: tuple[np.ndarray, np.ndarray], decay: float,
+                  k_steps: int):
+    """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on a stacked 2n x d
+    state, one sparse product per step; inject[0] is added to the top half
+    and inject[1] to the bottom half."""
+    n = z.shape[0] // 2
+    for _ in range(k_steps):
+        z = op @ z
+        z *= decay
+        z[:n] += inject[0]
+        z[n:] += inject[1]
+        yield z
+
+
+def _to_state(z: np.ndarray) -> DiffusionState:
+    """Split a stacked [s; d] state back into the p/m channels."""
+    s, d = np.split(z, 2)
+    return DiffusionState(0.5 * (s + d), 0.5 * (s - d))
+
+
+def _forward_walk(na, h_tilde, cfg, m0, rng):
+    """T0 and the iterator over the stacked [s; d] states z_1 .. z_K."""
+    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+    inject = cfg.c * t0.p
+    z0 = np.concatenate([t0.p + t0.m, t0.p - t0.m])
+    return t0, _restart_walk(na.fwd, z0, (inject, inject), 1.0 - cfg.c, cfg.k_steps)
+
+
 def diffusion_steps(
     na: NormalizedAdjacency,
     h_tilde: np.ndarray,
@@ -83,18 +124,10 @@ def diffusion_steps(
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
     """Yield T0, T1, ..., T_K one step at a time."""
-    h_tilde = _check_features(na, h_tilde)
-    state = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
-    yield state
-    decay = 1.0 - cfg.c
-    inject = cfg.c * h_tilde
-    p, m = state
-    for _ in range(cfg.k_steps):
-        p, m = (
-            decay * (na.na_plus_t @ p + na.na_minus_t @ m) + inject,
-            decay * (na.na_minus_t @ p + na.na_plus_t @ m),
-        )
-        yield DiffusionState(p, m)
+    t0, walk = _forward_walk(na, h_tilde, cfg, m0, rng)
+    yield t0
+    for z in walk:
+        yield _to_state(z)
 
 
 def diffuse(
@@ -105,10 +138,10 @@ def diffuse(
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Run the signed random-walk diffusion for cfg.k_steps steps."""
-    state = None
-    for state in diffusion_steps(na, h_tilde, cfg, m0=m0, rng=rng):
+    _, walk = _forward_walk(na, h_tilde, cfg, m0, rng)
+    for z in walk:
         pass
-    return state
+    return _to_state(z)
 
 
 def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> DiffusionState:
@@ -145,27 +178,25 @@ def diffuse_adjoint(
 ) -> np.ndarray:
     """Reverse-mode pass through the diffusion: d(loss)/d(h_tilde).
 
-    Runs the recurrence adjoint backward for k_steps, accumulating the
-    c-weighted injection at every step, then adds the contribution of the
-    initial positive channel (which is the local features). The initial
-    negative channel is a constant, so its path is dropped.
+    The gradient is the positive-channel part of
+    (M^K + c * (M^(K-1) + ... + I)) g with M = (1-c) B^T and g the stacked
+    output gradient: the c-weighted injection at every step plus the initial
+    positive channel (the local features). The initial negative channel is
+    a constant, so its path is dropped. Horner's rule turns the polynomial
+    into the forward recurrence with g re-injected, run on the sum/difference
+    channels of g with `adj`, one sparse product per step.
     """
     grad_p = _check_features(na, grad_p)
     grad_m = _check_features(na, grad_m)
     if grad_p.shape != grad_m.shape:
         raise ValueError(f"gradient shapes differ: {grad_p.shape} vs {grad_m.shape}")
 
-    decay = 1.0 - cfg.c
-    gp, gm = grad_p, grad_m
-    grad_h = np.zeros_like(grad_p)
-    for _ in range(cfg.k_steps):
-        grad_h += cfg.c * gp
-        gp, gm = (
-            decay * (na.na_plus @ gp + na.na_minus @ gm),
-            decay * (na.na_minus @ gp + na.na_plus @ gm),
-        )
-    grad_h += gp
-    return grad_h
+    z = np.concatenate([grad_p + grad_m, grad_p - grad_m])
+    inject = np.split(cfg.c * z, 2)
+    for z in _restart_walk(na.adj, z, inject, 1.0 - cfg.c, cfg.k_steps):
+        pass
+    s, d = np.split(z, 2)
+    return 0.5 * (s + d)
 
 
 def l1_distance(a: DiffusionState, b: DiffusionState) -> float:

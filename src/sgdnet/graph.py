@@ -62,13 +62,19 @@ class SignedDigraph:
 
 
 class NormalizedAdjacency:
-    """Out-degree-normalized per-sign adjacency and materialized transposes.
+    """Out-degree-normalized per-sign adjacency, materialized transposes, and
+    the fused sum/difference operators.
 
     Every row u of [na_plus | na_minus] sums to 1 when u has outgoing edges
     and is all-zero when u is a deadend.
+
+    With S = na_plus + na_minus and D = na_plus - na_minus (one sparsity
+    pattern, since the signs are disjoint), `fwd` is blockdiag(S^T, D^T) and
+    `adj` is blockdiag(S, D): one diffusion step, or one adjoint step, on the
+    stacked sum/difference channels is a single sparse product.
     """
 
-    __slots__ = ("n", "na_plus", "na_minus", "na_plus_t", "na_minus_t")
+    __slots__ = ("n", "na_plus", "na_minus", "na_plus_t", "na_minus_t", "fwd", "adj")
 
     def __init__(self, n, na_plus, na_minus, na_plus_t, na_minus_t):
         self.n = n
@@ -76,6 +82,21 @@ class NormalizedAdjacency:
         self.na_minus = na_minus
         self.na_plus_t = na_plus_t
         self.na_minus_t = na_minus_t
+        self.fwd = _block_diag(na_plus_t + na_minus_t, na_plus_t - na_minus_t)
+        self.adj = _block_diag(na_plus + na_minus, na_plus - na_minus)
+
+
+def _block_diag(a, b):
+    """blockdiag(a, b) of two canonical n x n CSR arrays, assembled directly."""
+    n = a.shape[0]
+    return sp.csr_array(
+        (
+            np.concatenate([a.data, b.data]),
+            np.concatenate([a.indices, b.indices + n]),
+            np.concatenate([a.indptr, b.indptr[1:] + a.nnz]),
+        ),
+        shape=(2 * n, 2 * n),
+    )
 
 
 def _parse_tsv_sign(line: str, lineno: int) -> tuple[str, str, int]:

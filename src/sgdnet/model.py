@@ -7,6 +7,7 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 
 The prediction head scores an edge (u, v) from the concatenated endpoint
 embeddings, with class 0 meaning a positive sign and class 1 a negative sign.
+The head is linear, so it is applied per node before the endpoint gather.
 """
 
 from __future__ import annotations
@@ -144,12 +145,15 @@ class EdgeBatch(NamedTuple):
 
 
 def edge_logits(h_final: np.ndarray, batch: EdgeBatch, w_head: np.ndarray) -> np.ndarray:
-    """Score each (u, v) pair as [h_u || h_v] @ w_head, no bias."""
-    n = h_final.shape[0]
+    """Score each (u, v) pair as [h_u || h_v] @ w_head, no bias.
+
+    Computed in factored form, h_u @ w_head[:d] + h_v @ w_head[d:], so the
+    gather is of n x 2 node scores rather than b x 2d endpoint rows.
+    """
+    n, d = h_final.shape
     if len(batch) and (batch.uv.min() < 0 or batch.uv.max() >= n):
         raise ValueError(f"edge batch references node ids outside 0..{n - 1}")
-    z = np.hstack([h_final[batch.uv[:, 0]], h_final[batch.uv[:, 1]]])
-    return z @ w_head
+    return (h_final @ w_head[:d])[batch.uv[:, 0]] + (h_final @ w_head[d:])[batch.uv[:, 1]]
 
 
 def sign_to_index(signs: np.ndarray) -> np.ndarray:

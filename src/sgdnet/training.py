@@ -43,15 +43,12 @@ def backward(
     """
     d = params.w_in.shape[1]
     h_final = cache.layers[-1].h_next if cache.layers else cache.h0
-    u, v = batch.uv[:, 0], batch.uv[:, 1]
+    g_u = _scatter_to_nodes(batch.uv[:, 0], grad_logits, h_final.shape[0])
+    g_v = _scatter_to_nodes(batch.uv[:, 1], grad_logits, h_final.shape[0])
 
     grads: dict[str, np.ndarray] = {}
-    z = np.hstack([h_final[u], h_final[v]])
-    grads["w_head"] = z.T @ grad_logits
-    dz = grad_logits @ params.w_head.T
-    dh = np.zeros_like(h_final)
-    np.add.at(dh, u, dz[:, :d])
-    np.add.at(dh, v, dz[:, d:])
+    grads["w_head"] = np.vstack([h_final.T @ g_u, h_final.T @ g_v])
+    dh = g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T
 
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
@@ -73,6 +70,13 @@ def backward(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name}")
     return grads
+
+
+def _scatter_to_nodes(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of a b x k array into an n x k array by node id."""
+    return np.stack(
+        [np.bincount(ids, weights=col, minlength=n) for col in rows.T], axis=1
+    )
 
 
 class Adam:

@@ -86,3 +86,34 @@ def dense_block_operator(na):
     ap_t = na.na_plus_t.toarray()
     an_t = na.na_minus_t.toarray()
     return np.block([[ap_t, an_t], [an_t, ap_t]])
+
+
+def reference_diffusion_states(na, h, c, k_steps, m0):
+    """T0 .. T_K of the literal per-sign recurrence, four sparse products a
+    step, for checking the fused sum/difference iteration."""
+    ap_t, an_t = na.na_plus_t, na.na_minus_t
+    p, m = h, m0
+    states = [(p, m)]
+    for _ in range(k_steps):
+        p, m = (
+            (1 - c) * (ap_t @ p + an_t @ m) + c * h,
+            (1 - c) * (an_t @ p + ap_t @ m),
+        )
+        states.append((p, m))
+    return states
+
+
+def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
+    """Literal per-sign adjoint recurrence: accumulate c * grad_p at every
+    step, propagate with the transposed block operator, add the final
+    positive-channel gradient."""
+    ap, an = na.na_plus_t.T, na.na_minus_t.T
+    gp, gm = grad_p, grad_m
+    grad_h = np.zeros_like(grad_p)
+    for _ in range(k_steps):
+        grad_h = grad_h + c * gp
+        gp, gm = (
+            (1 - c) * (ap @ gp + an @ gm),
+            (1 - c) * (an @ gp + ap @ gm),
+        )
+    return grad_h + gp

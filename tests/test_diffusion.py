@@ -14,7 +14,11 @@ from sgdnet.diffusion import (
 from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.synthetic import random_signed_graph
 
-from helpers import dense_block_operator
+from helpers import (
+    dense_block_operator,
+    reference_diffuse_adjoint,
+    reference_diffusion_states,
+)
 
 
 def toy_na(sign=1):
@@ -289,3 +293,70 @@ def test_block_operator_matches_dense_iteration():
     q = np.vstack([h, np.zeros_like(h)])
     t1 = (1 - c) * b_dense @ t0 + c * q
     assert np.allclose(np.vstack([state.p, state.m]), t1, atol=1e-12)
+
+
+# ---------------------------------------------------------------- fused iteration
+
+
+def assert_rel_close(actual, reference, rtol=1e-12):
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max(initial=0.0) <= rtol * np.abs(reference).max(
+        initial=0.0
+    )
+
+
+EQUIVALENCE_GRAPHS = {
+    "deadends": lambda: random_signed_graph(
+        30, avg_out_degree=3.0, neg_fraction=0.4, deadend_fraction=0.3, seed=41
+    ),
+    "empty": lambda: build_graph([], 7),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(EQUIVALENCE_GRAPHS))
+@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("c", [0.15, 0.5, 0.85])
+def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
+    na = normalize(EQUIVALENCE_GRAPHS[graph]())
+    rng = np.random.default_rng(k)
+    h = rng.standard_normal((na.n, 3))
+    if m0_mode == "zero":
+        m0 = np.zeros_like(h)
+    elif m0_mode == "uniform":
+        m0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=h.shape)
+    else:
+        m0 = rng.standard_normal(h.shape)
+
+    def start():
+        if m0_mode == "uniform":
+            return {"rng": np.random.default_rng(7)}
+        return {"m0": m0} if m0_mode == "explicit" else {}
+
+    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+    reference = reference_diffusion_states(na, h, c, k, m0)
+
+    p, m = diffuse(na, h, cfg, **start())
+    assert_rel_close(np.vstack([p, m]), np.vstack(reference[-1]))
+
+    states = list(diffusion_steps(na, h, cfg, **start()))
+    assert len(states) == k + 1
+    assert np.array_equal(states[0].p, h) and np.array_equal(states[0].m, m0)
+    for state, ref in zip(states, reference):
+        assert_rel_close(np.vstack(state), np.vstack(ref))
+
+    gp = rng.standard_normal(h.shape)
+    gm = rng.standard_normal(h.shape)
+    assert_rel_close(
+        diffuse_adjoint(na, gp, gm, cfg), reference_diffuse_adjoint(na, gp, gm, c, k)
+    )
+
+
+def test_fused_operators_are_block_diagonal_sum_and_difference():
+    na = normalize(EQUIVALENCE_GRAPHS["deadends"]())
+    ap_t, an_t = na.na_plus_t.toarray(), na.na_minus_t.toarray()
+    zero = np.zeros_like(ap_t)
+    fwd = np.block([[ap_t + an_t, zero], [zero, ap_t - an_t]])
+    assert np.array_equal(na.fwd.toarray(), fwd)
+    assert np.array_equal(na.adj.toarray(), fwd.T)

@@ -179,6 +179,18 @@ def test_edge_logits_direction_matters():
     assert not np.allclose(fwd, rev)
 
 
+def test_edge_logits_matches_concatenation_reference():
+    # Repeated pairs, u == v pairs, and nodes 7 and 8 in no edge.
+    uv = np.array([(0, 1), (0, 1), (2, 2), (1, 0), (3, 0), (0, 3), (5, 5), (6, 2), (0, 0), (4, 6)])
+    batch = EdgeBatch(uv=uv, signs=np.ones(len(uv), dtype=np.int64))
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal((9, 4))
+    w_head = rng.standard_normal((8, 2))
+    reference = np.hstack([h[uv[:, 0]], h[uv[:, 1]]]) @ w_head
+    logits = edge_logits(h, batch, w_head)
+    assert np.abs(logits - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 def test_edge_logits_id_range_check():
     h = np.zeros((3, 2))
     batch = EdgeBatch.from_edges([SignedEdge(0, 9, 1)])

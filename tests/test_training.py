@@ -6,6 +6,8 @@ from sgdnet.diffusion import DiffusionConfig
 from sgdnet.graph import normalize
 from sgdnet.model import (
     EdgeBatch,
+    ForwardCache,
+    ModelParams,
     edge_logits,
     init_params,
     loss_grad_logits,
@@ -96,6 +98,34 @@ def test_backward_zero_loss_leaves_only_regularization():
             assert np.abs(grads[name] - 2 * lam * w).max() < 1e-8
         elif name == "w_in" or "w_t" in name or "w_n" in name:
             assert np.abs(grads[name] - 2 * lam * w).max() < 1e-8
+
+
+def test_backward_head_matches_concatenation_reference():
+    # Repeated pairs, u == v pairs, and nodes 7 and 8 in no edge.
+    uv = np.array([(0, 1), (0, 1), (2, 2), (1, 0), (3, 0), (0, 3), (5, 5), (6, 2), (0, 0), (4, 6)])
+    batch = EdgeBatch(uv=uv, signs=np.ones(len(uv), dtype=np.int64))
+    n, d = 9, 4
+    rng = np.random.default_rng(13)
+    h = rng.standard_normal((n, d))
+    w_head = rng.standard_normal((2 * d, 2))
+    grad_logits = rng.standard_normal((len(uv), 2))
+
+    z = np.hstack([h[uv[:, 0]], h[uv[:, 1]]])
+    ref_w_head = z.T @ grad_logits
+    dz = grad_logits @ w_head.T
+    ref_dh = np.zeros_like(h)
+    np.add.at(ref_dh, uv[:, 0], dz[:, :d])
+    np.add.at(ref_dh, uv[:, 1], dz[:, d:])
+
+    # With no layers and identity input features, h_final is w_in and the
+    # w_in gradient is d(loss)/d(h_final) itself.
+    params = ModelParams(w_in=h, layers=[], w_head=w_head)
+    cache = ForwardCache(x=np.eye(n), h0=h, layers=[])
+    grads = backward(None, None, params, cache, batch, grad_logits)
+    for got, ref in ((grads["w_head"], ref_w_head), (grads["w_in"], ref_dh)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(grads["w_in"][7:] == 0.0)
 
 
 def test_data_gradient_shrinks_as_correct_margins_double():
@@ -224,3 +254,37 @@ def test_train_monotone_after_transient():
     _, history = train(g, x, cfg)
     tail = np.array(history[10:])
     assert np.all(np.diff(tail) <= 1e-6)
+
+
+# Loss histories of 20 epochs on a fixed random graph, recorded with the
+# per-sign four-product diffusion and the concatenated-endpoint head. The
+# sum/difference diffusion and the factored head must reproduce them.
+GOLDEN_HISTORIES = {
+    (1, "uniform"): [
+        0.6911807338708971, 0.6836844002685543, 0.6771721845369875, 0.6716330238780936,
+        0.6668327548473357, 0.6627444353036703, 0.6592717059596385, 0.6563863716613973,
+        0.654025090645008, 0.652098650449016, 0.650484040100741, 0.6489299110077427,
+        0.6472549633379999, 0.6452974502776231, 0.64308016033235, 0.6405288859153605,
+        0.6378247917335995, 0.6350793127894532, 0.6323056128523565, 0.6295700034588261,
+    ],
+    (2, "zero"): [
+        0.6988716422317431, 0.6915283130401699, 0.6847235011623399, 0.6782695753975643,
+        0.6720209211918508, 0.6658835726276721, 0.6599214843235094, 0.6543156529333638,
+        0.6492871482097806, 0.6450185089706245, 0.6415611093483173, 0.6387026675582216,
+        0.6359913612899313, 0.633000679328157, 0.6295322857141622, 0.6256218764874222,
+        0.6214580149593898, 0.617285494909257, 0.6133195640939418, 0.6096830774661428,
+    ],
+}
+
+
+@pytest.mark.parametrize("n_layers, m0_mode", sorted(GOLDEN_HISTORIES))
+def test_train_matches_golden_loss_history(n_layers, m0_mode):
+    g = random_signed_graph(60, avg_out_degree=4.0, neg_fraction=0.3,
+                            deadend_fraction=0.1, seed=3)
+    x = np.random.default_rng(4).standard_normal((60, 8))
+    c = 0.35 if n_layers == 1 else 0.55
+    cfg = TrainConfig(dim=6, n_layers=n_layers, c=c, k_steps=10, epochs=20,
+                      m0_mode=m0_mode, seed=5)
+    _, history = train(g, x, cfg)
+    np.testing.assert_allclose(history, GOLDEN_HISTORIES[(n_layers, m0_mode)],
+                               rtol=1e-10, atol=0.0)
