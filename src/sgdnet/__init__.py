@@ -9,6 +9,7 @@ Submodules:
     evaluation  edge splits, AUC, F1-macro, multi-seed experiments
     synthetic   random and planted signed graph generators
     cli         command-line entry points
+    atomic      all-or-nothing writes of saved artifacts
 """
 
 __version__ = "0.1.0"
@@ -23,6 +24,7 @@ _SUBMODULES = (
     "synthetic",
     "seeding",
     "cli",
+    "atomic",
 )
 
 

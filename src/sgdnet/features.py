@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_write
 from .graph import SignedDigraph
 
 FEATURE_MAGIC = b"SGDF"
@@ -106,7 +107,7 @@ def save_features(path, x: np.ndarray) -> None:
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix contains non-finite entries")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", FEATURE_VERSION))
         fh.write(struct.pack("<QQ", x.shape[0], x.shape[1]))

@@ -12,6 +12,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_write
+
 
 class DataError(ValueError):
     """Unreadable, empty, or semantically invalid edge data."""
@@ -168,7 +170,7 @@ def load_edge_list(path, fmt: str = "tsv-sign"):
 
 
 def save_id_map(path, id_map) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for raw, dense in id_map.items():
             fh.write(f"{raw}\t{dense}\n")
 
@@ -187,7 +189,7 @@ def load_id_map(path) -> dict[str, int]:
 
 def save_edge_list(path, edges) -> None:
     """Write edges as dense-id TSV (src, dst, sign), loadable as tsv-sign."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for e in edges:
             fh.write(f"{e.src}\t{e.dst}\t{e.sign}\n")
 

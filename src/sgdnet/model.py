@@ -5,6 +5,17 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 
     h_next = tanh([p || m] @ w_n + h_prev)
 
+The diffusion is linear in the features it carries. Layer 1 diffuses
+h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
+W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
+features can be run once per training graph (`diffuse_inputs`). Given it,
+layer 1 computes p = x_p @ W and m = x_m @ W with no sparse work; in uniform
+mode the parameter-free term diffuse(0, m0) is added, drawn from the same rng
+in the same order as the direct path. The state holds 2 * n * d0 float64
+(about 8 MB at Bitcoin-Alpha size, 270 MB at Epinions size with d0 = 128).
+`training.train` decides when it pays for itself. Layers 2 and up always
+diffuse directly.
+
 The prediction head scores an edge (u, v) from the concatenated endpoint
 embeddings, with class 0 meaning a positive sign and class 1 a negative sign.
 The head is linear, so it is applied per node before the endpoint gather.
@@ -13,13 +24,14 @@ The head is linear, so it is applied per node before the endpoint gather.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import diffusion
-from .diffusion import DiffusionConfig
+from .atomic import atomic_write
+from .diffusion import DiffusionConfig, DiffusionState
 from .graph import NormalizedAdjacency
 
 CHECKPOINT_MAGIC = b"SGDN"
@@ -101,11 +113,44 @@ def layer_forward(
     if not np.all(np.isfinite(h_tilde)):
         raise NumericError("non-finite features entering the diffusion")
     p, m = diffusion.diffuse(na, h_tilde, cfg, rng=rng)
+    return _mix(h_prev, p, m, params)
+
+
+def _first_layer_forward(
+    na: NormalizedAdjacency,
+    h0: np.ndarray,
+    x_diffused: DiffusionState,
+    w_in: np.ndarray,
+    params: LayerParams,
+    cfg: DiffusionConfig,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, LayerCache]:
+    """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t)."""
+    w = w_in @ params.w_t
+    p = x_diffused.p @ w
+    m = x_diffused.m @ w
+    if cfg.m0_mode == "uniform":
+        # The diffused m0 does not depend on the parameters.
+        p0, m0 = diffusion.diffuse(na, np.zeros_like(h0), cfg, rng=rng)
+        p += p0
+        m += m0
+    return _mix(h0, p, m, params)
+
+
+def _mix(h_prev, p, m, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
+    """Mix the diffusion channels, add the skip connection, apply tanh."""
     pre = np.hstack([p, m]) @ params.w_n + h_prev
     if not np.all(np.isfinite(pre)):
         raise NumericError("non-finite activations in diffusion layer")
     h_next = np.tanh(pre)
     return h_next, LayerCache(h_prev=h_prev, p=p, m=m, h_next=h_next)
+
+
+def diffuse_inputs(
+    na: NormalizedAdjacency, x: np.ndarray, cfg: DiffusionConfig
+) -> DiffusionState:
+    """The zero-start diffusion of the input features that layer 1 reuses."""
+    return diffusion.diffuse(na, x, replace(cfg, m0_mode="zero"))
 
 
 def model_forward(
@@ -114,8 +159,13 @@ def model_forward(
     params: ModelParams,
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
+    x_diffused: DiffusionState | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Project the input features and apply every diffusion layer in order."""
+    """Project the input features and apply every diffusion layer in order.
+
+    With `x_diffused` (from `diffuse_inputs` on the same na, x and cfg),
+    layer 1 runs without a diffusion of its own.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.w_in.shape[0]:
         raise ValueError(
@@ -124,8 +174,11 @@ def model_forward(
     h = x @ params.w_in
     h0 = h
     caches = []
-    for layer in params.layers:
-        h, cache = layer_forward(na, h, layer, cfg, rng=rng)
+    for i, layer in enumerate(params.layers):
+        if i == 0 and x_diffused is not None:
+            h, cache = _first_layer_forward(na, h, x_diffused, params.w_in, layer, cfg, rng)
+        else:
+            h, cache = layer_forward(na, h, layer, cfg, rng=rng)
         caches.append(cache)
     return h, ForwardCache(x=x, h0=h0, layers=caches)
 
@@ -196,7 +249,7 @@ def loss_grad_logits(logits: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
     """Write a model checkpoint: magic, version, dims, c, K, then the matrices."""
     d0, d, n_layers = params.dims
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<IIIdI", d0, d, n_layers, cfg.c, cfg.k_steps))

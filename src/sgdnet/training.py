@@ -1,5 +1,19 @@
 """Reverse-mode gradients for the whole model, the Adam optimizer, gradient
-verification against finite differences, and the full-batch epoch loop."""
+verification against finite differences, and the full-batch epoch loop.
+
+Layer 1 can read the input features' diffusion, computed once per training
+graph (see `model.diffuse_inputs`), instead of diffusing x @ w_in @ w_t in
+every epoch. Its backward pass then needs no adjoint: with W = w_in @ w_t and
+G = x_p^T dp + x_m^T dm, the gradients are w_t: w_in^T G and
+w_in: x^T dpre + G w_t^T.
+
+`train` precomputes when it pays: the precompute diffuses d0 columns once,
+and each epoch then runs d fewer diffusion columns in uniform mode (the
+adjoint) and 2d fewer in zero mode (the forward and the adjoint). The cost
+of a diffusion is linear in its column count, so the rule is
+epochs * (columns saved per epoch) >= d0. The precomputed state holds
+2 * n * d0 float64 for the whole run.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +23,14 @@ import numpy as np
 
 from . import diffusion as _diffusion
 from . import model as _model
-from .diffusion import DiffusionConfig
+from .diffusion import DiffusionConfig, DiffusionState
 from .graph import SignedDigraph, normalize
 from .model import (
     EdgeBatch,
     ForwardCache,
     ModelParams,
     NumericError,
+    diffuse_inputs,
     edge_logits,
     init_params,
     loss_grad_logits,
@@ -34,12 +49,15 @@ def backward(
     batch: EdgeBatch,
     grad_logits: np.ndarray,
     weight_decay: float = 0.0,
+    x_diffused: DiffusionState | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the total loss for every parameter matrix.
 
     Composes the head adjoint, each layer's tanh/skip/mixing adjoints, the
     diffusion adjoint, and the input projection adjoint, then adds the
-    analytic 2 * weight_decay * W regularization term.
+    analytic 2 * weight_decay * W regularization term. With `x_diffused`,
+    layer 1's gradients come from the precomputed diffusion of x instead of
+    an adjoint pass.
     """
     d = params.w_in.shape[1]
     h_final = cache.layers[-1].h_next if cache.layers else cache.h0
@@ -50,6 +68,7 @@ def backward(
     grads["w_head"] = np.vstack([h_final.T @ g_u, h_final.T @ g_v])
     dh = g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T
 
+    dw_in = 0.0  # w_in's gradient through layer 1's W = w_in @ w_t
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         lc = cache.layers[i]
@@ -57,11 +76,17 @@ def backward(
         pm = np.hstack([lc.p, lc.m])
         grads[f"layers.{i}.w_n"] = pm.T @ dpre
         dpm = dpre @ layer.w_n.T
-        dh_tilde = _diffusion.diffuse_adjoint(na, dpm[:, :d], dpm[:, d:], cfg)
-        grads[f"layers.{i}.w_t"] = lc.h_prev.T @ dh_tilde
-        dh = dpre + dh_tilde @ layer.w_t.T  # skip path plus transform path
+        if i == 0 and x_diffused is not None:
+            dw = x_diffused.p.T @ dpm[:, :d] + x_diffused.m.T @ dpm[:, d:]
+            grads[f"layers.{i}.w_t"] = params.w_in.T @ dw
+            dw_in = dw @ layer.w_t.T
+            dh = dpre  # skip path only
+        else:
+            dh_tilde = _diffusion.diffuse_adjoint(na, dpm[:, :d], dpm[:, d:], cfg)
+            grads[f"layers.{i}.w_t"] = lc.h_prev.T @ dh_tilde
+            dh = dpre + dh_tilde @ layer.w_t.T  # skip path plus transform path
 
-    grads["w_in"] = cache.x.T @ dh
+    grads["w_in"] = cache.x.T @ dh + dw_in
 
     if weight_decay:
         for name, w in params.named():
@@ -106,11 +131,6 @@ class Adam:
             w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: Adam) -> None:
-    """Functional alias for Adam.step."""
-    state.step(params, grads)
-
-
 def forward_loss(
     na,
     x: np.ndarray,
@@ -119,9 +139,10 @@ def forward_loss(
     batch: EdgeBatch,
     weight_decay: float,
     rng: np.random.Generator | None = None,
+    x_diffused: DiffusionState | None = None,
 ):
     """One forward pass through model, head, and loss."""
-    h_final, cache = model_forward(na, x, params, cfg, rng=rng)
+    h_final, cache = model_forward(na, x, params, cfg, rng=rng, x_diffused=x_diffused)
     logits = edge_logits(h_final, batch, params.w_head)
     loss = loss_total(logits, batch.signs, params, weight_decay)
     return loss, logits, cache
@@ -162,7 +183,11 @@ def grad_check(
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences on a toy
-    instance. Failure is a reported verdict, not an exception."""
+    instance. Failure is a reported verdict, not an exception.
+
+    Both layer-1 paths are checked, the direct one and the one reading the
+    precomputed diffusion of x; each parameter reports its worse error.
+    Layers 2 and up run the adjoint on both."""
     if n > 10:
         raise ValueError(f"grad_check is a toy-scale harness, keep n <= 10 (got {n})")
     graph_seed, x_seed, init_seed = spawn_seeds(seed, 3)
@@ -173,15 +198,28 @@ def grad_check(
     batch = EdgeBatch.from_edges(g.edges)
     cfg = DiffusionConfig(c=c, k_steps=k_steps, m0_mode="zero")
 
-    loss, logits, cache = forward_loss(na, x, params, cfg, batch, weight_decay)
+    report = {name: 0.0 for name, _ in params.named()}
+    for x_diffused in (None, diffuse_inputs(na, x, cfg)):
+        errors = _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused)
+        for name, err in errors.items():
+            report[name] = max(report[name], err)
+    return GradCheckReport(per_param=report, tolerance=tolerance)
+
+
+def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
+    """Worst relative error per parameter of the analytic gradient against
+    central finite differences."""
+    loss, logits, cache = forward_loss(na, x, params, cfg, batch, weight_decay,
+                                       x_diffused=x_diffused)
     grads = backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-                     weight_decay=weight_decay)
+                     weight_decay=weight_decay, x_diffused=x_diffused)
 
     def loss_at() -> float:
-        value, _, _ = forward_loss(na, x, params, cfg, batch, weight_decay)
+        value, _, _ = forward_loss(na, x, params, cfg, batch, weight_decay,
+                                   x_diffused=x_diffused)
         return value
 
-    report: dict[str, float] = {}
+    errors: dict[str, float] = {}
     for name, w in params.named():
         analytic = grads[name]
         worst = 0.0
@@ -198,8 +236,8 @@ def grad_check(
             a = analytic[idx]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
             worst = max(worst, rel)
-        report[name] = worst
-    return GradCheckReport(per_param=report, tolerance=tolerance)
+        errors[name] = worst
+    return errors
 
 
 @dataclass
@@ -242,7 +280,9 @@ def train(
     """Full-batch training on all edges of `graph` (train edges only).
 
     One gradient step per epoch; the negative diffusion channel is redrawn
-    each epoch in uniform mode. Returns the final parameters and the
+    each epoch in uniform mode. Layer 1 reads the input features' diffusion,
+    computed once, when the epochs save more diffusion columns than it costs
+    (see the module docstring). Returns the final parameters and the
     per-epoch loss history.
     """
     na = normalize(graph)
@@ -252,19 +292,24 @@ def train(
     params = init_params(x.shape[1], cfg.dim, cfg.n_layers, seed=init_seed)
     rng = np.random.default_rng(m0_seed)
     optimizer = Adam(lr=cfg.lr)
+    saved_per_epoch = cfg.dim if cfg.m0_mode == "uniform" else 2 * cfg.dim
+    x_diffused = None
+    # Non-finite features take the direct path, which aborts on them.
+    if cfg.epochs * saved_per_epoch >= x.shape[1] and np.all(np.isfinite(x)):
+        x_diffused = diffuse_inputs(na, x, dcfg)
 
     history: list[float] = []
     last_good = _clone_params(params)
     for epoch in range(cfg.epochs):
         try:
             loss, logits, cache = forward_loss(
-                na, x, params, dcfg, batch, cfg.weight_decay, rng=rng
+                na, x, params, dcfg, batch, cfg.weight_decay, rng=rng, x_diffused=x_diffused
             )
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             grads = backward(
-                na, dcfg, params, cache, batch,
-                loss_grad_logits(logits, batch.signs), weight_decay=cfg.weight_decay,
+                na, dcfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
+                weight_decay=cfg.weight_decay, x_diffused=x_diffused,
             )
         except NumericError as exc:
             raise TrainingAbort(

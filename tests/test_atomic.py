@@ -1,0 +1,93 @@
+import errno
+import os
+
+import numpy as np
+import pytest
+
+import sgdnet.atomic
+from sgdnet.diffusion import DiffusionConfig
+from sgdnet.features import load_features, save_features
+from sgdnet.graph import SignedEdge, load_id_map, read_edge_tsv, save_edge_list, save_id_map
+from sgdnet.model import init_params, load_checkpoint, save_checkpoint
+
+PARAMS = init_params(4, 3, 1, seed=0)
+FEATURES = np.arange(24.0).reshape(6, 4)
+EDGES = [SignedEdge(i, i + 1, 1 if i % 3 else -1) for i in range(50)]
+ID_MAP = {f"node{i}": i for i in range(50)}
+
+SAVERS = {
+    "checkpoint": lambda path: save_checkpoint(path, PARAMS, DiffusionConfig(c=0.5, k_steps=3)),
+    "features": lambda path: save_features(path, FEATURES),
+    "edge_list": lambda path: save_edge_list(path, EDGES),
+    "id_map": lambda path: save_id_map(path, ID_MAP),
+}
+PREVIOUS = b"previous contents\n"
+
+
+class DiskFullAfter:
+    """A file that accepts `budget` bytes or characters, then fails."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+        self.written = 0
+
+    def write(self, data):
+        if self.written + len(data) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("name", sorted(SAVERS))
+def test_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    path = tmp_path / "artifact"
+    path.write_bytes(PREVIOUS)
+    opened = []
+
+    def failing_open(file, mode, **kwargs):
+        opened.append(DiskFullAfter(open(file, mode, **kwargs), budget=12))
+        return opened[-1]
+
+    monkeypatch.setattr(sgdnet.atomic, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        SAVERS[name](path)
+    assert opened and opened[0].written > 0  # the failure came mid-write
+    assert path.read_bytes() == PREVIOUS
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_interrupted_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(PREVIOUS)
+
+    def interrupted():
+        yield from EDGES[:10]
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        save_edge_list(path, interrupted())
+    assert path.read_bytes() == PREVIOUS
+    assert os.listdir(tmp_path) == ["edges.tsv"]
+
+
+def test_saves_replace_the_previous_file(tmp_path):
+    paths = {name: tmp_path / name for name in SAVERS}
+    for name, save in SAVERS.items():
+        paths[name].write_bytes(PREVIOUS)
+        save(paths[name])
+    assert sorted(os.listdir(tmp_path)) == sorted(SAVERS)
+
+    params, cfg = load_checkpoint(paths["checkpoint"])
+    for (_, got), (_, want) in zip(params.named(), PARAMS.named()):
+        assert np.array_equal(got, want)
+    assert (cfg.c, cfg.k_steps) == (0.5, 3)
+    assert np.array_equal(load_features(paths["features"]), FEATURES)
+    assert read_edge_tsv(paths["edge_list"]) == EDGES
+    assert load_id_map(paths["id_map"]) == ID_MAP

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import sgdnet.diffusion
-from sgdnet.diffusion import DiffusionConfig
-from sgdnet.graph import normalize
+import sgdnet.training
+from sgdnet.diffusion import DiffusionConfig, DiffusionState
+from sgdnet.graph import build_graph, normalize
 from sgdnet.model import (
     EdgeBatch,
     ForwardCache,
     ModelParams,
+    NumericError,
+    diffuse_inputs,
     edge_logits,
     init_params,
     loss_grad_logits,
@@ -17,8 +20,9 @@ from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 from sgdnet.training import (
     Adam,
     TrainConfig,
-    adam_step,
+    TrainingAbort,
     backward,
+    forward_loss,
     grad_check,
     train,
 )
@@ -60,7 +64,7 @@ def test_adam_trajectories_deterministic():
         rng = np.random.default_rng(0)
         for _ in range(5):
             grads = {name: rng.standard_normal(w.shape) for name, w in params.named()}
-            adam_step(params, grads, opt)
+            opt.step(params, grads)
         return [w.copy() for _, w in params.named()]
 
     a, b = run(), run()
@@ -166,6 +170,23 @@ def test_grad_check_detects_corrupted_adjoint(monkeypatch):
     report = grad_check(seed=0)
     assert not report.passed
     assert report.max_error > 1e-1
+
+
+def test_grad_check_detects_corrupted_precomputed_gradient(monkeypatch):
+    # The forward pass keeps the true precomputed state; the backward pass
+    # reads its channels swapped, so only layer 1's gradients are wrong.
+    real = sgdnet.training.backward
+
+    def swapped(*args, x_diffused=None, **kwargs):
+        if x_diffused is not None:
+            x_diffused = DiffusionState(x_diffused.m, x_diffused.p)
+        return real(*args, x_diffused=x_diffused, **kwargs)
+
+    monkeypatch.setattr(sgdnet.training, "backward", swapped)
+    report = grad_check(seed=0)
+    assert not report.passed
+    assert report.per_param["layers.1.w_t"] < report.tolerance
+    assert report.per_param["layers.0.w_t"] > 1e-1
 
 
 def test_grad_check_with_and_without_weight_decay():
@@ -288,3 +309,124 @@ def test_train_matches_golden_loss_history(n_layers, m0_mode):
     _, history = train(g, x, cfg)
     np.testing.assert_allclose(history, GOLDEN_HISTORIES[(n_layers, m0_mode)],
                                rtol=1e-10, atol=0.0)
+
+
+# ---------------------------------------------------------------- layer-1 precompute
+
+PRECOMPUTE_GRAPHS = {
+    "random": lambda: random_signed_graph(25, avg_out_degree=3.0, neg_fraction=0.3, seed=8),
+    "deadends": lambda: random_signed_graph(
+        30, avg_out_degree=3.0, neg_fraction=0.4, deadend_fraction=0.3, seed=41
+    ),
+    "edgeless": lambda: build_graph([], 12),
+}
+
+
+def loss_grads_and_next_draw(na, x, params, cfg, batch, x_diffused):
+    rng = np.random.default_rng(3)
+    loss, logits, cache = forward_loss(na, x, params, cfg, batch, 1e-3, rng=rng,
+                                       x_diffused=x_diffused)
+    grads = backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
+                     weight_decay=1e-3, x_diffused=x_diffused)
+    return loss, grads, rng.random()
+
+
+@pytest.mark.parametrize("m0_mode", ("zero", "uniform"))
+@pytest.mark.parametrize("n_layers", (1, 2))
+@pytest.mark.parametrize("graph_name", sorted(PRECOMPUTE_GRAPHS))
+def test_precomputed_first_layer_matches_direct_path(graph_name, n_layers, m0_mode):
+    g = PRECOMPUTE_GRAPHS[graph_name]()
+    na = normalize(g)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((g.n, 7))
+    batch = EdgeBatch(uv=rng.integers(0, g.n, size=(40, 2)),
+                      signs=rng.choice(np.array([-1, 1]), size=40))
+    params = init_params(7, 5, n_layers, seed=2)
+    cfg = DiffusionConfig(c=0.4, k_steps=6, m0_mode=m0_mode)
+
+    loss, grads, draw = loss_grads_and_next_draw(na, x, params, cfg, batch, None)
+    loss_pre, grads_pre, draw_pre = loss_grads_and_next_draw(
+        na, x, params, cfg, batch, diffuse_inputs(na, x, cfg)
+    )
+    assert abs(loss_pre - loss) <= 1e-12 * abs(loss)
+    assert list(grads_pre) == list(grads)
+    for name, ref in grads.items():
+        assert np.abs(grads_pre[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert draw_pre == draw  # both paths consumed the rng alike
+
+
+def count_diffusions(monkeypatch):
+    """Record the column count of every diffuse call and count adjoint calls."""
+    real_diffuse = sgdnet.diffusion.diffuse
+    real_adjoint = sgdnet.diffusion.diffuse_adjoint
+    calls = {"diffuse": [], "adjoint": 0}
+
+    def diffuse(na, h, cfg, *args, **kwargs):
+        calls["diffuse"].append(np.shape(h)[1])
+        return real_diffuse(na, h, cfg, *args, **kwargs)
+
+    def adjoint(*args, **kwargs):
+        calls["adjoint"] += 1
+        return real_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(sgdnet.diffusion, "diffuse", diffuse)
+    monkeypatch.setattr(sgdnet.diffusion, "diffuse_adjoint", adjoint)
+    return calls
+
+
+# d0 = 12 and d = 3: an epoch saves 3 columns in uniform mode, 6 in zero mode.
+@pytest.mark.parametrize("m0_mode, epochs, precomputed", [
+    ("uniform", 3, False), ("uniform", 4, True), ("zero", 1, False), ("zero", 2, True),
+])
+def test_train_precomputes_at_or_above_the_cost_rule(monkeypatch, m0_mode, epochs, precomputed):
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 12))
+    cfg = TrainConfig(dim=3, n_layers=1, c=0.4, k_steps=3, epochs=epochs,
+                      m0_mode=m0_mode, seed=0)
+    calls = count_diffusions(monkeypatch)
+    train(g, x, cfg)
+    per_epoch = 1 if m0_mode == "uniform" else 0
+    if precomputed:
+        assert calls["diffuse"] == [12] + [3] * (per_epoch * epochs)
+        assert calls["adjoint"] == 0
+    else:
+        assert calls["diffuse"] == [3] * epochs
+        assert calls["adjoint"] == epochs
+
+
+@pytest.mark.parametrize("m0_mode", ("zero", "uniform"))
+def test_train_history_is_the_same_on_both_sides_of_the_cost_rule(m0_mode):
+    # d0 = 30 and d = 3: 4 epochs fall below the rule in both modes, 10 above.
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 30))
+
+    def history(epochs):
+        cfg = TrainConfig(dim=3, n_layers=2, c=0.4, k_steps=3, epochs=epochs,
+                          m0_mode=m0_mode, seed=0)
+        return train(g, x, cfg)[1]
+
+    np.testing.assert_allclose(history(10)[:4], history(4), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_train_nonfinite_features_abort_on_the_precompute_side(bad):
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 5))
+    x[3, 2] = bad
+    cfg = TrainConfig(dim=3, n_layers=1, epochs=10, m0_mode="zero", seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingAbort) as excinfo:
+        train(g, x, cfg)
+    assert excinfo.value.history == []
+
+
+@pytest.mark.parametrize("name", ("w_in", "layers.0.w_t"))
+def test_precomputed_first_layer_rejects_nonfinite_weights(name):
+    g = planted_partition_graph(n=16, seed=1)
+    na = normalize(g)
+    x = np.random.default_rng(1).standard_normal((16, 5))
+    params = init_params(5, 3, 1, seed=0)
+    dict(params.named())[name][0, 1] = np.inf
+    cfg = zero_cfg()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        forward_loss(na, x, params, cfg, EdgeBatch.from_edges(g.edges), 0.0,
+                     x_diffused=diffuse_inputs(na, x, cfg))
