@@ -92,11 +92,12 @@ def _restart_walk(op, z: np.ndarray, inject: tuple[np.ndarray, np.ndarray], deca
                   k_steps: int):
     """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on a stacked 2n x d
     state, one sparse product per step; inject[0] is added to the top half
-    and inject[1] to the bottom half."""
+    and inject[1] to the bottom half. The decay is folded into a scaled copy
+    of op once per walk, so no step makes an extra pass over z."""
     n = z.shape[0] // 2
+    op = op * decay
     for _ in range(k_steps):
         z = op @ z
-        z *= decay
         z[:n] += inject[0]
         z[n:] += inject[1]
         yield z

@@ -117,3 +117,27 @@ def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
             (1 - c) * (an @ gp + ap @ gm),
         )
     return grad_h + gp
+
+
+def reference_randomized_svd(m, rank, oversample=10, power_iters=2, seed=0):
+    """The randomized SVD with a Householder QR after every product and the
+    SVD of the wide B = Q^T A, sign-fixed column by column. Same Gaussian
+    sketch as `sgdnet.features.randomized_svd`, so the two agree up to the
+    normalizer's rounding; an oracle for the SVQB power steps."""
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((m.shape[1], rank + oversample))
+    q, _ = np.linalg.qr(m @ omega)
+    for _ in range(power_iters):
+        w, _ = np.linalg.qr(m.T @ q)
+        q, _ = np.linalg.qr(m @ w)
+    b = (m.T @ q).T
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    u = np.ascontiguousarray((q @ ub)[:, :rank])
+    s = s[:rank].copy()
+    v = np.ascontiguousarray(vt[:rank].T)
+    for j in range(rank):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, s, v
