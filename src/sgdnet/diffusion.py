@@ -19,16 +19,29 @@ d = p - m, which decouple:
     s_next = (1 - c) * S^T s + c * h,    S = NA+ + NA-
     d_next = (1 - c) * D^T d + c * h,    D = NA+ - NA-
 
-S and D share one sparsity pattern, so a step is one sparse product with
-blockdiag(S^T, D^T) on the stacked [s; d]. Column sums of |S^T| and |D^T|
-are at most 1, so the (1 - c)^K contraction bound holds for each channel on
-its own. The p/m state is recovered once, as p = (s + d) / 2 and
-m = (s - d) / 2. `exact_solve` stays on the per-sign block operator, so it is
-an independent oracle for this iteration.
+Neither walk ever reads the other's state, so they run as two independent
+n x d walks, one sparse product per step each, with no synchronization
+between steps. When the process may run on two or more CPUs, `diffuse` and
+`diffuse_adjoint` run the difference walk on a short-lived worker thread
+while the calling thread runs the sum walk (scipy's sparse-times-dense
+product releases the GIL). On a single usable CPU (per the process's CPU
+affinity) both walks run inline, one after the other, since two threads on
+one core only evict each other's cache. The worker pool lives for one call:
+a pool kept across calls would leave a thread behind that a forked child
+cannot use. Each walk does the same arithmetic in either case, so the
+results are bitwise the same. `diffusion_steps` advances both walks in
+lockstep on the calling thread.
+
+Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
+bound holds for each channel on its own. The p/m state is recovered once,
+as p = (s + d) / 2 and m = (s - d) / 2. `exact_solve` stays on the per-sign
+block operator, so it is an independent oracle for this iteration.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -88,33 +101,59 @@ def initial_state(
     return DiffusionState(h_tilde.copy(), rng.uniform(-1.0, 1.0, size=h_tilde.shape))
 
 
-def _restart_walk(op, z: np.ndarray, inject: tuple[np.ndarray, np.ndarray], decay: float,
-                  k_steps: int):
-    """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on a stacked 2n x d
-    state, one sparse product per step; inject[0] is added to the top half
-    and inject[1] to the bottom half. The decay is folded into a scaled copy
-    of op once per walk, so no step makes an extra pass over z."""
-    n = z.shape[0] // 2
+def _restart_walk(op, start: list, inject: np.ndarray, decay: float, k_steps: int):
+    """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
+    one sparse product per step. The decay is folded into a scaled copy of op
+    once per walk, so no step makes an extra pass over z. `start` is a
+    one-element list holding z_0; the walk pops it, so that z_0 can be freed
+    after the first step."""
     op = op * decay
+    z = start.pop()
     for _ in range(k_steps):
         z = op @ z
-        z[:n] += inject[0]
-        z[n:] += inject[1]
+        z += inject
         yield z
 
 
-def _to_state(z: np.ndarray) -> DiffusionState:
-    """Split a stacked [s; d] state back into the p/m channels."""
-    s, d = np.split(z, 2)
+def _last(walk):
+    """Run a walk to its end and return its final state."""
+    for z in walk:
+        pass
+    return z
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_walks(walk_s, walk_d) -> tuple[np.ndarray, np.ndarray]:
+    """Final states of the sum and difference walks. With two or more usable
+    CPUs the difference walk runs on a worker thread meanwhile; the worker
+    runs only the walk itself, never a public function of this package."""
+    if _usable_cpus() < 2:
+        return _last(walk_s), _last(walk_d)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        future_d = worker.submit(_last, walk_d)
+        s = _last(walk_s)
+        return s, future_d.result()
+
+
+def _to_state(s: np.ndarray, d: np.ndarray) -> DiffusionState:
+    """Turn the sum/difference channels back into the p/m channels."""
     return DiffusionState(0.5 * (s + d), 0.5 * (s - d))
 
 
-def _forward_walk(na, h_tilde, cfg, m0, rng):
-    """T0 and the iterator over the stacked [s; d] states z_1 .. z_K."""
-    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+def _forward_walks(t0: DiffusionState, na, cfg):
+    """The sum and difference walks from T0, injecting c * h at every step."""
     inject = cfg.c * t0.p
-    z0 = np.concatenate([t0.p + t0.m, t0.p - t0.m])
-    return t0, _restart_walk(na.fwd, z0, (inject, inject), 1.0 - cfg.c, cfg.k_steps)
+    decay = 1.0 - cfg.c
+    return (
+        _restart_walk(na.fwd[0], [t0.p + t0.m], inject, decay, cfg.k_steps),
+        _restart_walk(na.fwd[1], [t0.p - t0.m], inject, decay, cfg.k_steps),
+    )
 
 
 def diffusion_steps(
@@ -125,10 +164,11 @@ def diffusion_steps(
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
     """Yield T0, T1, ..., T_K one step at a time."""
-    t0, walk = _forward_walk(na, h_tilde, cfg, m0, rng)
+    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+    walk_s, walk_d = _forward_walks(t0, na, cfg)
     yield t0
-    for z in walk:
-        yield _to_state(z)
+    for s, d in zip(walk_s, walk_d):
+        yield _to_state(s, d)
 
 
 def diffuse(
@@ -139,10 +179,10 @@ def diffuse(
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Run the signed random-walk diffusion for cfg.k_steps steps."""
-    _, walk = _forward_walk(na, h_tilde, cfg, m0, rng)
-    for z in walk:
-        pass
-    return _to_state(z)
+    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+    walks = _forward_walks(t0, na, cfg)
+    del t0  # the walks hold their own start states
+    return _to_state(*_run_walks(*walks))
 
 
 def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> DiffusionState:
@@ -184,19 +224,22 @@ def diffuse_adjoint(
     output gradient: the c-weighted injection at every step plus the initial
     positive channel (the local features). The initial negative channel is
     a constant, so its path is dropped. Horner's rule turns the polynomial
-    into the forward recurrence with g re-injected, run on the sum/difference
-    channels of g with `adj`, one sparse product per step.
+    into the forward recurrence with g re-injected, run on the sum and
+    difference channels of g with the pair `adj`, one sparse product per
+    step and channel.
     """
     grad_p = _check_features(na, grad_p)
     grad_m = _check_features(na, grad_m)
     if grad_p.shape != grad_m.shape:
         raise ValueError(f"gradient shapes differ: {grad_p.shape} vs {grad_m.shape}")
 
-    z = np.concatenate([grad_p + grad_m, grad_p - grad_m])
-    inject = np.split(cfg.c * z, 2)
-    for z in _restart_walk(na.adj, z, inject, 1.0 - cfg.c, cfg.k_steps):
-        pass
-    s, d = np.split(z, 2)
+    start_s, start_d = [grad_p + grad_m], [grad_p - grad_m]
+    inject_s, inject_d = cfg.c * start_s[0], cfg.c * start_d[0]
+    decay = 1.0 - cfg.c
+    s, d = _run_walks(
+        _restart_walk(na.adj[0], start_s, inject_s, decay, cfg.k_steps),
+        _restart_walk(na.adj[1], start_d, inject_d, decay, cfg.k_steps),
+    )
     return 0.5 * (s + d)
 
 

@@ -71,9 +71,9 @@ class NormalizedAdjacency:
     and is all-zero when u is a deadend.
 
     With S = na_plus + na_minus and D = na_plus - na_minus (one sparsity
-    pattern, since the signs are disjoint), `fwd` is blockdiag(S^T, D^T) and
-    `adj` is blockdiag(S, D): one diffusion step, or one adjoint step, on the
-    stacked sum/difference channels is a single sparse product.
+    pattern, since the signs are disjoint), `fwd` is the pair (S^T, D^T) and
+    `adj` is the pair (S, D): one diffusion step, or one adjoint step, of the
+    sum or the difference channel is a single sparse product with its half.
     """
 
     __slots__ = ("n", "na_plus", "na_minus", "na_plus_t", "na_minus_t", "fwd", "adj")
@@ -84,21 +84,8 @@ class NormalizedAdjacency:
         self.na_minus = na_minus
         self.na_plus_t = na_plus_t
         self.na_minus_t = na_minus_t
-        self.fwd = _block_diag(na_plus_t + na_minus_t, na_plus_t - na_minus_t)
-        self.adj = _block_diag(na_plus + na_minus, na_plus - na_minus)
-
-
-def _block_diag(a, b):
-    """blockdiag(a, b) of two canonical n x n CSR arrays, assembled directly."""
-    n = a.shape[0]
-    return sp.csr_array(
-        (
-            np.concatenate([a.data, b.data]),
-            np.concatenate([a.indices, b.indices + n]),
-            np.concatenate([a.indptr, b.indptr[1:] + a.nnz]),
-        ),
-        shape=(2 * n, 2 * n),
-    )
+        self.fwd = (na_plus_t + na_minus_t, na_plus_t - na_minus_t)
+        self.adj = (na_plus + na_minus, na_plus - na_minus)
 
 
 def _parse_tsv_sign(line: str, lineno: int) -> tuple[str, str, int]:

@@ -73,8 +73,8 @@ def backward(
         layer = params.layers[i]
         lc = cache.layers[i]
         dpre = dh * (1.0 - lc.h_next * lc.h_next)
-        pm = np.hstack([lc.p, lc.m])
-        grads[f"layers.{i}.w_n"] = pm.T @ dpre
+        # Not kept: the n x 2d stack would stay alive through the adjoint.
+        grads[f"layers.{i}.w_n"] = np.hstack([lc.p, lc.m]).T @ dpre
         dpm = dpre @ layer.w_n.T
         if i == 0 and x_diffused is not None:
             dw = x_diffused.p.T @ dpm[:, :d] + x_diffused.m.T @ dpm[:, d:]

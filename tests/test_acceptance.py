@@ -242,14 +242,18 @@ def test_criterion_7_injection_ratio_trend():
 # -------------------------------------------------------------- criterion 8
 
 
-def _best_time(fn, repeats=7):
-    fn()  # warmup
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _interleaved_times(fns, rounds=7):
+    """Wall times, rounds x functions, with every function timed once per
+    round, so that clock-speed drift hits every function equally."""
+    for fn in fns:
+        fn()  # warmup
+    times = np.empty((rounds, len(fns)))
+    for r in range(rounds):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            times[r, i] = time.perf_counter() - start
+    return times
 
 
 def test_criterion_8_complexity_scaling():
@@ -263,18 +267,12 @@ def test_criterion_8_complexity_scaling():
     k_values = np.array([1, 2, 4, 8, 16])
 
     def run(k):
-        diffuse(na, h, DiffusionConfig(c=0.5, k_steps=int(k), m0_mode="zero"))
+        cfg = DiffusionConfig(c=0.5, k_steps=int(k), m0_mode="zero")
+        return lambda: diffuse(na, h, cfg)
 
-    # Interleaved rounds so clock-speed drift hits every K equally.
-    for k in k_values:
-        run(k)
-    best = {int(k): np.inf for k in k_values}
-    for _ in range(7):
-        for k in k_values:
-            start = time.perf_counter()
-            run(k)
-            best[int(k)] = min(best[int(k)], time.perf_counter() - start)
-    times = np.array([best[int(k)] for k in k_values])
+    # Median over the rounds: on a shared host a best-of time depends on
+    # when the second core happened to be free for the channel worker.
+    times = np.median(_interleaved_times([run(k) for k in k_values]), axis=0)
     slope, intercept = np.polyfit(k_values, times, 1)
     predicted = slope * k_values + intercept
     ss_res = float(((times - predicted) ** 2).sum())
@@ -290,9 +288,10 @@ def test_criterion_8_complexity_scaling():
     na2 = normalize(g2)
     h2 = np.vstack([h, h])
     cfg8 = DiffusionConfig(c=0.5, k_steps=8, m0_mode="zero")
-    t_base = _best_time(lambda: diffuse(na, h, cfg8))
-    t_dup = _best_time(lambda: diffuse(na2, h2, cfg8))
-    ratio = t_dup / t_base
+    # The median of the per-round ratios: a slow spell on the shared host
+    # hits both graphs of a round, and an outlier round does not count.
+    pairs = _interleaved_times([lambda: diffuse(na, h, cfg8), lambda: diffuse(na2, h2, cfg8)])
+    ratio = float(np.median(pairs[:, 1] / pairs[:, 0]))
     m_ok = 1.4 <= ratio <= 2.6
 
     ok = k_ok and m_ok

@@ -1,6 +1,12 @@
+import multiprocessing
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import sgdnet.diffusion as diffusion_module
 from sgdnet.diffusion import (
     DiffusionConfig,
     DiffusionState,
@@ -353,10 +359,168 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
     )
 
 
-def test_fused_operators_are_block_diagonal_sum_and_difference():
+def test_fused_operators_are_sum_and_difference_pairs():
     na = normalize(EQUIVALENCE_GRAPHS["deadends"]())
     ap_t, an_t = na.na_plus_t.toarray(), na.na_minus_t.toarray()
-    zero = np.zeros_like(ap_t)
-    fwd = np.block([[ap_t + an_t, zero], [zero, ap_t - an_t]])
-    assert np.array_equal(na.fwd.toarray(), fwd)
-    assert np.array_equal(na.adj.toarray(), fwd.T)
+    fwd = (ap_t + an_t, ap_t - an_t)
+    assert len(na.fwd) == len(na.adj) == 2
+    for op, dense in zip(na.fwd, fwd):
+        assert np.array_equal(op.toarray(), dense)
+    for op, dense in zip(na.adj, fwd):
+        assert np.array_equal(op.toarray(), dense.T)
+
+
+# ------------------------------------------------------- channel-walk threads
+
+
+def use_cpus(monkeypatch, count):
+    """Make the walk dispatch see `count` usable CPUs."""
+    monkeypatch.setattr(diffusion_module, "_usable_cpus", lambda: count)
+
+
+def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):
+    monkeypatch.setattr(diffusion_module.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert diffusion_module._usable_cpus() == 3
+    monkeypatch.delattr(diffusion_module.os, "sched_getaffinity")
+    monkeypatch.setattr(diffusion_module.os, "cpu_count", lambda: 4)
+    assert diffusion_module._usable_cpus() == 4
+    monkeypatch.setattr(diffusion_module.os, "cpu_count", lambda: None)
+    assert diffusion_module._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("cpus, on_worker", [(1, False), (2, True), (8, True)])
+def test_difference_walk_runs_on_a_worker_only_with_two_cpus(monkeypatch, cpus, on_worker):
+    use_cpus(monkeypatch, cpus)
+    threads = []
+    last = diffusion_module._last
+
+    def recording_last(walk):
+        threads.append(threading.get_ident())
+        return last(walk)
+
+    monkeypatch.setattr(diffusion_module, "_last", recording_last)
+    na = toy_na(-1)
+    diffuse(na, H_TOY, zero_cfg(0.5, 3))
+    diffuse_adjoint(na, H_TOY, H_TOY, zero_cfg(0.5, 3))
+    caller = threading.get_ident()
+    # One walk of each call runs here; the other runs here only on one CPU.
+    assert sorted(t != caller for t in threads) == sorted([False, on_worker] * 2)
+
+
+@pytest.mark.parametrize("graph", sorted(EQUIVALENCE_GRAPHS))
+@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("k", [1, 7])
+def test_threaded_and_inline_walks_are_bitwise_equal(monkeypatch, graph, m0_mode, k):
+    na = normalize(EQUIVALENCE_GRAPHS[graph]())
+    rng = np.random.default_rng(k)
+    h = rng.standard_normal((na.n, 4))
+    m0 = rng.standard_normal(h.shape)
+    gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
+    cfg = DiffusionConfig(c=0.3, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+
+    def outputs(cpus):
+        use_cpus(monkeypatch, cpus)
+        start = {"uniform": {"rng": np.random.default_rng(7)}, "explicit": {"m0": m0}}
+        p, m = diffuse(na, h, cfg, **start.get(m0_mode, {}))
+        return p, m, diffuse_adjoint(na, gp, gm, cfg)
+
+    for threaded, inline in zip(outputs(2), outputs(1)):
+        assert np.array_equal(threaded, inline)
+
+
+def test_concurrent_callers_get_identical_results(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    na = normalize(random_signed_graph(400, avg_out_degree=5.0, neg_fraction=0.3, seed=5))
+    h = np.random.default_rng(0).standard_normal((na.n, 6))
+    cfg = zero_cfg(0.4, 12)
+    expected_p, expected_m = diffuse(na, h, cfg)
+    expected_g = diffuse_adjoint(na, h, 2.0 * h, cfg)
+    callers = 3  # each with its own channel worker: more threads than cores
+    barrier = threading.Barrier(callers)
+    results = [[] for _ in range(callers)]
+
+    def caller(slot):
+        barrier.wait()
+        for _ in range(10):
+            results[slot].append((*diffuse(na, h, cfg), diffuse_adjoint(na, h, 2.0 * h, cfg)))
+
+    threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [10] * callers
+    for p, m, g in sum(results, []):
+        assert np.array_equal(p, expected_p)
+        assert np.array_equal(m, expected_m)
+        assert np.array_equal(g, expected_g)
+
+
+class _FailingOperator:
+    """Stands in for one channel's operator; scaling it raises on the thread
+    that runs that channel's walk."""
+
+    def __init__(self):
+        self.thread = None
+
+    def __mul__(self, other):
+        self.thread = threading.get_ident()
+        raise RuntimeError("walk failed")
+
+
+def test_worker_walk_exception_reraises_in_caller(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    na = toy_na(+1)
+    for name in ("fwd", "adj"):
+        failing = _FailingOperator()
+        ops = {"fwd": na.fwd, "adj": na.adj}
+        ops[name] = (ops[name][0], failing)
+        broken = SimpleNamespace(n=na.n, **ops)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            if name == "fwd":
+                diffuse(broken, H_TOY, zero_cfg(0.5, 2))
+            else:
+                diffuse_adjoint(broken, H_TOY, H_TOY, zero_cfg(0.5, 2))
+        assert failing.thread not in (None, threading.get_ident())
+
+
+def _diffuse_in_child(conn, na, h, cfg):
+    p, m = diffuse(na, h, cfg)
+    conn.send((p, m, diffuse_adjoint(na, p, m, cfg)))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_can_diffuse_after_parent(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    na = normalize(random_signed_graph(200, avg_out_degree=4.0, neg_fraction=0.3, seed=9))
+    h = np.random.default_rng(1).standard_normal((na.n, 3))
+    cfg = zero_cfg(0.35, 10)
+    p, m = diffuse(na, h, cfg)  # the parent has run a worker thread before the fork
+    expected = (p, m, diffuse_adjoint(na, p, m, cfg))
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_diffuse_in_child, args=(send, na, h, cfg))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "forked child did not finish its diffusion"
+        got = receive.recv()
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
