@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+from .atomic import atomic_write
+
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -180,7 +182,7 @@ def cmd_prep(args) -> int:
 
     header = "n\tm\tm_plus\tm_minus\trho_plus\trho_minus"
     row = f"{n}\t{m}\t{n_pos}\t{n_neg}\t{100.0 * n_pos / m:.2f}%\t{100.0 * n_neg / m:.2f}%"
-    with open(os.path.join(args.out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out_dir, "summary.txt")) as fh:
         fh.write(header + "\n" + row + "\n")
     print(header)
     print(row)
@@ -233,7 +235,7 @@ def cmd_train(args) -> int:
     loss_path = os.path.join(out_dir, "loss.csv")
 
     def write_loss(history):
-        with open(loss_path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(loss_path) as fh:
             fh.write("epoch,loss\n")
             for epoch, loss in enumerate(history):
                 fh.write(f"{epoch},{loss:.10g}\n")
@@ -273,7 +275,7 @@ def cmd_eval(args) -> int:
     report = score_report(p_plus, preds, batch.signs)
 
     out_path = args.out or os.path.join(args.run_dir, "predictions.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_path) as fh:
         fh.write("u,v,label,p_plus,pred\n")
         for (u, v), label, prob, pred in zip(batch.uv, batch.signs, p_plus, preds):
             fh.write(f"{u},{v},{label},{prob:.10g},{pred}\n")
@@ -334,7 +336,7 @@ def cmd_diffuse(args) -> int:
 
     out_path = args.out or os.path.join(args.prep_dir, "diffusion.csv")
     header = "step,residual,error,bound" if with_exact else "step,residual"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_path) as fh:
         fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
     print(f"diffusion trace ({args.k} steps): {out_path}")
@@ -377,7 +379,7 @@ def cmd_experiment(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "runs.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_path) as fh:
         fh.write("dataset,seed,auc,f1_macro\n")
         for row in result.rows:
             fh.write(f"{args.dataset},{row.seed},{row.auc:.10g},{row.f1_macro:.10g}\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig
 from .features import init_features
-from .graph import SignedDigraph, build_graph, normalize
+from .graph import EdgeList, SignedDigraph, as_edge_list, build_graph, normalize
 from .model import EdgeBatch, ModelParams, edge_logits, model_forward, softmax
 from .seeding import spawn_seeds
 from .training import TrainConfig, train
@@ -26,8 +26,8 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class Split:
-    train: list
-    test: list
+    train: EdgeList
+    test: EdgeList
     seed: int
     ratio: float
 
@@ -37,29 +37,25 @@ def split_edges(edges, ratio: float, seed: int) -> Split:
     test set and the rest the training set."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
+    edges = as_edge_list(edges)
     m = len(edges)
     if m < 5:
         raise ValueError(f"need at least 5 edges to split, got {m}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
     n_test = int(ratio * m)
-    test = [edges[i] for i in order[:n_test]]
-    train_part = [edges[i] for i in order[n_test:]]
-    return Split(train=train_part, test=test, seed=seed, ratio=ratio)
+    return Split(train=edges[order[n_test:]], test=edges[order[:n_test]], seed=seed, ratio=ratio)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; tied values share the mean of their ranks."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie group k spans sorted positions first[k]..last[k].
+    first = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    last = np.r_[first[1:], len(values)] - 1
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import diffusion
 from .atomic import atomic_write
 from .diffusion import DiffusionConfig, DiffusionState
-from .graph import NormalizedAdjacency
+from .graph import NormalizedAdjacency, as_edge_list
 
 CHECKPOINT_MAGIC = b"SGDN"
 CHECKPOINT_VERSION = 1
@@ -189,9 +189,8 @@ class EdgeBatch(NamedTuple):
 
     @classmethod
     def from_edges(cls, edges) -> "EdgeBatch":
-        uv = np.array([(e.src, e.dst) for e in edges], dtype=np.int64).reshape(-1, 2)
-        signs = np.array([e.sign for e in edges], dtype=np.int64)
-        return cls(uv=uv, signs=signs)
+        edges = as_edge_list(edges)
+        return cls(uv=np.stack([edges.src, edges.dst], axis=1), signs=edges.sign)
 
     def __len__(self) -> int:
         return self.uv.shape[0]

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 
+from sgdnet.graph import DataError, ParseError
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.environ.get("SGDNET_DATA", os.path.join(_HERE, "..", "data"))
 
@@ -141,3 +143,103 @@ def reference_randomized_svd(m, rank, oversample=10, power_iters=2, seed=0):
             u[:, j] = -u[:, j]
             v[:, j] = -v[:, j]
     return u, s, v
+
+
+# Literal copies of the per-line edge readers and the midrank loop that the
+# library replaced with whole-array code; oracles for differential tests.
+
+
+def _reference_parse_tsv_sign(line, lineno):
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+    src, dst, sign_str = (p.strip() for p in parts)
+    try:
+        sign = int(sign_str)
+    except ValueError:
+        raise ParseError(f"line {lineno}: sign {sign_str!r} is not an integer") from None
+    if sign not in (1, -1):
+        raise ParseError(f"line {lineno}: sign must be 1 or -1, got {sign}")
+    return src, dst, sign
+
+
+def _reference_parse_csv_rating(line, lineno):
+    parts = line.split(",")
+    if len(parts) < 3:
+        raise ParseError(f"line {lineno}: expected SOURCE,TARGET,RATING[,TIME], got {len(parts)} fields")
+    src, dst, rating_str = (p.strip() for p in parts[:3])
+    try:
+        rating = float(rating_str)
+    except ValueError:
+        raise ParseError(f"line {lineno}: rating {rating_str!r} is not numeric") from None
+    if rating == 0:
+        raise DataError(f"line {lineno}: zero rating carries no sign")
+    return src, dst, (1 if rating > 0 else -1)
+
+
+_REFERENCE_PARSERS = {"tsv-sign": _reference_parse_tsv_sign, "csv-rating": _reference_parse_csv_rating}
+
+
+def reference_load_edge_list(path, fmt="tsv-sign"):
+    """(edges as (src, dst, sign) tuples, n, id_map), read line by line: ids
+    by first appearance, a repeated pair at its first position with its last
+    sign (a dict keeps the first insertion's place)."""
+    parse = _REFERENCE_PARSERS[fmt]
+    id_map = {}
+    signs = {}
+
+    def dense(raw):
+        if raw not in id_map:
+            id_map[raw] = len(id_map)
+        return id_map[raw]
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.strip()
+            if not line or line.startswith("#"):
+                continue
+            src_raw, dst_raw, sign = parse(line, lineno)
+            signs[(dense(src_raw), dense(dst_raw))] = sign
+
+    if not signs:
+        raise DataError(f"{path}: no edges found")
+
+    edges = [(u, v, s) for (u, v), s in signs.items()]
+    return edges, len(id_map), id_map
+
+
+def reference_read_edge_tsv(path):
+    """Dense-id edges as (src, dst, sign) tuples, read line by line."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.strip()
+            if not line or line.startswith("#"):
+                continue
+            src_raw, dst_raw, sign = _reference_parse_tsv_sign(line, lineno)
+            try:
+                src, dst = int(src_raw), int(dst_raw)
+            except ValueError:
+                raise ParseError(f"line {lineno}: dense ids must be integers") from None
+            if src < 0 or dst < 0:
+                raise ParseError(f"line {lineno}: dense ids must be non-negative")
+            edges.append((src, dst, sign))
+    if not edges:
+        raise DataError(f"{path}: no edges found")
+    return edges
+
+
+def reference_midranks(values):
+    """Ranks from 1 with tied values sharing their mean rank, one tie group
+    at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

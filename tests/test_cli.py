@@ -54,6 +54,14 @@ def test_prep_writes_artifacts(prep_dir):
     assert row[4].endswith("%")
 
 
+def test_prep_bad_line_after_comments_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("# Nodes: 3\n\n0\t1\t1\n1\t2\n")
+    code = run_cli("prep", "--input", str(raw), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "line 4: expected 3 tab-separated fields" in capsys.readouterr().err
+
+
 def test_prep_missing_file_exits_2(tmp_path):
     code = run_cli(
         "prep", "--input", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path / "o")

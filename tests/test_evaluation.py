@@ -4,6 +4,7 @@ import pytest
 from sgdnet.evaluation import (
     ExperimentConfig,
     MetricError,
+    _midranks,
     auc,
     class_metrics,
     f1_macro,
@@ -14,7 +15,7 @@ from sgdnet.evaluation import (
 from sgdnet.graph import SignedEdge
 from sgdnet.synthetic import planted_partition_graph
 
-from helpers import brute_force_auc
+from helpers import brute_force_auc, reference_midranks
 
 
 def make_edges(m):
@@ -42,9 +43,17 @@ def test_split_deterministic_and_disjoint():
     b = split_edges(edges, 0.2, seed=3)
     assert a.test == b.test and a.train == b.train
     assert set(a.test).isdisjoint(a.train)
-    assert sorted(a.test + a.train) == sorted(edges)
+    assert sorted([*a.test, *a.train]) == sorted(edges)
     c = split_edges(edges, 0.2, seed=4)
     assert c.test != a.test
+
+
+def test_split_takes_the_test_edges_first_in_permutation_order():
+    edges = make_edges(20)
+    order = np.random.default_rng(7).permutation(20)
+    split = split_edges(edges, 0.25, seed=7)
+    assert list(split.test) == [edges[i] for i in order[:5]]
+    assert list(split.train) == [edges[i] for i in order[5:]]
 
 
 def test_split_ratio_validation():
@@ -54,6 +63,38 @@ def test_split_ratio_validation():
         split_edges(make_edges(10), 1.0, seed=0)
     with pytest.raises(ValueError):
         split_edges(make_edges(4), 0.2, seed=0)
+
+
+# ---------------------------------------------------------------- midranks
+
+
+def midrank_cases():
+    rng = np.random.default_rng(0)
+    yield "no_ties", rng.permutation(500) + rng.random(500)
+    yield "all_ties", np.full(300, 0.25)
+    yield "mixed_ties", rng.integers(0, 20, size=1000).astype(np.float64)
+    yield "mixed_ties_with_runs", np.repeat(rng.random(40), rng.integers(1, 9, size=40))
+    yield "signed_zeros_and_nan", np.array([0.0, -0.0, np.nan, 1.0, np.nan, 0.0, -1.0])
+    yield "one", np.array([3.0])
+    yield "empty", np.array([])
+
+
+@pytest.mark.parametrize("name, values", list(midrank_cases()))
+def test_midranks_match_the_tie_group_loop(name, values):
+    got = _midranks(values)
+    want = reference_midranks(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_auc_with_ties_matches_the_tie_group_loop(seed):
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.random(400), 1)
+    labels = np.where(rng.random(400) < 0.7, 1, -1)
+    pos = labels > 0
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    want = (float(reference_midranks(scores)[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert auc(scores, labels) == want
 
 
 # ---------------------------------------------------------------- auc

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import sgdnet.graph
 from sgdnet.graph import (
     DataError,
+    EdgeList,
     ParseError,
     SignedEdge,
+    as_edge_list,
     build_graph,
     column_sums_of_b,
     load_edge_list,
@@ -16,7 +19,13 @@ from sgdnet.graph import (
 )
 from sgdnet.synthetic import random_signed_graph
 
-from helpers import bitcoin_alpha_path, bitcoin_otc_path, dense_block_operator
+from helpers import (
+    bitcoin_alpha_path,
+    bitcoin_otc_path,
+    dense_block_operator,
+    reference_load_edge_list,
+    reference_read_edge_tsv,
+)
 
 
 def write(tmp_path, name, text):
@@ -31,7 +40,7 @@ def write(tmp_path, name, text):
 def test_load_tsv_single_edge(tmp_path):
     path = write(tmp_path, "e.tsv", "0\t1\t-1\n")
     edges, n, id_map = load_edge_list(path, "tsv-sign")
-    assert edges == [SignedEdge(0, 1, -1)]
+    assert list(edges) == [SignedEdge(0, 1, -1)]
     assert n == 2
     assert id_map == {"0": 0, "1": 1}
 
@@ -39,7 +48,7 @@ def test_load_tsv_single_edge(tmp_path):
 def test_load_csv_rating_sign_and_remap(tmp_path):
     path = write(tmp_path, "e.csv", "7,12,-10,1400000000\n")
     edges, n, _ = load_edge_list(path, "csv-rating")
-    assert edges == [SignedEdge(0, 1, -1)]
+    assert list(edges) == [SignedEdge(0, 1, -1)]
     assert n == 2
 
 
@@ -47,14 +56,14 @@ def test_load_remaps_by_first_appearance(tmp_path):
     path = write(tmp_path, "e.tsv", "5\t3\t1\n3\t9\t-1\n")
     edges, n, id_map = load_edge_list(path, "tsv-sign")
     assert id_map == {"5": 0, "3": 1, "9": 2}
-    assert edges == [SignedEdge(0, 1, 1), SignedEdge(1, 2, -1)]
+    assert list(edges) == [SignedEdge(0, 1, 1), SignedEdge(1, 2, -1)]
     assert n == 3
 
 
 def test_load_duplicate_keeps_last(tmp_path):
     path = write(tmp_path, "e.tsv", "0\t1\t1\n0\t1\t-1\n")
     edges, _, _ = load_edge_list(path, "tsv-sign")
-    assert edges == [SignedEdge(0, 1, -1)]
+    assert list(edges) == [SignedEdge(0, 1, -1)]
 
 
 def test_load_skips_comments_and_blanks(tmp_path):
@@ -106,7 +115,221 @@ def test_edge_tsv_roundtrip(tmp_path):
     edges = [SignedEdge(0, 1, 1), SignedEdge(2, 0, -1)]
     path = tmp_path / "edges.tsv"
     save_edge_list(path, edges)
-    assert read_edge_tsv(path) == edges
+    assert list(read_edge_tsv(path)) == edges
+
+
+# ---------------------------------------------------------------- parsers against the per-line reference
+
+# name: (format, file text, whether the whole-array parse takes it)
+PARSER_CASES = {
+    "comments_blanks_crlf": (
+        "tsv-sign", "# header\r\n\r\n5\t3\t1\r\n# mid\r\n3\t9\t-1\r\n\r\n", True),
+    "no_final_newline": ("tsv-sign", "5\t3\t1\n3\t9\t-1", True),
+    "indented_comment": ("tsv-sign", "  # note\n5\t3\t1\n", False),
+    "whitespace_around_fields": ("tsv-sign", " 5 \t3\t-1 \n3\t 9\t+1\n\t\n", False),
+    "empty_id": ("tsv-sign", "5\t\t1\n3\t5\t-1\n", False),
+    "csv_spaced_time": ("csv-rating", "7,12,-10, 14 \n12,7,3,\x0c1\n", False),
+    # A field read as two numbers must not make up for one read as none.
+    "csv_split_and_empty_time": ("csv-rating", "7,12,3,1 2\n8,9,4,\n", False),
+    "csv_empty_target_split_time": ("csv-rating", "7,,3,1 2\n", False),
+    "csv_run_on_and_empty_time": ("csv-rating", "7,12,3,1-\n8,9,4,2 3,\n", False),
+    "csv_nan_rating": ("csv-rating", "7,12,nan,1\n12,7,inf,2\n", False),
+    "leading_zero_ids": ("tsv-sign", "007\t7\t1\n7\t007\t-1\n0\t00\t1\n", False),
+    "non_numeric_ids": ("tsv-sign", "alice\tbob\t1\nbob\tcarol\t-1\n", False),
+    "signed_ids": ("tsv-sign", "-5\t3\t1\n3\t+5\t-1\n", False),
+    "sign_spellings": ("tsv-sign", "1\t2\t01\n2\t3\t-01\n", True),
+    "csv_with_time": ("csv-rating", "7,12,-10,1400000000\n12,7,3,1400000001\n", True),
+    "csv_without_time": ("csv-rating", "7,12,-10\n12,7,3\n", True),
+    "csv_mixed_time": ("csv-rating", "7,12,-10\n12,7,3,1400000001\n", False),
+    "csv_fractional": ("csv-rating", "7,12,0.5,1289241911.72836\n12,7,-2.5e0,1.5\n", True),
+    "csv_text_time": ("csv-rating", "7,12,4,yesterday\n12,7,-1,today\n", False),
+    "duplicates_flip_sign": (
+        "tsv-sign", "1\t2\t1\n3\t4\t1\n1\t2\t-1\n5\t6\t-1\n3\t4\t-1\n1\t2\t1\n", True),
+    "csv_duplicates_flip_sign": ("csv-rating", "1,2,5,0\n3,4,1,0\n1,2,-5,0\n3,4,-2,0\n", True),
+}
+
+
+def random_edge_text(seed, fmt, lines=3000):
+    """Many repeats and sign flips over a small id pool, with comments."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, 60, size=(2, lines))
+    sign = rng.choice([-1, 1], size=lines)
+    if fmt == "tsv-sign":
+        rows = [f"{u}\t{v}\t{x}" for u, v, x in zip(src, dst, sign)]
+    else:
+        rows = [f"{u},{v},{x * rng.integers(1, 10)},{i}" for i, (u, v, x) in
+                enumerate(zip(src, dst, sign))]
+    rows.insert(lines // 2, "# comment")
+    return "\n".join(rows) + "\n"
+
+
+def assert_matches_reference(path, fmt):
+    edges, n, id_map = load_edge_list(path, fmt)
+    ref_edges, ref_n, ref_map = reference_load_edge_list(path, fmt)
+    assert list(edges) == ref_edges
+    assert n == ref_n
+    assert list(id_map.items()) == list(ref_map.items())
+
+
+def forbid_per_line_reader(monkeypatch):
+    def fail(path):
+        raise AssertionError("the per-line reader ran")
+
+    monkeypatch.setattr(sgdnet.graph, "_data_lines", fail)
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_load_matches_per_line_reference(tmp_path, case):
+    fmt, text, _ = PARSER_CASES[case]
+    path = tmp_path / "e.txt"
+    path.write_bytes(text.encode())
+    assert_matches_reference(path, fmt)
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, _, whole) in PARSER_CASES.items() if whole))
+def test_common_files_skip_the_per_line_reader(tmp_path, monkeypatch, case):
+    fmt, text, _ = PARSER_CASES[case]
+    path = tmp_path / "e.txt"
+    path.write_bytes(text.encode())
+    expected = load_edge_list(path, fmt)
+    forbid_per_line_reader(monkeypatch)
+    assert load_edge_list(path, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["tsv-sign", "csv-rating"])
+@pytest.mark.parametrize("seed", range(3))
+def test_load_matches_reference_on_random_repeats(tmp_path, fmt, seed):
+    path = tmp_path / "e.txt"
+    path.write_text(random_edge_text(seed, fmt))
+    assert_matches_reference(path, fmt)
+
+
+# Field texts that numpy may read as no number, two numbers, or one number
+# run on into the next field.
+ODD_FIELDS = ["", " ", "1 2", " 3", "\x0c1", "1-", "3-4", "-", "+", "--1", "1.2.3",
+              "1e", "e5", "1.", ".5", "2e+1", "07", "0", "1", "-1", "12"]
+
+
+def outcome(read, *args):
+    """What a reader returns as plain lists, or its exception and message."""
+    try:
+        got = read(*args)
+    except (ParseError, DataError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):
+        edges, n, id_map = got
+        return [tuple(e) for e in edges], n, list(id_map.items())
+    return [tuple(e) for e in got]
+
+
+@pytest.mark.parametrize("fmt, layout", [
+    ("csv-rating", "7,12,3,{}\n8,9,4,{}\n"),
+    ("csv-rating", "7,{},3,{}\n"),
+    ("tsv-sign", "1\t2\t{}\n3\t{}\t1\n"),
+    ("dense", "1\t2\t{}\n3\t{}\t1\n"),
+])
+def test_readers_match_reference_on_odd_fields(tmp_path, fmt, layout):
+    path = tmp_path / "e.txt"
+    for first in ODD_FIELDS:
+        for second in ODD_FIELDS:
+            path.write_text(layout.format(first, second))
+            if fmt == "dense":
+                assert outcome(read_edge_tsv, path) == outcome(reference_read_edge_tsv, path)
+            else:
+                assert outcome(load_edge_list, path, fmt) == outcome(reference_load_edge_list, path, fmt)
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("tsv-sign", "1\t2\t1\n3\t4\t1\n1\t2\t-1\n"),
+    ("tsv-sign", " 1\t2\t1\n3\t4\t1\n1\t2\t-1\n"),  # read line by line
+    ("csv-rating", "1,2,3,0\n3,4,1,0\n1,2,-3,0\n"),
+])
+def test_load_duplicate_keeps_first_position_and_last_sign(tmp_path, fmt, text):
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    edges, _, _ = load_edge_list(path, fmt)
+    assert list(edges) == [SignedEdge(0, 1, -1), SignedEdge(2, 3, 1)]
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("tsv-sign", "# a\n# b\n\n1\t2\t1\n3\t4\n", "line 5: expected 3 tab-separated fields"),
+    ("tsv-sign", "# a\n1\t2\t1\n\n1\t2\tx\n", "line 4: sign 'x' is not an integer"),
+    ("tsv-sign", "#\n1\t2\t3\n", "line 2: sign must be 1 or -1, got 3"),
+    ("tsv-sign", "# a\n1\t2\t1\t3\n4\t-1\n", "line 2: expected 3 tab-separated fields, got 4"),
+    ("tsv-sign", "# a\n1\t2\t1\n1\t\t\t1\n", "line 3: expected 3 tab-separated fields, got 4"),
+    ("csv-rating", "# a\n\n1,2,3\n1,2\n", "line 4: expected SOURCE,TARGET,RATING[,TIME]"),
+    ("csv-rating", "# a\n1,2,3,4\n2,1,bad,4\n", "line 3: rating 'bad' is not numeric"),
+    ("csv-rating", "# a\n1,2,3,4\n2,1,-0,4\n", "line 3: zero rating carries no sign"),
+    ("csv-rating", "1,2,3,4\n2,1,nan(1),4\n", "line 2: rating 'nan(1)' is not numeric"),
+])
+def test_load_bad_line_after_comments_names_it(tmp_path, fmt, text, message):
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as got:
+        load_edge_list(path, fmt)
+    with pytest.raises(DataError) as want:
+        reference_load_edge_list(path, fmt)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
+
+
+@pytest.mark.parametrize("text", [
+    "# c\n0\t1\t1\n0\tx\t1\n",
+    "0\t1\t1\n\n# c\n-1\t1\t1\n",
+    "# c\n0\t1\t1\n0\t1\t2\n",
+    "0\t1\t1\n0\t1\n",
+])
+def test_read_edge_tsv_bad_line_matches_reference(tmp_path, text):
+    path = tmp_path / "e.tsv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as got:
+        read_edge_tsv(path)
+    with pytest.raises(ParseError) as want:
+        reference_read_edge_tsv(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", [
+    "0\t1\t1\n2\t0\t-1\n0\t1\t1\n",
+    "# c\r\n\r\n0\t1\t1\r\n",
+    " 007\t1\t+1\n",
+    "5\t1\t1",
+])
+def test_read_edge_tsv_matches_reference(tmp_path, text):
+    path = tmp_path / "e.tsv"
+    path.write_text(text)
+    assert list(read_edge_tsv(path)) == reference_read_edge_tsv(path)
+
+
+def test_read_edge_tsv_rejects_ids_beyond_int64(tmp_path):
+    path = tmp_path / "e.tsv"
+    path.write_text("0\t1\t1\n99999999999999999999\t1\t1\n")
+    with pytest.raises(ParseError, match="line 2"):
+        read_edge_tsv(path)
+
+
+# ---------------------------------------------------------------- edge columns
+
+
+def test_edge_list_is_a_sequence_of_signed_edges():
+    edges = as_edge_list([SignedEdge(0, 1, 1), (2, 0, -1), SignedEdge(1, 2, 1)])
+    assert len(edges) == 3
+    assert edges[1] == SignedEdge(2, 0, -1) and type(edges[1]) is SignedEdge
+    assert list(edges) == [(0, 1, 1), (2, 0, -1), (1, 2, 1)]
+    assert list(edges[np.array([2, 0])]) == [(1, 2, 1), (0, 1, 1)]
+    assert edges[1:] == EdgeList([2, 1], [0, 2], [-1, 1])
+    assert as_edge_list(edges) is edges
+    assert len(as_edge_list([])) == 0
+    with pytest.raises(ValueError):
+        edges.src[0] = 5
+
+
+def test_graph_edges_keep_input_order_and_repeats():
+    edges = [SignedEdge(2, 0, -1), SignedEdge(0, 1, 1), SignedEdge(2, 0, -1)]
+    g = build_graph(edges, 3)
+    assert list(g.edges) == edges
+    assert g.m == 3 and g.a_minus.nnz == 1
 
 
 # ---------------------------------------------------------------- building
@@ -128,6 +351,17 @@ def test_build_graph_counts_both_signs():
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_graph([SignedEdge(0, 5, 1)], 2)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([SignedEdge(0, 1, 1), SignedEdge(0, 5, 2)], r"edge \(0->5\) out of range for n=2"),
+    ([SignedEdge(0, 1, 1), SignedEdge(-1, 0, 1)], r"edge \(-1->0\) out of range"),
+    ([SignedEdge(0, 1, 1), SignedEdge(1, 0, 2), SignedEdge(0, 9, 1)], r"edge \(1->0\) has invalid sign 2"),
+    ([SignedEdge(1, 0, 0)], "invalid sign 0"),
+])
+def test_build_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        build_graph(edges, 2)
 
 
 def test_build_graph_rejects_conflicting_signs():
