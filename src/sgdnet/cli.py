@@ -32,20 +32,6 @@ DATASETS = {
 }
 
 
-def _apply_thread_limit(argv) -> None:
-    """Pin BLAS thread pools before numpy is imported; --threads 1 gives
-    bitwise-reproducible runs."""
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is not None:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(value)
-
-
 def _read_config_file(path) -> dict[str, str]:
     """Flat key=value file; '#' comments and blank lines are skipped."""
     values = {}
@@ -213,7 +199,6 @@ def cmd_train(args) -> int:
         lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
         m0_mode=args.m0,
     )
-    cfg.diffusion()  # validate c, k before any heavy work
 
     split_seed, svd_seed, train_seed = spawn_seeds(args.seed, 3)
     cfg.seed = train_seed
@@ -400,14 +385,10 @@ def cmd_experiment(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_thread_limit(argv)
     parser = build_parser()
 
     # Pull config-file values in as defaults so explicit flags still win.
-    try:
-        pre, _ = parser.parse_known_args(argv)
-    except SystemExit:
-        raise
+    pre, _ = parser.parse_known_args(argv)
     config_path = getattr(pre, "config", None)
     if config_path:
         try:
@@ -431,7 +412,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    # Config-file-sourced thread limits land here; numpy is not imported yet.
+    # Pin BLAS thread pools, from the flag or the config file, before numpy
+    # is imported; --threads 1 gives bitwise-reproducible runs.
     if getattr(args, "threads", None) is not None:
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)

@@ -21,16 +21,18 @@ d = p - m, which decouple:
 
 Neither walk ever reads the other's state, so they run as two independent
 n x d walks, one sparse product per step each, with no synchronization
-between steps. When the process may run on two or more CPUs, `diffuse` and
-`diffuse_adjoint` run the difference walk on a short-lived worker thread
-while the calling thread runs the sum walk (scipy's sparse-times-dense
-product releases the GIL). On a single usable CPU (per the process's CPU
-affinity) both walks run inline, one after the other, since two threads on
-one core only evict each other's cache. The worker pool lives for one call:
-a pool kept across calls would leave a thread behind that a forked child
-cannot use. Each walk does the same arithmetic in either case, so the
-results are bitwise the same. `diffusion_steps` advances both walks in
-lockstep on the calling thread.
+between steps. The forward walks multiply by S.T and D.T, CSC views of the
+stored CSR pair `na.adj` = (S, D) that copy nothing; the adjoint walks
+multiply by S and D. When the process may run on two or more CPUs,
+`diffuse` and `diffuse_adjoint` run the difference walk on a short-lived
+worker thread while the calling thread runs the sum walk (scipy's
+sparse-times-dense product releases the GIL). On a single usable CPU (per
+the process's CPU affinity) both walks run inline, one after the other,
+since two threads on one core only evict each other's cache. The worker
+pool lives for one call: a pool kept across calls would leave a thread
+behind that a forked child cannot use. Each walk does the same arithmetic
+in either case, so the results are bitwise the same. `diffusion_steps`
+advances both walks in lockstep on the calling thread.
 
 Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
 bound holds for each channel on its own. The p/m state is recovered once,
@@ -103,11 +105,11 @@ def initial_state(
 
 def _restart_walk(op, start: list, inject: np.ndarray, decay: float, k_steps: int):
     """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
-    one sparse product per step. The decay is folded into a scaled copy of op
-    once per walk, so no step makes an extra pass over z. `start` is a
-    one-element list holding z_0; the walk pops it, so that z_0 can be freed
-    after the first step."""
-    op = op * decay
+    one sparse product per step. The decay is folded into a scaled copy of
+    op's values once per walk, on op's own index arrays, so no step makes an
+    extra pass over z. `start` is a one-element list holding z_0; the walk
+    pops it, so that z_0 can be freed after the first step."""
+    op = type(op)((op.data * decay, op.indices, op.indptr), shape=op.shape)
     z = start.pop()
     for _ in range(k_steps):
         z = op @ z
@@ -151,8 +153,8 @@ def _forward_walks(t0: DiffusionState, na, cfg):
     inject = cfg.c * t0.p
     decay = 1.0 - cfg.c
     return (
-        _restart_walk(na.fwd[0], [t0.p + t0.m], inject, decay, cfg.k_steps),
-        _restart_walk(na.fwd[1], [t0.p - t0.m], inject, decay, cfg.k_steps),
+        _restart_walk(na.adj[0].T, [t0.p + t0.m], inject, decay, cfg.k_steps),
+        _restart_walk(na.adj[1].T, [t0.p - t0.m], inject, decay, cfg.k_steps),
     )
 
 
@@ -199,8 +201,8 @@ def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> Diffu
     if 2 * n > 4096:
         raise ValueError(f"exact_solve is limited to 2n <= 4096, got n={n}")
 
-    ap_t = na.na_plus_t.toarray()
-    an_t = na.na_minus_t.toarray()
+    ap_t = na.na_plus.T.toarray()
+    an_t = na.na_minus.T.toarray()
     block = np.block([[ap_t, an_t], [an_t, ap_t]])
     lhs = np.eye(2 * n) - (1.0 - c) * block
     rhs = np.concatenate([c * h_tilde, np.zeros_like(h_tilde)], axis=0)

@@ -90,7 +90,7 @@ class SignedDigraph:
         out_degree: per-node outgoing edge count over both signs.
     """
 
-    __slots__ = ("n", "edges", "a_plus", "a_minus", "out_degree")
+    __slots__ = ("n", "edges", "a_plus", "a_minus", "out_degree", "_normalized")
 
     def __init__(self, n, edges, a_plus, a_minus, out_degree):
         self.n = n
@@ -98,6 +98,7 @@ class SignedDigraph:
         self.a_plus = a_plus
         self.a_minus = a_minus
         self.out_degree = out_degree
+        self._normalized = None  # set by the first `normalize(self)`
         for mat in (a_plus, a_minus):
             mat.data.setflags(write=False)
             mat.indices.setflags(write=False)
@@ -115,28 +116,33 @@ class SignedDigraph:
 
 
 class NormalizedAdjacency:
-    """Out-degree-normalized per-sign adjacency, materialized transposes, and
-    the fused sum/difference operators.
+    """Out-degree-normalized per-sign adjacency and the fused sum/difference
+    operators.
 
     Every row u of [na_plus | na_minus] sums to 1 when u has outgoing edges
     and is all-zero when u is a deadend.
 
-    With S = na_plus + na_minus and D = na_plus - na_minus (one sparsity
-    pattern, since the signs are disjoint), `fwd` is the pair (S^T, D^T) and
-    `adj` is the pair (S, D): one diffusion step, or one adjoint step, of the
-    sum or the difference channel is a single sparse product with its half.
+    `adj` is the pair (S, D) with S = na_plus + na_minus and
+    D = na_plus - na_minus, built from D alone: the signs are disjoint, so
+    S = |D| entrywise and both share one sparsity pattern. They are CSR
+    matrices on one shared int32 `indices`/`indptr` pair (int64 only past
+    2^31 - 1). One adjoint step of the sum or the difference channel is a
+    product with S or D; one diffusion step is a product with S.T or D.T,
+    a CSC view that copies nothing.
     """
 
-    __slots__ = ("n", "na_plus", "na_minus", "na_plus_t", "na_minus_t", "fwd", "adj")
+    __slots__ = ("n", "na_plus", "na_minus", "adj")
 
-    def __init__(self, n, na_plus, na_minus, na_plus_t, na_minus_t):
+    def __init__(self, n, na_plus, na_minus, d):
         self.n = n
         self.na_plus = na_plus
         self.na_minus = na_minus
-        self.na_plus_t = na_plus_t
-        self.na_minus_t = na_minus_t
-        self.fwd = (na_plus_t + na_minus_t, na_plus_t - na_minus_t)
-        self.adj = (na_plus + na_minus, na_plus - na_minus)
+        itype = np.int32 if max(n, d.nnz) <= np.iinfo(np.int32).max else np.int64
+        indices, indptr = d.indices.astype(itype), d.indptr.astype(itype)
+        self.adj = tuple(
+            sp.csr_array((data, indices, indptr), shape=d.shape)
+            for data in (np.abs(d.data), d.data)
+        )
 
 
 def _parse_tsv_sign(line: str, lineno: int) -> tuple[str, str, int]:
@@ -424,7 +430,11 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     """Divide each adjacency row by the node's total out-degree.
 
     Deadend rows stay all-zero; no teleport or renormalization is applied.
+    The graph is immutable, so the result is kept on it and later calls
+    return the same operators.
     """
+    if g._normalized is not None:
+        return g._normalized
     deg = g.out_degree.astype(np.float64)
 
     def scaled(a):
@@ -434,13 +444,10 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
         mat.sort_indices()
         return mat
 
-    na_plus = scaled(g.a_plus)
-    na_minus = scaled(g.a_minus)
-    na_plus_t = sp.csr_array(na_plus.T)
-    na_minus_t = sp.csr_array(na_minus.T)
-    na_plus_t.sort_indices()
-    na_minus_t.sort_indices()
-    return NormalizedAdjacency(g.n, na_plus, na_minus, na_plus_t, na_minus_t)
+    g._normalized = NormalizedAdjacency(
+        g.n, scaled(g.a_plus), scaled(g.a_minus), scaled(g.a_plus - g.a_minus)
+    )
+    return g._normalized
 
 
 def column_sums_of_b(na: NormalizedAdjacency) -> np.ndarray:

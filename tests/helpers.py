@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import scipy.sparse as sp
 
 from sgdnet.graph import DataError, ParseError
 
@@ -85,15 +86,15 @@ def brute_force_auc(scores, labels):
 
 def dense_block_operator(na):
     """Explicit 2n x 2n diffusion operator, for small-graph oracles only."""
-    ap_t = na.na_plus_t.toarray()
-    an_t = na.na_minus_t.toarray()
+    ap_t = na.na_plus.T.toarray()
+    an_t = na.na_minus.T.toarray()
     return np.block([[ap_t, an_t], [an_t, ap_t]])
 
 
 def reference_diffusion_states(na, h, c, k_steps, m0):
     """T0 .. T_K of the literal per-sign recurrence, four sparse products a
     step, for checking the fused sum/difference iteration."""
-    ap_t, an_t = na.na_plus_t, na.na_minus_t
+    ap_t, an_t = na.na_plus.T, na.na_minus.T
     p, m = h, m0
     states = [(p, m)]
     for _ in range(k_steps):
@@ -109,7 +110,7 @@ def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
     """Literal per-sign adjoint recurrence: accumulate c * grad_p at every
     step, propagate with the transposed block operator, add the final
     positive-channel gradient."""
-    ap, an = na.na_plus_t.T, na.na_minus_t.T
+    ap, an = na.na_plus, na.na_minus
     gp, gm = grad_p, grad_m
     grad_h = np.zeros_like(grad_p)
     for _ in range(k_steps):
@@ -119,6 +120,51 @@ def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
             (1 - c) * (an @ gp + ap @ gm),
         )
     return grad_h + gp
+
+
+# A literal copy of the channel walks over the earlier operator layout: the
+# per-sign transposes stored as sorted int64 CSR, the forward pair
+# (S^T, D^T) summed from them, the adjoint pair (S, D), and a full
+# `op * decay` copy per walk. An oracle for bitwise-equality tests.
+
+
+def _stored_operator_pairs(na):
+    ap_t = sp.csr_array(na.na_plus.T)
+    an_t = sp.csr_array(na.na_minus.T)
+    ap_t.sort_indices()
+    an_t.sort_indices()
+    fwd = (ap_t + an_t, ap_t - an_t)
+    adj = (na.na_plus + na.na_minus, na.na_plus - na.na_minus)
+    return fwd, adj
+
+
+def _stored_walk(op, z, inject, decay, k_steps):
+    op = op * decay
+    for _ in range(k_steps):
+        z = op @ z
+        z += inject
+        yield z
+
+
+def stored_layout_diffusion_states(na, h, c, k_steps, m0):
+    """T0 .. T_K of the sum/difference walks on the stored-transpose layout."""
+    fwd, _ = _stored_operator_pairs(na)
+    p, m = h.copy(), m0.copy()
+    inject = c * p
+    walks = zip(
+        _stored_walk(fwd[0], p + m, inject, 1.0 - c, k_steps),
+        _stored_walk(fwd[1], p - m, inject, 1.0 - c, k_steps),
+    )
+    return [(p, m)] + [(0.5 * (s + d), 0.5 * (s - d)) for s, d in walks]
+
+
+def stored_layout_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
+    """The adjoint's sum/difference walks on the stored-transpose layout."""
+    _, adj = _stored_operator_pairs(na)
+    start_s, start_d = grad_p + grad_m, grad_p - grad_m
+    s = list(_stored_walk(adj[0], start_s, c * start_s, 1.0 - c, k_steps))[-1]
+    d = list(_stored_walk(adj[1], start_d, c * start_d, 1.0 - c, k_steps))[-1]
+    return 0.5 * (s + d)
 
 
 def reference_randomized_svd(m, rank, oversample=10, power_iters=2, seed=0):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sgdnet.cli import main
+from sgdnet.cli import _THREAD_ENV_VARS, main
 from sgdnet.graph import save_edge_list
 from sgdnet.synthetic import planted_partition_graph
 
@@ -328,3 +328,79 @@ def test_console_process_exit_code_on_bad_input(tmp_path):
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+
+
+# In a fresh interpreter: run `main` on the arguments after the script name,
+# with `cmd_eval` replaced by a probe. Prints, as JSON, whether parsing
+# imported numpy, the thread variables at numpy's first import, and the
+# thread variables when the command ran.
+_THREAD_PROBE = r"""
+import importlib.abc, json, os, sys
+
+seen = {}
+
+
+def thread_vars():
+    return {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+
+
+class WatchNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "at_numpy_import" not in seen:
+            seen["at_numpy_import"] = thread_vars()
+        return None
+
+
+sys.meta_path.insert(0, WatchNumpy())
+from sgdnet import cli
+
+cli.build_parser().parse_args(sys.argv[1:])
+seen["numpy_after_parse"] = "numpy" in sys.modules
+
+
+def probe(args):
+    seen["at_command"] = thread_vars()
+    return 0
+
+
+cli.cmd_eval = probe
+seen["code"] = cli.main(sys.argv[1:])
+print(json.dumps(seen))
+"""
+
+
+def _run_thread_probe(*args):
+    import json
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_parsing_arguments_does_not_import_numpy():
+    seen = _run_thread_probe("eval", "--run-dir", "r", "--test-edges", "t")
+    assert seen["numpy_after_parse"] is False
+    assert seen["code"] == 0
+    assert seen["at_command"] == {}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_thread_count_is_set_before_numpy_is_imported(tmp_path, source):
+    args = ["eval", "--run-dir", "r", "--test-edges", "t"]
+    if source == "flag":
+        args += ["--threads", "3"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=3\n")
+        args += ["--config", str(cfg)]
+    seen = _run_thread_probe(*args)
+    assert seen["numpy_after_parse"] is False
+    assert seen["code"] == 0
+    pinned = {var: "3" for var in _THREAD_ENV_VARS}
+    assert seen["at_numpy_import"] == pinned
+    assert seen["at_command"] == pinned

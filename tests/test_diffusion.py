@@ -24,6 +24,8 @@ from helpers import (
     dense_block_operator,
     reference_diffuse_adjoint,
     reference_diffusion_states,
+    stored_layout_diffuse_adjoint,
+    stored_layout_diffusion_states,
 )
 
 
@@ -143,8 +145,9 @@ def test_exact_solve_is_fixed_point():
     h = rng.standard_normal((30, 4))
     c = 0.25
     star = exact_solve(na, h, c)
-    p_next = (1 - c) * (na.na_plus_t @ star.p + na.na_minus_t @ star.m) + c * h
-    m_next = (1 - c) * (na.na_minus_t @ star.p + na.na_plus_t @ star.m)
+    ap_t, an_t = na.na_plus.T, na.na_minus.T
+    p_next = (1 - c) * (ap_t @ star.p + an_t @ star.m) + c * h
+    m_next = (1 - c) * (an_t @ star.p + ap_t @ star.m)
     assert np.allclose(p_next, star.p, atol=1e-12)
     assert np.allclose(m_next, star.m, atol=1e-12)
 
@@ -361,13 +364,11 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
 
 def test_fused_operators_are_sum_and_difference_pairs():
     na = normalize(EQUIVALENCE_GRAPHS["deadends"]())
-    ap_t, an_t = na.na_plus_t.toarray(), na.na_minus_t.toarray()
-    fwd = (ap_t + an_t, ap_t - an_t)
-    assert len(na.fwd) == len(na.adj) == 2
-    for op, dense in zip(na.fwd, fwd):
+    ap, an = na.na_plus.toarray(), na.na_minus.toarray()
+    assert len(na.adj) == 2
+    for op, dense in zip(na.adj, (ap + an, ap - an)):
         assert np.array_equal(op.toarray(), dense)
-    for op, dense in zip(na.adj, fwd):
-        assert np.array_equal(op.toarray(), dense.T)
+        assert np.array_equal(op.T.toarray(), dense.T)
 
 
 # ------------------------------------------------------- channel-walk threads
@@ -429,6 +430,69 @@ def test_threaded_and_inline_walks_are_bitwise_equal(monkeypatch, graph, m0_mode
         assert np.array_equal(threaded, inline)
 
 
+BITWISE_GRAPHS = {
+    "random": lambda: random_signed_graph(300, avg_out_degree=5.0, neg_fraction=0.3, seed=17),
+    "deadends": EQUIVALENCE_GRAPHS["deadends"],
+    "edgeless": EQUIVALENCE_GRAPHS["empty"],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("graph", sorted(BITWISE_GRAPHS))
+@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("c", [0.15, 0.55])
+def test_walks_are_bitwise_equal_to_stored_transpose_layout(
+    monkeypatch, cpus, graph, m0_mode, k, c
+):
+    use_cpus(monkeypatch, cpus)
+    na = normalize(BITWISE_GRAPHS[graph]())
+    rng = np.random.default_rng(k)
+    h = rng.standard_normal((na.n, 4))
+    gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
+    m0 = {
+        "zero": np.zeros_like(h),
+        "uniform": np.random.default_rng(7).uniform(-1.0, 1.0, size=h.shape),
+        "explicit": rng.standard_normal(h.shape),
+    }[m0_mode]
+
+    def start():
+        if m0_mode == "uniform":
+            return {"rng": np.random.default_rng(7)}
+        return {"m0": m0} if m0_mode == "explicit" else {}
+
+    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+    reference = stored_layout_diffusion_states(na, h, c, k, m0)
+    final = diffuse(na, h, cfg, **start())
+    assert np.array_equal(final.p, reference[-1][0])
+    assert np.array_equal(final.m, reference[-1][1])
+    steps = list(diffusion_steps(na, h, cfg, **start()))
+    assert len(steps) == len(reference)
+    for state, (p, m) in zip(steps, reference):
+        assert np.array_equal(state.p, p) and np.array_equal(state.m, m)
+    assert np.array_equal(
+        diffuse_adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(na, gp, gm, c, k)
+    )
+
+
+def test_sum_and_difference_share_int32_indices():
+    na = normalize(BITWISE_GRAPHS["random"]())
+    s, d = na.adj
+    for name in ("indices", "indptr"):
+        assert getattr(s, name).dtype == np.int32
+        assert np.shares_memory(getattr(s, name), getattr(d, name))
+    z0 = np.ones((na.n, 2))
+    for op in (s, d, s.T, d.T):
+        walk = diffusion_module._restart_walk(op, [z0], z0, 0.5, 1)
+        next(walk)
+        scaled = walk.gi_frame.f_locals["op"]
+        assert type(scaled) is type(op)
+        assert np.shares_memory(scaled.indices, s.indices)
+        assert np.shares_memory(scaled.indptr, s.indptr)
+        assert not np.shares_memory(scaled.data, op.data)
+        assert np.array_equal(scaled.data, op.data * 0.5)
+
+
 def test_concurrent_callers_get_identical_results(monkeypatch):
     use_cpus(monkeypatch, 2)
     na = normalize(random_signed_graph(400, avg_out_degree=5.0, neg_fraction=0.3, seed=5))
@@ -464,13 +528,18 @@ def test_concurrent_callers_get_identical_results(monkeypatch):
 
 
 class _FailingOperator:
-    """Stands in for one channel's operator; scaling it raises on the thread
-    that runs that channel's walk."""
+    """Stands in for one channel's operator and its transpose; reading its
+    values to scale them raises on the thread that runs that channel's walk."""
 
     def __init__(self):
         self.thread = None
 
-    def __mul__(self, other):
+    @property
+    def T(self):
+        return self
+
+    @property
+    def data(self):
         self.thread = threading.get_ident()
         raise RuntimeError("walk failed")
 
@@ -478,16 +547,13 @@ class _FailingOperator:
 def test_worker_walk_exception_reraises_in_caller(monkeypatch):
     use_cpus(monkeypatch, 2)
     na = toy_na(+1)
-    for name in ("fwd", "adj"):
+    for run in (
+        lambda ops: diffuse(ops, H_TOY, zero_cfg(0.5, 2)),
+        lambda ops: diffuse_adjoint(ops, H_TOY, H_TOY, zero_cfg(0.5, 2)),
+    ):
         failing = _FailingOperator()
-        ops = {"fwd": na.fwd, "adj": na.adj}
-        ops[name] = (ops[name][0], failing)
-        broken = SimpleNamespace(n=na.n, **ops)
         with pytest.raises(RuntimeError, match="walk failed"):
-            if name == "fwd":
-                diffuse(broken, H_TOY, zero_cfg(0.5, 2))
-            else:
-                diffuse_adjoint(broken, H_TOY, H_TOY, zero_cfg(0.5, 2))
+            run(SimpleNamespace(n=na.n, adj=(na.adj[0], failing)))
         assert failing.thread not in (None, threading.get_ident())
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sgdnet.graph
 from sgdnet.evaluation import (
     ExperimentConfig,
     MetricError,
@@ -9,6 +10,7 @@ from sgdnet.evaluation import (
     class_metrics,
     f1_macro,
     run_experiment,
+    run_seed,
     score_report,
     split_edges,
 )
@@ -196,6 +198,24 @@ def test_run_experiment_single_seed_has_zero_std():
     _, auc_std = result.auc_mean_std
     _, f1_std = result.f1_mean_std
     assert auc_std == 0.0 and f1_std == 0.0
+
+
+def test_run_seed_normalizes_the_training_graph_once(monkeypatch):
+    built = []
+    init = sgdnet.graph.NormalizedAdjacency.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(sgdnet.graph.NormalizedAdjacency, "__init__", counting_init)
+    g = planted_partition_graph(n=24, avg_out_degree=8.0, seed=2)
+    config = ExperimentConfig(
+        svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
+        lr=0.01, epochs=5, ratio=0.2,
+    )
+    run_seed(list(g.edges), g.n, config, seed=0)
+    assert len(built) == 1
 
 
 def test_run_experiment_deterministic():
