@@ -1,7 +1,8 @@
 """Command-line surface: preprocessing, training, evaluation, diffusion
 inspection, and multi-seed experiments with persisted artifacts.
 
-Exit codes: 0 success, 2 usage/config/data error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/config/data or file-system error, 3 numeric
+failure.
 All randomness funnels through one --seed per run; sub-streams are derived in
 a fixed order (split, svd, training) so components stay reproducible.
 """
@@ -63,7 +64,29 @@ def _non_negative_int(text):
 
 def _add_common(sub):
     sub.add_argument("--config", help="key=value file supplying any flag; flags override")
-    sub.add_argument("--threads", type=int, help="BLAS thread count; 1 is bitwise deterministic")
+    sub.add_argument(
+        "--threads", type=_positive_int, help="BLAS thread count; 1 is bitwise deterministic"
+    )
+
+
+def _add_model(sub, layers, c):
+    """The model and training flags of `train` and `experiment`."""
+    sub.add_argument("--layers", type=_positive_int, default=layers)
+    sub.add_argument("--c", type=float, default=c, help="local injection ratio in (0,1)")
+    sub.add_argument("--k", type=_positive_int, default=10, help="diffusion steps")
+    sub.add_argument("--dim", type=_positive_int, default=32)
+    sub.add_argument("--lr", type=float, default=0.01)
+    sub.add_argument("--weight-decay", type=float, default=1e-3)
+    sub.add_argument("--epochs", type=_non_negative_int, default=100)
+    sub.add_argument("--m0", default="uniform", choices=["uniform", "zero"])
+
+
+def _model_settings(args) -> dict:
+    """The `_add_model` flags as TrainConfig fields."""
+    return dict(
+        dim=args.dim, n_layers=args.layers, c=args.c, k_steps=args.k, lr=args.lr,
+        weight_decay=args.weight_decay, epochs=args.epochs, m0_mode=args.m0,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,14 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", help="train a model on prepped artifacts")
     p.add_argument("--prep-dir", required=True)
     p.add_argument("--out-dir", help="defaults to --prep-dir")
-    p.add_argument("--layers", type=_positive_int, default=1)
-    p.add_argument("--c", type=float, default=0.35, help="local injection ratio in (0,1)")
-    p.add_argument("--k", type=_positive_int, default=10, help="diffusion steps")
-    p.add_argument("--dim", type=_positive_int, default=32)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument("--epochs", type=_non_negative_int, default=100)
-    p.add_argument("--m0", default="uniform", choices=["uniform", "zero"])
+    _add_model(p, layers=1, c=0.35)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--split-ratio", type=float, default=0.2,
@@ -129,16 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="raw signed edge file")
     p.add_argument("--format", choices=["tsv-sign", "csv-rating"],
                    help="override the dataset's edge format")
-    p.add_argument("--layers", type=_positive_int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument("--dim", type=_positive_int, default=32)
+    _add_model(p, layers=None, c=None)  # None: the dataset's value
     p.add_argument("--svd-rank", type=_positive_int, default=128)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument("--epochs", type=_non_negative_int, default=100)
     p.add_argument("--ratio", type=float, default=0.2)
-    p.add_argument("--m0", default="uniform", choices=["uniform", "zero"])
     p.add_argument("--seeds", type=_positive_int, default=10)
     p.add_argument("--out-dir", default=".")
     _add_common(p)
@@ -177,8 +186,8 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .evaluation import split_edges
-    from .features import init_features, load_features, save_features
+    from .evaluation import _split_features
+    from .features import load_features, save_features
     from .graph import build_graph, read_edge_tsv, save_edge_list
     from .model import save_checkpoint
     from .seeding import spawn_seeds
@@ -191,27 +200,18 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
-    x_full = load_features(os.path.join(args.prep_dir, "features.sgdf"))
-    n = x_full.shape[0]
-
-    cfg = TrainConfig(
-        dim=args.dim, n_layers=args.layers, c=args.c, k_steps=args.k,
-        lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
-        m0_mode=args.m0,
-    )
-
-    split_seed, svd_seed, train_seed = spawn_seeds(args.seed, 3)
-    cfg.seed = train_seed
+    x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
+    n = x.shape[0]
+    cfg = TrainConfig(**_model_settings(args))
 
     if args.split_ratio > 0:
-        split = split_edges(edges, args.split_ratio, split_seed)
-        graph = build_graph(split.train, n)
-        rank = min(args.svd_rank or x_full.shape[1], n)
-        x = init_features(graph, rank, seed=svd_seed)
+        split, graph, x, cfg.seed = _split_features(
+            edges, n, args.split_ratio, args.svd_rank or x.shape[1], args.seed
+        )
         save_edge_list(os.path.join(out_dir, "test_edges.tsv"), split.test)
     else:
         graph = build_graph(edges, n)
-        x = x_full
+        cfg.seed = spawn_seeds(args.seed, 3)[2]  # the training seed of the split branch
 
     save_edge_list(os.path.join(out_dir, "train_edges.tsv"), graph.edges)
     save_features(os.path.join(out_dir, "train_features.sgdf"), x)
@@ -332,22 +332,13 @@ def cmd_experiment(args) -> int:
     from .evaluation import ExperimentConfig, ExperimentResult, run_seed
     from .graph import load_edge_list
 
-    fmt_default, layers_default, c_default = DATASETS[args.dataset]
-    fmt = args.format or fmt_default
-    config = ExperimentConfig(
-        svd_rank=args.svd_rank,
-        dim=args.dim,
-        n_layers=args.layers if args.layers is not None else layers_default,
-        c=args.c if args.c is not None else c_default,
-        k_steps=args.k,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        ratio=args.ratio,
-        m0_mode=args.m0,
-    )
+    fmt, layers, c = DATASETS[args.dataset]
+    settings = _model_settings(args)
+    settings["n_layers"] = layers if args.layers is None else args.layers
+    settings["c"] = c if args.c is None else args.c
+    config = ExperimentConfig(**settings, svd_rank=args.svd_rank, ratio=args.ratio)
 
-    edges, n, _ = load_edge_list(args.input, fmt)
+    edges, n, _ = load_edge_list(args.input, args.format or fmt)
     print(
         f"{args.dataset}: {n} nodes, {len(edges)} edges; "
         f"layers={config.n_layers} c={config.c} k={config.k_steps} seeds={args.seeds}"
@@ -418,18 +409,14 @@ def main(argv=None) -> int:
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)
 
-    from .graph import DataError
     from .model import NumericError
 
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

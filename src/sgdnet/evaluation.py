@@ -28,8 +28,6 @@ class MetricError(ValueError):
 class Split:
     train: EdgeList
     test: EdgeList
-    seed: int
-    ratio: float
 
 
 def split_edges(edges, ratio: float, seed: int) -> Split:
@@ -44,7 +42,7 @@ def split_edges(edges, ratio: float, seed: int) -> Split:
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
     n_test = int(ratio * m)
-    return Split(train=edges[order[n_test:]], test=edges[order[:n_test]], seed=seed, ratio=ratio)
+    return Split(train=edges[order[n_test:]], test=edges[order[:n_test]])
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -155,11 +153,13 @@ class ExperimentConfig:
             raise ValueError(f"svd_rank must be positive, got {self.svd_rank}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split ratio must lie in (0, 1), got {self.ratio}")
-        # Delegates the remaining field checks.
-        TrainConfig(
+        self.train_config(0)  # validates the training fields
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(
             dim=self.dim, n_layers=self.n_layers, c=self.c, k_steps=self.k_steps,
             lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
-            m0_mode=self.m0_mode,
+            m0_mode=self.m0_mode, seed=seed,
         )
 
 
@@ -188,26 +188,23 @@ class ExperimentResult:
         return self._agg([r.f1_macro for r in self.rows])
 
 
+def _split_features(edges, n: int, ratio: float, svd_rank: int, seed: int):
+    """The protocol's first steps for one run seed: split the edges, rebuild
+    the graph from the training edges, and take its SVD features. Returns
+    (split, training graph, features, training seed)."""
+    split_seed, svd_seed, train_seed = spawn_seeds(seed, 3)
+    split = split_edges(edges, ratio, split_seed)
+    graph = build_graph(split.train, n)
+    x = init_features(graph, min(svd_rank, n), seed=svd_seed)
+    return split, graph, x, train_seed
+
+
 def run_seed(edges, n: int, config: ExperimentConfig, seed: int) -> SeedResult:
     """One full protocol run: split, features, train, score the test edges."""
-    split_seed, svd_seed, train_seed = spawn_seeds(seed, 3)
-    split = split_edges(edges, config.ratio, split_seed)
-    train_graph = build_graph(split.train, n)
-
-    rank = min(config.svd_rank, n)
-    x = init_features(train_graph, rank, seed=svd_seed)
-
-    tcfg = TrainConfig(
-        dim=config.dim,
-        n_layers=config.n_layers,
-        c=config.c,
-        k_steps=config.k_steps,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        epochs=config.epochs,
-        m0_mode=config.m0_mode,
-        seed=train_seed,
+    split, train_graph, x, train_seed = _split_features(
+        edges, n, config.ratio, config.svd_rank, seed
     )
+    tcfg = config.train_config(train_seed)
     params, _ = train(train_graph, x, tcfg)
 
     test_batch = EdgeBatch.from_edges(split.test)

@@ -27,6 +27,7 @@ from .graph import SignedDigraph
 
 FEATURE_MAGIC = b"SGDF"
 FEATURE_VERSION = 1
+_HEADER = struct.Struct("<4sIQQ")  # magic, version, n, d
 
 
 def _svqb(y: np.ndarray) -> np.ndarray:
@@ -144,21 +145,20 @@ def save_features(path, x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix contains non-finite entries")
     with atomic_write(path, binary=True) as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        fh.write(struct.pack("<QQ", x.shape[0], x.shape[1]))
+        fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *x.shape))
         fh.write(x.astype("<f8").tobytes())
 
 
 def load_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated feature file header")
+        magic, version, n, d = _HEADER.unpack(header)
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: not a feature file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature file version {version}")
-        n, d = struct.unpack("<QQ", fh.read(16))
         payload = fh.read(8 * n * d)
         if len(payload) != 8 * n * d:
             raise ValueError(f"{path}: truncated feature file")

@@ -36,6 +36,7 @@ from .graph import NormalizedAdjacency, as_edge_list
 
 CHECKPOINT_MAGIC = b"SGDN"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct("<4sIIIIdI")  # magic, version, d0, d, layers, c, K
 
 
 class NumericError(RuntimeError):
@@ -249,22 +250,22 @@ def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
     """Write a model checkpoint: magic, version, dims, c, K, then the matrices."""
     d0, d, n_layers = params.dims
     with atomic_write(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<IIIdI", d0, d, n_layers, cfg.c, cfg.k_steps))
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, d0, d, n_layers,
+                              cfg.c, cfg.k_steps))
         for _, w in params.named():
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        magic, version, d0, d, n_layers, c, k_steps = _HEADER.unpack(header)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        d0, d, n_layers, c, k_steps = struct.unpack("<IIIdI", fh.read(24))
 
         def matrix(rows, cols):
             raw = fh.read(8 * rows * cols)

@@ -3,8 +3,8 @@
 Every randomized component of a run draws from its own child seed so the
 components stay individually reproducible. The spawn order is fixed:
 
-    experiment run seed -> [split, svd, train]
-    train seed          -> [param init, m0 draws]
+    run seed   -> [split, svd, train]    (evaluation._split_features)
+    train seed -> [param init, m0 draws] (training.train)
 """
 
 from __future__ import annotations

@@ -69,6 +69,20 @@ def test_prep_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_prep_input_directory_exits_2(tmp_path, capsys):
+    code = run_cli("prep", "--input", str(tmp_path), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_prep_out_dir_that_is_a_file_exits_2(tmp_path, dataset, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli("prep", "--input", dataset, "--out-dir", str(taken), "--svd-rank", "4")
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_prep_feature_file_shape(prep_dir):
     from sgdnet.features import load_features
 
@@ -193,6 +207,26 @@ def test_train_eval_matches_library_protocol(tmp_path, prep_dir, capsys):
     assert abs(row.f1_macro - cli_f1) < 5e-5
 
 
+@pytest.mark.parametrize("command, artifact, keep", [
+    ("train", "features.sgdf", 6),
+    ("eval", "checkpoint.sgdn", 10),
+])
+def test_truncated_header_exits_2(tmp_path, prep_dir, capsys, command, artifact, keep):
+    run_dir = str(tmp_path / "run")
+    assert run_cli("train", "--prep-dir", prep_dir, "--out-dir", run_dir,
+                   "--dim", "4", "--epochs", "1", "--k", "2") == 0
+    path = os.path.join(prep_dir if command == "train" else run_dir, artifact)
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
+    args = {
+        "train": ("train", "--prep-dir", prep_dir, "--out-dir", run_dir),
+        "eval": ("eval", "--run-dir", run_dir,
+                 "--test-edges", os.path.join(run_dir, "test_edges.tsv")),
+    }[command]
+    assert run_cli(*args) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -298,6 +332,29 @@ def test_config_file_unknown_key_exits_2(tmp_path, dataset):
     cfg.write_text("mystery-flag=1\n")
     assert run_cli("prep", "--input", dataset, "--out-dir", "x",
                    "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_threads_must_be_positive(tmp_path, monkeypatch, capsys, source, threads):
+    # argparse rejects the value before a command runs, so no thread starts.
+    import sgdnet.cli
+
+    ran = []
+    monkeypatch.setattr(sgdnet.cli, "cmd_eval", ran.append)
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "1")
+    args = ["eval", "--run-dir", "r", "--test-edges", "t"]
+    if source == "flag":
+        args += ["--threads", threads]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threads={threads}\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not ran
+    assert all(os.environ[var] == "1" for var in _THREAD_ENV_VARS)
 
 
 # ---------------------------------------------------------------- process

@@ -16,12 +16,44 @@ from sgdnet.evaluation import (
 )
 from sgdnet.graph import SignedEdge
 from sgdnet.synthetic import planted_partition_graph
+from sgdnet.training import TrainConfig
 
 from helpers import brute_force_auc, reference_midranks
 
 
 def make_edges(m):
     return [SignedEdge(i, i + 1, 1 if i % 3 else -1) for i in range(m)]
+
+
+# ---------------------------------------------------------------- configs
+
+SHARED_FIELDS = ("dim", "n_layers", "c", "k_steps", "lr", "weight_decay", "epochs", "m0_mode")
+
+
+def test_train_config_maps_every_shared_field():
+    settings = dict(dim=5, n_layers=3, c=0.6, k_steps=7, lr=0.05, weight_decay=0.02,
+                    epochs=9, m0_mode="zero")
+    config = ExperimentConfig(svd_rank=11, ratio=0.3, **settings)
+    tcfg = config.train_config(42)
+    assert {name: getattr(tcfg, name) for name in SHARED_FIELDS} == settings
+    assert tcfg.seed == 42
+    assert all(settings[name] != getattr(TrainConfig(), name) for name in SHARED_FIELDS)
+
+
+def test_experiment_and_train_config_defaults_agree():
+    # ExperimentConfig copies the fields instead of holding a TrainConfig so
+    # that `ExperimentConfig().epochs` and the like keep working.
+    exp, tcfg = ExperimentConfig(), TrainConfig()
+    assert [getattr(exp, name) for name in SHARED_FIELDS] == [
+        getattr(tcfg, name) for name in SHARED_FIELDS
+    ]
+
+
+def test_experiment_config_validates_the_training_fields():
+    with pytest.raises(ValueError):
+        ExperimentConfig(c=1.5)
+    with pytest.raises(ValueError):
+        ExperimentConfig(m0_mode="gaussian")
 
 
 # ---------------------------------------------------------------- splits

@@ -136,12 +136,16 @@ def test_feature_file_rejects_bad_magic(tmp_path):
         load_features(path)
 
 
-def test_feature_file_rejects_truncation(tmp_path):
+# Cut points inside the magic, the version, the shape, the first payload value
+# and the last; the header is 24 bytes and the payload 4 x 2 float64.
+@pytest.mark.parametrize("keep", [0, 2, 6, 12, 23, 30, 24 + 64 - 8])
+def test_feature_file_rejects_truncation(tmp_path, keep):
     x = np.ones((4, 2))
     path = tmp_path / "f.sgdf"
     save_features(path, x)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
+    assert len(raw) == 24 + 64
+    path.write_bytes(raw[:keep])
     with pytest.raises(ValueError, match="truncated"):
         load_features(path)
 

@@ -280,11 +280,15 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_truncation(tmp_path):
+# Cut points inside the magic, the version, the dims, c, K, the first matrix
+# and the last; the header is 32 bytes and the payload 26 float64.
+@pytest.mark.parametrize("keep", [0, 2, 6, 10, 22, 30, 36, 32 + 208 - 8])
+def test_checkpoint_rejects_truncation(tmp_path, keep):
     params = init_params(3, 2, 1, seed=0)
     path = tmp_path / "model.sgdn"
     save_checkpoint(path, params, zero_cfg())
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
+    assert len(raw) == 32 + 208
+    path.write_bytes(raw[:keep])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
