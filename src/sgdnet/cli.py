@@ -63,7 +63,7 @@ def _non_negative_int(text):
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="key=value file supplying any flag; flags override")
+    sub.add_argument("--config", help="key=value file supplying any optional flag; flags override")
     sub.add_argument(
         "--threads", type=_positive_int, help="BLAS thread count; 1 is bitwise deterministic"
     )
@@ -283,6 +283,7 @@ def cmd_diffuse(args) -> int:
     import numpy as np
 
     from .diffusion import (
+        EXACT_MAX_N,
         DiffusionConfig,
         diffusion_steps,
         error_bound,
@@ -301,7 +302,7 @@ def cmd_diffuse(args) -> int:
     cfg = DiffusionConfig(c=args.c, k_steps=args.k, m0_mode=args.m0)
     rng = np.random.default_rng(args.seed)
 
-    with_exact = 2 * n <= 4096
+    with_exact = n <= EXACT_MAX_N
     t_star = exact_solve(na, x, args.c) if with_exact else None
 
     rows = []

@@ -17,6 +17,7 @@ product A^T Q rather than of its wide transpose Q^T A.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -159,13 +160,13 @@ def load_features(path) -> np.ndarray:
             raise ValueError(f"{path}: not a feature file (magic {magic!r})")
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature file version {version}")
-        payload = fh.read(8 * n * d)
-        if len(payload) != 8 * n * d:
+        # Checked first, so that a corrupt header cannot ask for the memory.
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * n * d > left:
             raise ValueError(f"{path}: truncated feature file")
-        extra = fh.read(1)
-        if extra:
+        if 8 * n * d < left:
             raise ValueError(f"{path}: trailing bytes after feature payload")
-    x = np.frombuffer(payload, dtype="<f8").reshape(n, d).copy()
+        x = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: feature matrix contains non-finite entries")
     return x

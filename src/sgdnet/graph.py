@@ -116,33 +116,36 @@ class SignedDigraph:
 
 
 class NormalizedAdjacency:
-    """Out-degree-normalized per-sign adjacency and the fused sum/difference
-    operators.
+    """The out-degree-normalized adjacency, stored once as the pair (S, D).
 
-    Every row u of [na_plus | na_minus] sums to 1 when u has outgoing edges
-    and is all-zero when u is a deadend.
+    With NA+ and NA- the per-sign adjacency divided row-wise by the total
+    out-degree, S = NA+ + NA- and D = NA+ - NA-. Every row u of S sums to 1
+    when u has outgoing edges and is all-zero when u is a deadend. The signs
+    are disjoint, so S = |D| entrywise and both share one sparsity pattern:
+    they are CSR matrices on one shared int32 `indices`/`indptr` pair (int64
+    only past 2^31 - 1). One adjoint step of the sum or the difference
+    channel is a product with S or D; one diffusion step is a product with
+    S.T or D.T, a CSC view that copies nothing.
 
-    `adj` is the pair (S, D) with S = na_plus + na_minus and
-    D = na_plus - na_minus, built from D alone: the signs are disjoint, so
-    S = |D| entrywise and both share one sparsity pattern. They are CSR
-    matrices on one shared int32 `indices`/`indptr` pair (int64 only past
-    2^31 - 1). One adjoint step of the sum or the difference channel is a
-    product with S or D; one diffusion step is a product with S.T or D.T,
-    a CSC view that copies nothing.
+    `na_plus` and `na_minus` rebuild NA+ and NA- exactly on each read, for
+    the benchmark's flop count; the package itself never reads them. S + D
+    doubles one sign and cancels the other, whose zeros are dropped, so
+    halving it gives NA+'s values, indices and indptr (S - D: NA-'s).
     """
 
-    __slots__ = ("n", "na_plus", "na_minus", "adj")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n, na_plus, na_minus, d):
+    def __init__(self, n, d):
         self.n = n
-        self.na_plus = na_plus
-        self.na_minus = na_minus
         itype = np.int32 if max(n, d.nnz) <= np.iinfo(np.int32).max else np.int64
         indices, indptr = d.indices.astype(itype), d.indptr.astype(itype)
         self.adj = tuple(
             sp.csr_array((data, indices, indptr), shape=d.shape)
             for data in (np.abs(d.data), d.data)
         )
+
+    na_plus = property(lambda self: (self.adj[0] + self.adj[1]) * 0.5)
+    na_minus = property(lambda self: (self.adj[0] - self.adj[1]) * 0.5)
 
 
 def _parse_tsv_sign(line: str, lineno: int) -> tuple[str, str, int]:
@@ -349,13 +352,14 @@ def save_id_map(path, id_map) -> None:
 
 
 def load_id_map(path) -> dict[str, int]:
+    """Read a `save_id_map` file; a raw id may be empty or hold a tab."""
     id_map = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.rstrip("\n")
             if not line:
                 continue
-            raw, dense = line.split("\t")
+            raw, dense = line.rsplit("\t", 1)
             id_map[raw] = int(dense)
     return id_map
 
@@ -435,18 +439,11 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     """
     if g._normalized is not None:
         return g._normalized
-    deg = g.out_degree.astype(np.float64)
-
-    def scaled(a):
-        rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
-        data = a.data / deg[rows]
-        mat = sp.csr_array((data, a.indices.copy(), a.indptr.copy()), shape=(g.n, g.n))
-        mat.sort_indices()
-        return mat
-
-    g._normalized = NormalizedAdjacency(
-        g.n, scaled(g.a_plus), scaled(g.a_minus), scaled(g.a_plus - g.a_minus)
-    )
+    d = g.a_plus - g.a_minus
+    rows = np.repeat(np.arange(g.n), np.diff(d.indptr))
+    d.data /= g.out_degree.astype(np.float64)[rows]
+    d.sort_indices()
+    g._normalized = NormalizedAdjacency(g.n, d)
     return g._normalized
 
 
@@ -454,11 +451,9 @@ def column_sums_of_b(na: NormalizedAdjacency) -> np.ndarray:
     """Column sums of the 2n x 2n block diffusion operator, without forming it.
 
     The operator stacks the transposed per-sign matrices, so its column sums
-    are the row sums of (na_plus + na_minus) repeated twice: 1 for nodes with
+    are the row sums of S = NA+ + NA- repeated twice: 1 for nodes with
     outgoing edges, 0 for deadends. The property suite uses this to certify
     that the operator's maximum column sum never exceeds 1.
     """
-    b = np.asarray(na.na_plus.sum(axis=1)).ravel() + np.asarray(
-        na.na_minus.sum(axis=1)
-    ).ravel()
+    b = np.asarray(na.adj[0].sum(axis=1)).ravel()
     return np.concatenate([b, b])

@@ -23,6 +23,7 @@ The head is linear, so it is applied per node before the endpoint gather.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -267,18 +268,21 @@ def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
 
+        # Checked first, so that a corrupt header cannot ask for the memory.
+        size = 8 * (d0 * d + n_layers * 3 * d * d + 2 * d * 2)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise ValueError(f"{path}: truncated checkpoint")
+        if size < left:
+            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+
         def matrix(rows, cols):
-            raw = fh.read(8 * rows * cols)
-            if len(raw) != 8 * rows * cols:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
 
         w_in = matrix(d0, d)
         layers = [
             LayerParams(w_t=matrix(d, d), w_n=matrix(2 * d, d)) for _ in range(n_layers)
         ]
         w_head = matrix(2 * d, 2)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     params = ModelParams(w_in=w_in, layers=layers, w_head=w_head)
     return params, DiffusionConfig(c=c, k_steps=k_steps)

@@ -17,12 +17,12 @@ epochs * (columns saved per epoch) >= d0. The precomputed state holds
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffusion as _diffusion
-from . import model as _model
 from .diffusion import DiffusionConfig, DiffusionState
 from .graph import SignedDigraph, normalize
 from .model import (
@@ -299,7 +299,7 @@ def train(
         x_diffused = diffuse_inputs(na, x, dcfg)
 
     history: list[float] = []
-    last_good = _clone_params(params)
+    last_good = copy.deepcopy(params)
     for epoch in range(cfg.epochs):
         try:
             loss, logits, cache = forward_loss(
@@ -316,16 +316,7 @@ def train(
                 f"training aborted at epoch {epoch}: {exc}", last_good, history
             ) from exc
         history.append(loss)
-        last_good = _clone_params(params)
+        last_good = copy.deepcopy(params)
         optimizer.step(params, grads)
     return params, history
 
-
-def _clone_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        w_in=params.w_in.copy(),
-        layers=[
-            _model.LayerParams(w_t=l.w_t.copy(), w_n=l.w_n.copy()) for l in params.layers
-        ],
-        w_head=params.w_head.copy(),
-    )

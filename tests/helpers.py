@@ -84,17 +84,41 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
-def dense_block_operator(na):
+# Oracles for the diffusion, built from the graph alone (`a_plus`, `a_minus`,
+# `out_degree`), so that none depends on `sgdnet.graph.normalize`.
+
+
+def per_sign_operators(g):
+    """NA+ and NA-: each per-sign adjacency row divided by the node's total
+    out-degree. Deadend rows stay all-zero."""
+
+    def scaled(a):
+        rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
+        return sp.csr_array((a.data / g.out_degree[rows], a.indices, a.indptr), shape=a.shape)
+
+    return scaled(g.a_plus), scaled(g.a_minus)
+
+
+def dense_block_operator(g):
     """Explicit 2n x 2n diffusion operator, for small-graph oracles only."""
-    ap_t = na.na_plus.T.toarray()
-    an_t = na.na_minus.T.toarray()
+    ap, an = per_sign_operators(g)
+    ap_t, an_t = ap.T.toarray(), an.T.toarray()
     return np.block([[ap_t, an_t], [an_t, ap_t]])
 
 
-def reference_diffusion_states(na, h, c, k_steps, m0):
+def block_exact_solve(g, h, c):
+    """(p*, m*) of the per-sign block system (I - (1-c) B) [p; m] = c [h; 0],
+    one dense 2n x 2n solve."""
+    lhs = np.eye(2 * g.n) - (1.0 - c) * dense_block_operator(g)
+    t_star = np.linalg.solve(lhs, np.concatenate([c * h, np.zeros_like(h)]))
+    return t_star[: g.n], t_star[g.n :]
+
+
+def reference_diffusion_states(g, h, c, k_steps, m0):
     """T0 .. T_K of the literal per-sign recurrence, four sparse products a
     step, for checking the fused sum/difference iteration."""
-    ap_t, an_t = na.na_plus.T, na.na_minus.T
+    ap, an = per_sign_operators(g)
+    ap_t, an_t = ap.T, an.T
     p, m = h, m0
     states = [(p, m)]
     for _ in range(k_steps):
@@ -106,11 +130,11 @@ def reference_diffusion_states(na, h, c, k_steps, m0):
     return states
 
 
-def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
+def reference_diffuse_adjoint(g, grad_p, grad_m, c, k_steps):
     """Literal per-sign adjoint recurrence: accumulate c * grad_p at every
     step, propagate with the transposed block operator, add the final
     positive-channel gradient."""
-    ap, an = na.na_plus, na.na_minus
+    ap, an = per_sign_operators(g)
     gp, gm = grad_p, grad_m
     grad_h = np.zeros_like(grad_p)
     for _ in range(k_steps):
@@ -122,19 +146,20 @@ def reference_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
     return grad_h + gp
 
 
-# A literal copy of the channel walks over the earlier operator layout: the
+# A literal copy of the channel walks over an earlier operator layout: the
 # per-sign transposes stored as sorted int64 CSR, the forward pair
 # (S^T, D^T) summed from them, the adjoint pair (S, D), and a full
 # `op * decay` copy per walk. An oracle for bitwise-equality tests.
 
 
-def _stored_operator_pairs(na):
-    ap_t = sp.csr_array(na.na_plus.T)
-    an_t = sp.csr_array(na.na_minus.T)
+def _stored_operator_pairs(g):
+    ap, an = per_sign_operators(g)
+    ap_t = sp.csr_array(ap.T)
+    an_t = sp.csr_array(an.T)
     ap_t.sort_indices()
     an_t.sort_indices()
     fwd = (ap_t + an_t, ap_t - an_t)
-    adj = (na.na_plus + na.na_minus, na.na_plus - na.na_minus)
+    adj = (ap + an, ap - an)
     return fwd, adj
 
 
@@ -146,9 +171,9 @@ def _stored_walk(op, z, inject, decay, k_steps):
         yield z
 
 
-def stored_layout_diffusion_states(na, h, c, k_steps, m0):
+def stored_layout_diffusion_states(g, h, c, k_steps, m0):
     """T0 .. T_K of the sum/difference walks on the stored-transpose layout."""
-    fwd, _ = _stored_operator_pairs(na)
+    fwd, _ = _stored_operator_pairs(g)
     p, m = h.copy(), m0.copy()
     inject = c * p
     walks = zip(
@@ -158,9 +183,9 @@ def stored_layout_diffusion_states(na, h, c, k_steps, m0):
     return [(p, m)] + [(0.5 * (s + d), 0.5 * (s - d)) for s, d in walks]
 
 
-def stored_layout_diffuse_adjoint(na, grad_p, grad_m, c, k_steps):
+def stored_layout_diffuse_adjoint(g, grad_p, grad_m, c, k_steps):
     """The adjoint's sum/difference walks on the stored-transpose layout."""
-    _, adj = _stored_operator_pairs(na)
+    _, adj = _stored_operator_pairs(g)
     start_s, start_d = grad_p + grad_m, grad_p - grad_m
     s = list(_stored_walk(adj[0], start_s, c * start_s, 1.0 - c, k_steps))[-1]
     d = list(_stored_walk(adj[1], start_d, c * start_d, 1.0 - c, k_steps))[-1]

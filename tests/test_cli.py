@@ -1,9 +1,11 @@
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
 
+import sgdnet.diffusion
 from sgdnet.cli import _THREAD_ENV_VARS, main
 from sgdnet.graph import save_edge_list
 from sgdnet.synthetic import planted_partition_graph
@@ -227,6 +229,29 @@ def test_truncated_header_exits_2(tmp_path, prep_dir, capsys, command, artifact,
     assert "truncated" in capsys.readouterr().err
 
 
+# The shape fields at byte 8 claim 2^65 bytes: (n, d) of the features,
+# (d0, d) of the checkpoint.
+@pytest.mark.parametrize("command, artifact, fields", [
+    ("train", "features.sgdf", "<QQ"),
+    ("eval", "checkpoint.sgdn", "<II"),
+])
+def test_huge_claimed_payload_exits_2(tmp_path, prep_dir, capsys, command, artifact, fields):
+    run_dir = str(tmp_path / "run")
+    assert run_cli("train", "--prep-dir", prep_dir, "--out-dir", run_dir,
+                   "--dim", "4", "--epochs", "1", "--k", "2") == 0
+    path = os.path.join(prep_dir if command == "train" else run_dir, artifact)
+    with open(path, "r+b") as fh:
+        fh.seek(8)
+        fh.write(struct.pack(fields, 2**31, 2**31))
+    args = {
+        "train": ("train", "--prep-dir", prep_dir, "--out-dir", run_dir),
+        "eval": ("eval", "--run-dir", run_dir,
+                 "--test-edges", os.path.join(run_dir, "test_edges.tsv")),
+    }[command]
+    assert run_cli(*args) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -278,6 +303,22 @@ def test_diffuse_high_c_converges_fast(tmp_path, prep_dir):
                    "--out", out) == 0
     rows = read_csv(out)
     assert float(rows[-1]["error"]) < 1e-10 * max(1.0, float(rows[0]["error"]))
+
+
+# The toy graph has 40 nodes: the exact columns appear at a limit of 40, not 39.
+@pytest.mark.parametrize("limit, header", [
+    (40, "step,residual,error,bound"),
+    (39, "step,residual"),
+])
+def test_diffuse_exact_columns_follow_the_size_limit(tmp_path, prep_dir, monkeypatch,
+                                                     limit, header):
+    monkeypatch.setattr(sgdnet.diffusion, "EXACT_MAX_N", limit)
+    out = str(tmp_path / "trace.csv")
+    assert run_cli("diffuse", "--prep-dir", prep_dir, "--k", "3", "--out", out) == 0
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 5 and all(len(l.split(",")) == len(header.split(",")) for l in lines)
 
 
 # ---------------------------------------------------------------- experiment

@@ -8,6 +8,7 @@ import pytest
 
 import sgdnet.diffusion as diffusion_module
 from sgdnet.diffusion import (
+    EXACT_MAX_N,
     DiffusionConfig,
     DiffusionState,
     diffuse,
@@ -21,7 +22,9 @@ from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.synthetic import random_signed_graph
 
 from helpers import (
+    block_exact_solve,
     dense_block_operator,
+    per_sign_operators,
     reference_diffuse_adjoint,
     reference_diffusion_states,
     stored_layout_diffuse_adjoint,
@@ -133,9 +136,20 @@ def test_exact_solve_empty_graph_is_scaled_injection():
 
 
 def test_exact_solve_size_guard():
-    g = build_graph([SignedEdge(0, 1, 1)], 3000)
-    with pytest.raises(ValueError):
-        exact_solve(normalize(g), np.zeros((3000, 1)), 0.5)
+    n = EXACT_MAX_N + 1
+    g = build_graph([SignedEdge(0, 1, 1)], n)
+    with pytest.raises(ValueError, match=f"n <= {EXACT_MAX_N}"):
+        exact_solve(normalize(g), np.zeros((n, 1)), 0.5)
+
+
+def test_exact_solve_follows_the_size_limit(monkeypatch):
+    na = normalize(random_signed_graph(12, seed=5))
+    h = np.ones((12, 1))
+    monkeypatch.setattr(diffusion_module, "EXACT_MAX_N", 12)
+    assert exact_solve(na, h, 0.5).p.shape == (12, 1)
+    monkeypatch.setattr(diffusion_module, "EXACT_MAX_N", 11)
+    with pytest.raises(ValueError, match="n <= 11, got n=12"):
+        exact_solve(na, h, 0.5)
 
 
 def test_exact_solve_is_fixed_point():
@@ -145,11 +159,21 @@ def test_exact_solve_is_fixed_point():
     h = rng.standard_normal((30, 4))
     c = 0.25
     star = exact_solve(na, h, c)
-    ap_t, an_t = na.na_plus.T, na.na_minus.T
+    ap, an = per_sign_operators(g)
+    ap_t, an_t = ap.T, an.T
     p_next = (1 - c) * (ap_t @ star.p + an_t @ star.m) + c * h
     m_next = (1 - c) * (an_t @ star.p + ap_t @ star.m)
     assert np.allclose(p_next, star.p, atol=1e-12)
     assert np.allclose(m_next, star.m, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", ["deadends", "edgeless", "random"])  # BITWISE_GRAPHS
+@pytest.mark.parametrize("c", [0.15, 0.5, 0.85])
+def test_exact_solve_matches_the_per_sign_block_solve(graph, c):
+    g = BITWISE_GRAPHS[graph]()
+    h = np.random.default_rng(g.n).standard_normal((g.n, 3))
+    star = exact_solve(normalize(g), h, c)
+    assert_rel_close(np.vstack(star), np.vstack(block_exact_solve(g, h, c)))
 
 
 # ---------------------------------------------------------------- convergence
@@ -297,7 +321,7 @@ def test_block_operator_matches_dense_iteration():
     h = rng.standard_normal((g.n, 2))
     c = 0.45
     state = diffuse(na, h, zero_cfg(c, 1))
-    b_dense = dense_block_operator(na)
+    b_dense = dense_block_operator(g)
     t0 = np.vstack([h, np.zeros_like(h)])
     q = np.vstack([h, np.zeros_like(h)])
     t1 = (1 - c) * b_dense @ t0 + c * q
@@ -328,7 +352,8 @@ EQUIVALENCE_GRAPHS = {
 @pytest.mark.parametrize("k", [1, 5, 20])
 @pytest.mark.parametrize("c", [0.15, 0.5, 0.85])
 def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
-    na = normalize(EQUIVALENCE_GRAPHS[graph]())
+    g = EQUIVALENCE_GRAPHS[graph]()
+    na = normalize(g)
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 3))
     if m0_mode == "zero":
@@ -344,7 +369,7 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
         return {"m0": m0} if m0_mode == "explicit" else {}
 
     cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
-    reference = reference_diffusion_states(na, h, c, k, m0)
+    reference = reference_diffusion_states(g, h, c, k, m0)
 
     p, m = diffuse(na, h, cfg, **start())
     assert_rel_close(np.vstack([p, m]), np.vstack(reference[-1]))
@@ -358,13 +383,14 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
     gp = rng.standard_normal(h.shape)
     gm = rng.standard_normal(h.shape)
     assert_rel_close(
-        diffuse_adjoint(na, gp, gm, cfg), reference_diffuse_adjoint(na, gp, gm, c, k)
+        diffuse_adjoint(na, gp, gm, cfg), reference_diffuse_adjoint(g, gp, gm, c, k)
     )
 
 
 def test_fused_operators_are_sum_and_difference_pairs():
-    na = normalize(EQUIVALENCE_GRAPHS["deadends"]())
-    ap, an = na.na_plus.toarray(), na.na_minus.toarray()
+    g = EQUIVALENCE_GRAPHS["deadends"]()
+    na = normalize(g)
+    ap, an = (a.toarray() for a in per_sign_operators(g))
     assert len(na.adj) == 2
     for op, dense in zip(na.adj, (ap + an, ap - an)):
         assert np.array_equal(op.toarray(), dense)
@@ -446,7 +472,8 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     monkeypatch, cpus, graph, m0_mode, k, c
 ):
     use_cpus(monkeypatch, cpus)
-    na = normalize(BITWISE_GRAPHS[graph]())
+    g = BITWISE_GRAPHS[graph]()
+    na = normalize(g)
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 4))
     gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
@@ -462,7 +489,7 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
         return {"m0": m0} if m0_mode == "explicit" else {}
 
     cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
-    reference = stored_layout_diffusion_states(na, h, c, k, m0)
+    reference = stored_layout_diffusion_states(g, h, c, k, m0)
     final = diffuse(na, h, cfg, **start())
     assert np.array_equal(final.p, reference[-1][0])
     assert np.array_equal(final.m, reference[-1][1])
@@ -471,7 +498,7 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     for state, (p, m) in zip(steps, reference):
         assert np.array_equal(state.p, p) and np.array_equal(state.m, m)
     assert np.array_equal(
-        diffuse_adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(na, gp, gm, c, k)
+        diffuse_adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(g, gp, gm, c, k)
     )
 
 

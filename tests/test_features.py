@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -147,6 +149,27 @@ def test_feature_file_rejects_truncation(tmp_path, keep):
     assert len(raw) == 24 + 64
     path.write_bytes(raw[:keep])
     with pytest.raises(ValueError, match="truncated"):
+        load_features(path)
+
+
+# Shapes that claim 2^50 bytes or more, or a size past any index: the loader
+# must turn them away before it asks for the memory.
+@pytest.mark.parametrize("n, d", [(2**47, 1), (2**31, 2**31), (2**64 - 1, 2**64 - 1)])
+def test_feature_file_rejects_a_huge_claimed_shape(tmp_path, n, d):
+    path = tmp_path / "f.sgdf"
+    save_features(path, np.ones((4, 2)))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<QQ", raw, 8, n, d)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated"):
+        load_features(path)
+
+
+def test_feature_file_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "f.sgdf"
+    save_features(path, np.ones((4, 2)))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
         load_features(path)
 
 

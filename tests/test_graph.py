@@ -23,6 +23,7 @@ from helpers import (
     bitcoin_alpha_path,
     bitcoin_otc_path,
     dense_block_operator,
+    per_sign_operators,
     reference_load_edge_list,
     reference_read_edge_tsv,
 )
@@ -194,6 +195,24 @@ def test_common_files_skip_the_per_line_reader(tmp_path, monkeypatch, case):
     expected = load_edge_list(path, fmt)
     forbid_per_line_reader(monkeypatch)
     assert load_edge_list(path, fmt) == expected
+
+
+# Every id the parser takes must come back from the id map file, among them
+# the empty id and a csv id holding a tab.
+ID_MAP_CASES = {
+    **{case: PARSER_CASES[case][:2] for case in PARSER_CASES},
+    "csv_tab_and_empty_ids": ("csv-rating", "5,,1\na\tb, x\ty ,-1\n,5,2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_MAP_CASES))
+def test_id_map_roundtrip_keeps_every_parsed_id(tmp_path, case):
+    fmt, text = ID_MAP_CASES[case]
+    path = tmp_path / "e.txt"
+    path.write_bytes(text.encode())
+    _, _, id_map = load_edge_list(path, fmt)
+    save_id_map(tmp_path / "idmap.tsv", id_map)
+    assert load_id_map(tmp_path / "idmap.tsv") == id_map
 
 
 @pytest.mark.parametrize("fmt", ["tsv-sign", "csv-rating"])
@@ -406,6 +425,27 @@ def test_normalize_row_sums_zero_or_one(seed):
     assert np.all(row_sums[~non_deadend] == 0.0)
 
 
+PER_SIGN_GRAPHS = {
+    "random": lambda: random_signed_graph(
+        80, avg_out_degree=4.0, neg_fraction=0.4, deadend_fraction=0.2, seed=3
+    ),
+    "positive_only": lambda: build_graph([SignedEdge(0, 1, 1), SignedEdge(1, 2, 1)], 4),
+    "edgeless": lambda: build_graph([], 5),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(PER_SIGN_GRAPHS))
+def test_per_sign_views_equal_the_graph_built_matrices(graph):
+    g = PER_SIGN_GRAPHS[graph]()
+    na = normalize(g)
+    assert type(na).__slots__ == ("n", "adj")
+    for view, built in zip((na.na_plus, na.na_minus), per_sign_operators(g)):
+        assert view.shape == built.shape
+        assert view.data.tobytes() == built.data.tobytes()
+        assert np.array_equal(view.indices, built.indices)
+        assert np.array_equal(view.indptr, built.indptr)
+
+
 def test_normalize_is_kept_on_the_graph():
     g = random_signed_graph(50, seed=0)
     na = normalize(g)
@@ -420,7 +460,7 @@ def test_column_sums_single_edge_matches_dense_oracle():
     g = build_graph([SignedEdge(0, 1, 1)], 2)
     na = normalize(g)
     got = column_sums_of_b(na)
-    oracle = dense_block_operator(na).sum(axis=0)
+    oracle = dense_block_operator(g).sum(axis=0)
     assert np.allclose(got, oracle)
     assert got.tolist() == [1.0, 0.0, 1.0, 0.0]
 
@@ -442,7 +482,7 @@ def test_column_sums_never_exceed_one(seed):
     na = normalize(g)
     sums = column_sums_of_b(na)
     assert sums.max() <= 1.0 + 1e-12
-    oracle = dense_block_operator(na).sum(axis=0)
+    oracle = dense_block_operator(g).sum(axis=0)
     assert np.allclose(sums, oracle, atol=1e-12)
 
 

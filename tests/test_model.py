@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -291,4 +293,27 @@ def test_checkpoint_rejects_truncation(tmp_path, keep):
     assert len(raw) == 32 + 208
     path.write_bytes(raw[:keep])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+# Dims (d0, d, layers) that claim 2^50 bytes or more, or a size past any
+# index: the loader must turn them away before it asks for the memory.
+@pytest.mark.parametrize(
+    "dims", [(2**31, 2**31, 1), (2**32 - 1, 2**20, 1), (3, 2**31, 2**32 - 1)]
+)
+def test_checkpoint_rejects_huge_claimed_dims(tmp_path, dims):
+    path = tmp_path / "model.sgdn"
+    save_checkpoint(path, init_params(3, 2, 1, seed=0), zero_cfg())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<III", raw, 8, *dims)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.sgdn"
+    save_checkpoint(path, init_params(3, 2, 1, seed=0), zero_cfg())
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(path)

@@ -267,6 +267,23 @@ def test_train_numeric_blowup_aborts_with_last_good_params():
         assert np.all(np.isfinite(w))
 
 
+def test_train_abort_keeps_the_params_of_the_last_finite_loss():
+    # The aborted run's params are those the last finite loss was computed
+    # at: the params after len(history) - 1 steps, not the ones the next
+    # optimizer step wrote in place.
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 5))
+    cfg = TrainConfig(dim=3, n_layers=1, c=0.4, k_steps=3, lr=1e160,
+                      epochs=5, m0_mode="zero", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingAbort) as excinfo:
+            train(g, x, cfg)
+        cfg.epochs = len(excinfo.value.history) - 1
+        params, _ = train(g, x, cfg)
+    for (_, kept), (_, expected) in zip(excinfo.value.params.named(), params.named()):
+        assert np.array_equal(kept, expected)
+
+
 def test_train_monotone_after_transient():
     g = planted_partition_graph(n=24, seed=3)
     x = np.random.default_rng(3).standard_normal((24, 8))
