@@ -10,9 +10,13 @@ Between power steps any well-conditioned basis of the sketch's range will do
 (their section 4.5), so each step is normalized with SVQB (Stathopoulos & Wu
 2002, "A block orthogonalization procedure with constant synchronization
 requirements"): an eigendecomposition of the small Gram matrix instead of a
-Householder QR of the tall sketch. One Householder QR of the last product
-gives the orthonormal basis Q, and the small SVD is taken of the tall
-product A^T Q rather than of its wide transpose Q^T A.
+Householder QR of the tall sketch. The two orthonormal bases of the
+Rayleigh-Ritz step, Q for the last sketch and Q2 for A^T Q, come from two
+SVQB passes when the block is well conditioned, which is orthonormal to
+working precision while eps * cond^2 << 1 (the bound Yamamoto, Nakatsukasa,
+Yanagisawa & Fukaya 2015, ETNA 44, prove for CholeskyQR2). A zero,
+rank-deficient or wide-spectrum block takes a Householder QR instead. The
+only full SVD left is of the small sketch x sketch matrix Q2^T A^T Q.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ FEATURE_MAGIC = b"SGDF"
 FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, n, d
 
+# `_orthonormal` takes two SVQB passes while the Gram eigenvalues satisfy
+# lambda_min > ratio * lambda_max, i.e. cond < 1e4: there eps * cond^2 stays
+# near 2e-8, and the floor of `_svqb` (lambda_max * eps) cannot bind.
+_SVQB_MIN_RATIO = 1e-8
+
 
 def _svqb(y: np.ndarray) -> np.ndarray:
     """A well-conditioned basis of range(y), by SVQB: y @ V diag(lambda)^(-1/2)
@@ -46,6 +55,21 @@ def _svqb(y: np.ndarray) -> np.ndarray:
     return y @ (vec / np.sqrt(np.maximum(lam, floor)))
 
 
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """An orthonormal basis Q of range(y), with Q Q^T y = y.
+
+    Two SVQB passes when cond(y) < 1e4 (see `_SVQB_MIN_RATIO`): the second
+    pass restores the orthonormality the first loses to eps * cond^2. A zero,
+    rank-deficient or wide-spectrum y takes a Householder QR, the only one of
+    the two that is accurate there.
+    """
+    lam, vec = np.linalg.eigh(y.T @ y)
+    if lam[0] > _SVQB_MIN_RATIO * lam[-1]:
+        # The first pass reuses this eigendecomposition: it is `_svqb(y)`.
+        return _svqb(y @ (vec / np.sqrt(lam)))
+    return np.linalg.qr(y)[0]
+
+
 def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, seed: int = 0):
     """Sketch-based truncated SVD (Gaussian range finder plus power iterations).
 
@@ -55,9 +79,16 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
     The sketch Y = A Omega is refined by `power_iters` steps
     Y <- A svqb(A^T svqb(Y)), with `_svqb` as the normalizer between products
     (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, section 4.5; SVQB after
-    Stathopoulos & Wu 2002). A single Householder QR of the last Y gives the
-    orthonormal Q, and the Rayleigh-Ritz step takes the SVD of the tall
-    product A^T Q = V S Ub^T, so U = Q Ub.
+    Stathopoulos & Wu 2002). The Rayleigh-Ritz step then takes orthonormal
+    bases Q of the last Y and Q2 of B^T = A^T Q, and the SVD of the small
+    C = Q2^T A^T Q = Uc S Vc^T, so U = Q Vc and V = Q2 Uc. Each basis comes
+    from `_orthonormal`: two SVQB passes when the block's condition number is
+    below 1e4, which holds for the sketches of the benchmark graphs (cond
+    about 5), and a Householder QR otherwise (a zero or rank-deficient
+    matrix, or a spectrum wide enough that the power steps leave the sketch
+    ill-conditioned). Two SVQB passes are orthonormal to working precision
+    while eps * cond^2 << 1 (Stathopoulos & Wu 2002; Yamamoto, Nakatsukasa,
+    Yanagisawa & Fukaya 2015, ETNA 44, for CholeskyQR2).
 
     Accuracy limit: SVQB squares the condition number of the block it
     normalizes. While the top rank + oversample singular values span less
@@ -87,20 +118,24 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
         raise ValueError("matrix contains non-finite entries")
 
     rng = np.random.default_rng(seed)
-    sketch = rank + oversample
-    omega = rng.standard_normal((n_cols, sketch))
-
-    y = m @ omega
+    y = m @ rng.standard_normal((n_cols, rank + oversample))
     for _ in range(power_iters):
         y = m @ _svqb(m.T @ _svqb(y))
-    q, _ = np.linalg.qr(y)
+    q = _orthonormal(y)
+    del y
 
-    # The SVD of the tall (n_cols x sketch) b^T = m^T q, which keeps a sparse
-    # m sparse; its factors are those of b = q^T m, transposed.
-    v, s, ubt = np.linalg.svd(m.T @ q, full_matrices=False)
+    # Rayleigh-Ritz on b = q^T m through its tall transpose b^T = m^T q, which
+    # keeps a sparse m sparse: b^T = q2 c with q2 orthonormal, so the SVD of
+    # the small c gives those of b^T and b.
+    bt = m.T @ q
+    q2 = _orthonormal(bt)
+    c = q2.T @ bt
+    del bt
+    ur, s, ubt = np.linalg.svd(c)
     u = q @ ubt[:rank].T
+    del q
+    v = q2 @ ur[:, :rank]
     s = s[:rank].copy()
-    v = np.ascontiguousarray(v[:, :rank])
 
     # Fix the sign ambiguity of each singular vector pair: the largest-magnitude
     # entry of each left vector is made positive.
@@ -147,7 +182,7 @@ def save_features(path, x: np.ndarray) -> None:
         raise ValueError("feature matrix contains non-finite entries")
     with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *x.shape))
-        fh.write(x.astype("<f8").tobytes())
+        fh.write(memoryview(x.astype("<f8", copy=False)).cast("B"))
 
 
 def load_features(path) -> np.ndarray:

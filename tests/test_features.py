@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sgdnet.features import (
+    _orthonormal,
     init_features,
     load_features,
     randomized_svd,
@@ -131,6 +132,17 @@ def test_feature_file_roundtrip(tmp_path):
     assert np.array_equal(loaded, x)
 
 
+@pytest.mark.parametrize("layout", ["big-endian", "fortran"])
+def test_feature_file_bytes_do_not_depend_on_the_input_layout(tmp_path, layout):
+    x = np.random.default_rng(1).standard_normal((5, 3))
+    other = x.astype(">f8") if layout == "big-endian" else np.asfortranarray(x)
+    save_features(tmp_path / "a.sgdf", x)
+    save_features(tmp_path / "b.sgdf", other)
+    raw = (tmp_path / "b.sgdf").read_bytes()
+    assert raw == (tmp_path / "a.sgdf").read_bytes()
+    assert raw[24:] == x.astype("<f8").tobytes()
+
+
 def test_feature_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.sgdf"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -245,6 +257,47 @@ def test_svqb_matches_reference_at_bitcoin_alpha_size():
     # The feature shape of the paper's smaller datasets: n = 3,783, rank 128.
     g = random_signed_graph(3783, avg_out_degree=6.4, seed=0)
     _assert_matches_reference(signed_adjacency(g), rank=128, oversample=10, power_iters=2, seed=0)
+
+
+def _block_with_condition(cond, n=300, k=24, seed=0):
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    right, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (left * np.logspace(0, -np.log10(cond), k)) @ right.T
+
+
+def _rank_deficient_block():
+    y = _block_with_condition(10.0, seed=1)
+    y[:, 5] = y[:, 2]
+    return y
+
+
+# cond 1e3 is inside the SVQB range (Gram ratio 1e-6 > 1e-8); the others are
+# not, and a single SVQB pass at cond 1e3 is only orthonormal to ~1e-10.
+@pytest.mark.parametrize(
+    "y, householder",
+    [
+        (_block_with_condition(1e3), False),
+        (_block_with_condition(1e5), True),
+        (_rank_deficient_block(), True),
+        (np.zeros((300, 24)), True),
+    ],
+    ids=["cond-1e3", "cond-1e5", "rank-deficient", "zeros"],
+)
+def test_orthonormal_basis_on_both_branches(monkeypatch, y, householder):
+    calls = []
+    real_qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    q = _orthonormal(y)
+    assert calls == ([y.shape] if householder else [])
+    assert q.shape == y.shape
+    assert np.abs(q.T @ q - np.eye(y.shape[1])).max() <= 1e-12
+    assert np.abs(q @ (q.T @ y) - y).max() <= 1e-12
 
 
 def _assert_valid_factors(u, s, v, rank):
