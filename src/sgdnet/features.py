@@ -1,8 +1,9 @@
 """Initial node features from a randomized truncated SVD of the signed adjacency.
 
-The signed adjacency A = A_plus - A_minus keeps the sign information, and the
-features are X = U * S for the leading singular triplets. This is a one-time
-preprocessing step; features are persisted so training never repeats it.
+The graph's signed adjacency `SignedDigraph.a` = A+ - A- keeps the sign
+information, and the features are X = U * S for its leading singular
+triplets. This is a one-time preprocessing step; features are persisted so
+training never repeats it.
 
 `randomized_svd` is the Gaussian range finder with power iterations of
 Halko, Martinsson & Tropp 2011 (arXiv:0909.4061, Algorithms 4.3/4.4 and 5.1).
@@ -146,11 +147,6 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
     return u, s, v
 
 
-def signed_adjacency(g: SignedDigraph) -> sp.csr_array:
-    """CSR adjacency with +1 for positive and -1 for negative edges."""
-    return sp.csr_array(g.a_plus - g.a_minus)
-
-
 def init_features(
     g: SignedDigraph,
     rank: int,
@@ -167,9 +163,7 @@ def init_features(
     if rank > g.n:
         raise ValueError(f"rank {rank} exceeds node count {g.n}")
     oversample = min(oversample, g.n - rank)
-    u, s, _ = randomized_svd(
-        signed_adjacency(g), rank, oversample=oversample, power_iters=power_iters, seed=seed
-    )
+    u, s, _ = randomized_svd(g.a, rank, oversample=oversample, power_iters=power_iters, seed=seed)
     return u * s
 
 

@@ -3,9 +3,9 @@
 Edges carry a +1 (trust) or -1 (distrust) label. They travel from parse to
 save as an `EdgeList`: three int64 columns `src`, `dst`, `sign`. Edge files
 are parsed whole with numpy; a file that this parse does not accept is read
-line by line, which names the first bad line. The graph is stored as one CSR
-adjacency matrix per sign, and `normalize` turns those into the
-out-degree-normalized operators that drive the random-walk diffusion.
+line by line, which names the first bad line. The graph is stored as one
+signed CSR adjacency A = A+ - A-, and `normalize` divides its rows by the
+out-degree into the operators that drive the random-walk diffusion.
 """
 
 from __future__ import annotations
@@ -86,24 +86,24 @@ class SignedDigraph:
         n: node count.
         edges: EdgeList in input order; a repeated edge stays repeated here
             and collapses to one entry in the adjacency.
-        a_plus, a_minus: per-sign CSR adjacency with 0/1 entries.
-        out_degree: per-node outgoing edge count over both signs.
+        a: the signed adjacency A = A+ - A- as canonical CSR (sorted
+            indices, no duplicates) with +1/-1 entries, on int32 indices
+            (int64 only past 2^31 - 1). `normalize` builds its operators on
+            this same `indices`/`indptr` pair.
+        out_degree: per-node count of distinct out-neighbours over both
+            signs.
     """
 
-    __slots__ = ("n", "edges", "a_plus", "a_minus", "out_degree", "_normalized")
+    __slots__ = ("n", "edges", "a", "out_degree", "_normalized")
 
-    def __init__(self, n, edges, a_plus, a_minus, out_degree):
+    def __init__(self, n, edges, a, out_degree):
         self.n = n
         self.edges = edges
-        self.a_plus = a_plus
-        self.a_minus = a_minus
+        self.a = a
         self.out_degree = out_degree
         self._normalized = None  # set by the first `normalize(self)`
-        for mat in (a_plus, a_minus):
-            mat.data.setflags(write=False)
-            mat.indices.setflags(write=False)
-            mat.indptr.setflags(write=False)
-        out_degree.setflags(write=False)
+        for arr in (a.data, a.indices, a.indptr, out_degree):
+            arr.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -119,13 +119,14 @@ class NormalizedAdjacency:
     """The out-degree-normalized adjacency, stored once as the pair (S, D).
 
     With NA+ and NA- the per-sign adjacency divided row-wise by the total
-    out-degree, S = NA+ + NA- and D = NA+ - NA-. Every row u of S sums to 1
-    when u has outgoing edges and is all-zero when u is a deadend. The signs
-    are disjoint, so S = |D| entrywise and both share one sparsity pattern:
-    they are CSR matrices on one shared int32 `indices`/`indptr` pair (int64
-    only past 2^31 - 1). One adjoint step of the sum or the difference
-    channel is a product with S or D; one diffusion step is a product with
-    S.T or D.T, a CSC view that copies nothing.
+    out-degree, S = NA+ + NA- and D = NA+ - NA- = diag(1/deg) A. Every row u
+    of S sums to 1 when u has outgoing edges and is all-zero when u is a
+    deadend. The signs are disjoint, so S = |D| entrywise and both have the
+    sparsity pattern of A: they are CSR matrices on the graph's own
+    `indices`/`indptr` pair, which they share with `SignedDigraph.a`. One
+    adjoint step of the sum or the difference channel is a product with S
+    or D; one diffusion step is a product with S.T or D.T, a CSC view that
+    copies nothing.
 
     `na_plus` and `na_minus` rebuild NA+ and NA- exactly on each read, for
     the benchmark's flop count; the package itself never reads them. S + D
@@ -137,10 +138,8 @@ class NormalizedAdjacency:
 
     def __init__(self, n, d):
         self.n = n
-        itype = np.int32 if max(n, d.nnz) <= np.iinfo(np.int32).max else np.int64
-        indices, indptr = d.indices.astype(itype), d.indptr.astype(itype)
         self.adj = tuple(
-            sp.csr_array((data, indices, indptr), shape=d.shape)
+            sp.csr_array((data, d.indices, d.indptr), shape=d.shape)
             for data in (np.abs(d.data), d.data)
         )
 
@@ -395,10 +394,10 @@ def read_edge_tsv(path) -> EdgeList:
 
 
 def build_graph(edges, n: int) -> SignedDigraph:
-    """Assemble the per-sign CSR adjacency and out-degrees.
+    """Assemble the signed CSR adjacency A = A+ - A- and the out-degrees.
 
-    Entries are 0/1; duplicate edges collapse to a single entry. The positive
-    and negative adjacencies must be disjoint.
+    Entries are +1/-1; duplicate edges collapse to a single entry. An edge
+    may not carry both signs.
     """
     edges = as_edge_list(edges)
     in_range = (edges.src >= 0) & (edges.src < n) & (edges.dst >= 0) & (edges.dst < n)
@@ -409,25 +408,20 @@ def build_graph(edges, n: int) -> SignedDigraph:
             raise ValueError(f"edge ({e.src}->{e.dst}) out of range for n={n}")
         raise ValueError(f"edge ({e.src}->{e.dst}) has invalid sign {e.sign}")
 
-    def csr_for(sign):
-        pick = edges.sign == sign
-        mat = sp.csr_array(
-            (np.ones(np.count_nonzero(pick)), (edges.src[pick], edges.dst[pick])),
-            shape=(n, n),
-            dtype=np.float64,
-        )
-        mat.sum_duplicates()
-        mat.data[:] = 1.0
-        mat.sort_indices()
-        return mat
-
-    a_plus = csr_for(1)
-    a_minus = csr_for(-1)
-    if a_plus.multiply(a_minus).nnz > 0:
+    # Sorting the row-major keys puts the edges in CSR order, with the copies
+    # of one (src, dst) in a run; every run must hold a single sign.
+    key = edges.src * n + edges.dst
+    order = np.argsort(key)
+    key, sign = key[order], edges.sign[order]
+    head = np.diff(key, prepend=-1) != 0
+    if np.any(~head & (np.diff(sign, prepend=0) != 0)):
         raise ValueError("an edge carries both signs; deduplicate the edge list first")
+    rows, cols = np.divmod(key[head], n)
 
-    out_degree = np.diff(a_plus.indptr) + np.diff(a_minus.indptr)
-    return SignedDigraph(n, edges, a_plus, a_minus, out_degree.astype(np.int64))
+    itype = np.int32 if max(n, len(cols)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(itype)
+    a = sp.csr_array((sign[head].astype(np.float64), cols.astype(itype), indptr), shape=(n, n))
+    return SignedDigraph(n, edges, a, np.diff(indptr).astype(np.int64))
 
 
 def normalize(g: SignedDigraph) -> NormalizedAdjacency:
@@ -439,10 +433,9 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     """
     if g._normalized is not None:
         return g._normalized
-    d = g.a_plus - g.a_minus
-    rows = np.repeat(np.arange(g.n), np.diff(d.indptr))
-    d.data /= g.out_degree.astype(np.float64)[rows]
-    d.sort_indices()
+    a = g.a
+    rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
+    d = sp.csr_array((a.data / g.out_degree[rows], a.indices, a.indptr), shape=a.shape)
     g._normalized = NormalizedAdjacency(g.n, d)
     return g._normalized
 

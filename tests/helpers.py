@@ -84,19 +84,40 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
-# Oracles for the diffusion, built from the graph alone (`a_plus`, `a_minus`,
-# `out_degree`), so that none depends on `sgdnet.graph.normalize`.
+# Oracles for the diffusion, built from `g.edges` alone, so that none depends
+# on `sgdnet.graph.build_graph`'s adjacency or on `sgdnet.graph.normalize`.
+
+
+def per_sign_adjacency(g):
+    """A+ and A-: one CSR matrix per sign with 0/1 entries, from a COO build
+    of `g.edges` in which a repeated edge collapses to one entry."""
+
+    def csr_for(sign):
+        pick = g.edges.sign == sign
+        mat = sp.csr_array(
+            (np.ones(np.count_nonzero(pick)), (g.edges.src[pick], g.edges.dst[pick])),
+            shape=(g.n, g.n),
+            dtype=np.float64,
+        )
+        mat.sum_duplicates()
+        mat.data[:] = 1.0
+        mat.sort_indices()
+        return mat
+
+    return csr_for(1), csr_for(-1)
 
 
 def per_sign_operators(g):
     """NA+ and NA-: each per-sign adjacency row divided by the node's total
     out-degree. Deadend rows stay all-zero."""
+    a_plus, a_minus = per_sign_adjacency(g)
+    degree = np.diff(a_plus.indptr) + np.diff(a_minus.indptr)
 
     def scaled(a):
         rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
-        return sp.csr_array((a.data / g.out_degree[rows], a.indices, a.indptr), shape=a.shape)
+        return sp.csr_array((a.data / degree[rows], a.indices, a.indptr), shape=a.shape)
 
-    return scaled(g.a_plus), scaled(g.a_minus)
+    return scaled(a_plus), scaled(a_minus)
 
 
 def dense_block_operator(g):

@@ -10,7 +10,6 @@ from sgdnet.features import (
     load_features,
     randomized_svd,
     save_features,
-    signed_adjacency,
 )
 from sgdnet.graph import SignedEdge, build_graph
 from sgdnet.synthetic import planted_partition_graph, random_signed_graph
@@ -82,13 +81,6 @@ def test_determinism_bitwise():
     assert np.array_equal(x1, x2)
     x3 = init_features(g, rank=8, seed=43)
     assert not np.array_equal(x1, x3)
-
-
-def test_signed_adjacency_carries_signs():
-    g = build_graph([SignedEdge(0, 1, 1), SignedEdge(1, 0, -1)], 2)
-    a = signed_adjacency(g).toarray()
-    assert a[0, 1] == 1.0
-    assert a[1, 0] == -1.0
 
 
 def test_init_features_two_node_positive_edge():
@@ -248,15 +240,13 @@ def test_svqb_matches_reference_on_random_matrices(kind, power_iters):
     ids=["random_signed", "planted_partition"],
 )
 def test_svqb_matches_reference_on_signed_graphs(graph, power_iters):
-    _assert_matches_reference(
-        signed_adjacency(graph()), rank=16, oversample=10, power_iters=power_iters, seed=5
-    )
+    _assert_matches_reference(graph().a, rank=16, oversample=10, power_iters=power_iters, seed=5)
 
 
 def test_svqb_matches_reference_at_bitcoin_alpha_size():
     # The feature shape of the paper's smaller datasets: n = 3,783, rank 128.
     g = random_signed_graph(3783, avg_out_degree=6.4, seed=0)
-    _assert_matches_reference(signed_adjacency(g), rank=128, oversample=10, power_iters=2, seed=0)
+    _assert_matches_reference(g.a, rank=128, oversample=10, power_iters=2, seed=0)
 
 
 def _block_with_condition(cond, n=300, k=24, seed=0):
@@ -321,8 +311,8 @@ def _isolated_nodes_graph():
         (np.zeros((30, 20)), 4, 6),
         (sp.csr_array((40, 40)), 3, 10),
         (np.outer(np.arange(1.0, 26.0), np.linspace(-1.0, 2.0, 18)), 3, 5),
-        (signed_adjacency(build_graph([SignedEdge(0, 1, 1)], 2)), 1, 1),
-        (signed_adjacency(_isolated_nodes_graph()), 6, 10),
+        (build_graph([SignedEdge(0, 1, 1)], 2).a, 1, 1),
+        (_isolated_nodes_graph().a, 6, 10),
     ],
     ids=["zero-dense", "zero-sparse", "rank-one", "two-node", "isolated-nodes"],
 )
@@ -355,7 +345,7 @@ def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch):
     # Negate the first singular pair of the small SVD. In one of the two runs
     # that column's largest-magnitude entry is negative and gets flipped; the
     # results must agree bit for bit.
-    a = signed_adjacency(random_signed_graph(80, seed=3))
+    a = random_signed_graph(80, seed=3).a
     u0, s0, v0 = randomized_svd(a, rank=6, oversample=4, seed=2)
     real_svd = np.linalg.svd
 

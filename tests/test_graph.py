@@ -23,6 +23,7 @@ from helpers import (
     bitcoin_alpha_path,
     bitcoin_otc_path,
     dense_block_operator,
+    per_sign_adjacency,
     per_sign_operators,
     reference_load_edge_list,
     reference_read_edge_tsv,
@@ -348,7 +349,7 @@ def test_graph_edges_keep_input_order_and_repeats():
     edges = [SignedEdge(2, 0, -1), SignedEdge(0, 1, 1), SignedEdge(2, 0, -1)]
     g = build_graph(edges, 3)
     assert list(g.edges) == edges
-    assert g.m == 3 and g.a_minus.nnz == 1
+    assert g.m == 3 and np.count_nonzero(g.a.data < 0) == 1
 
 
 # ---------------------------------------------------------------- building
@@ -357,8 +358,8 @@ def test_graph_edges_keep_input_order_and_repeats():
 def test_build_graph_single_edge_degrees():
     g = build_graph([SignedEdge(0, 1, 1)], 2)
     assert g.out_degree.tolist() == [1, 0]
-    assert g.a_plus[0, 1] == 1.0
-    assert g.a_minus.nnz == 0
+    assert g.a[0, 1] == 1.0
+    assert np.count_nonzero(g.a.data < 0) == 0
 
 
 def test_build_graph_counts_both_signs():
@@ -388,10 +389,44 @@ def test_build_graph_rejects_conflicting_signs():
         build_graph([SignedEdge(0, 1, 1), SignedEdge(0, 1, -1)], 2)
 
 
+def test_build_graph_rejects_a_conflict_apart_in_input_order():
+    edges = [SignedEdge(0, 1, 1), SignedEdge(2, 0, -1), SignedEdge(0, 1, 1), SignedEdge(0, 1, -1)]
+    with pytest.raises(ValueError, match="an edge carries both signs"):
+        build_graph(edges, 3)
+
+
+def test_signed_adjacency_carries_signs():
+    g = build_graph([SignedEdge(0, 1, 1), SignedEdge(1, 0, -1)], 2)
+    a = g.a.toarray()
+    assert a[0, 1] == 1.0
+    assert a[1, 0] == -1.0
+
+
+def test_same_sign_repeats_collapse_to_one_entry():
+    edges = [
+        SignedEdge(0, 2, -1), SignedEdge(0, 1, 1), SignedEdge(2, 0, 1),
+        SignedEdge(0, 2, -1), SignedEdge(0, 1, 1), SignedEdge(0, 1, 1),
+    ]
+    g = build_graph(edges, 3)
+    assert g.a.toarray().tolist() == [[0, 1, -1], [0, 0, 0], [1, 0, 0]]
+    assert g.out_degree.tolist() == [2, 0, 1]
+    assert g.m == 6
+
+
+def test_adjacency_is_canonical_and_read_only():
+    g = random_signed_graph(60, avg_out_degree=4.0, seed=1)
+    assert g.a.has_canonical_format
+    assert g.a.indices.dtype == g.a.indptr.dtype == np.int32
+    assert set(g.a.data.tolist()) == {1.0, -1.0}
+    for arr in (g.a.data, g.a.indices, g.a.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_graph_is_immutable():
     g = build_graph([SignedEdge(0, 1, 1)], 2)
     with pytest.raises(ValueError):
-        g.a_plus.data[0] = 5.0
+        g.a.data[0] = 5.0
     with pytest.raises(ValueError):
         g.out_degree[0] = 3
 
@@ -444,6 +479,30 @@ def test_per_sign_views_equal_the_graph_built_matrices(graph):
         assert view.data.tobytes() == built.data.tobytes()
         assert np.array_equal(view.indices, built.indices)
         assert np.array_equal(view.indptr, built.indptr)
+
+
+def _with_repeats():
+    edges = as_edge_list(random_signed_graph(50, avg_out_degree=3.0, seed=4).edges)
+    again = np.random.default_rng(0).integers(0, len(edges), size=40)
+    return build_graph(edges[np.concatenate([np.arange(len(edges)), again])], 50)
+
+
+@pytest.mark.parametrize("graph", sorted(PER_SIGN_GRAPHS) + ["repeats"])
+def test_adjacency_equals_the_per_sign_difference(graph):
+    g = _with_repeats() if graph == "repeats" else PER_SIGN_GRAPHS[graph]()
+    a_plus, a_minus = per_sign_adjacency(g)
+    built = a_plus - a_minus
+    assert g.a.data.tobytes() == built.data.tobytes()
+    assert np.array_equal(g.a.indices, built.indices)
+    assert np.array_equal(g.a.indptr, built.indptr)
+    assert np.array_equal(g.out_degree, np.diff(a_plus.indptr) + np.diff(a_minus.indptr))
+
+
+def test_normalize_shares_the_graphs_index_pair():
+    g = random_signed_graph(50, seed=2)
+    for op in normalize(g).adj:
+        assert np.shares_memory(op.indices, g.a.indices)
+        assert np.shares_memory(op.indptr, g.a.indptr)
 
 
 def test_normalize_is_kept_on_the_graph():
