@@ -8,16 +8,17 @@ training never repeats it.
 `randomized_svd` is the Gaussian range finder with power iterations of
 Halko, Martinsson & Tropp 2011 (arXiv:0909.4061, Algorithms 4.3/4.4 and 5.1).
 Between power steps any well-conditioned basis of the sketch's range will do
-(their section 4.5), so each step is normalized with SVQB (Stathopoulos & Wu
-2002, "A block orthogonalization procedure with constant synchronization
-requirements"): an eigendecomposition of the small Gram matrix instead of a
-Householder QR of the tall sketch. The two orthonormal bases of the
-Rayleigh-Ritz step, Q for the last sketch and Q2 for A^T Q, come from two
-SVQB passes when the block is well conditioned, which is orthonormal to
-working precision while eps * cond^2 << 1 (the bound Yamamoto, Nakatsukasa,
-Yanagisawa & Fukaya 2015, ETNA 44, prove for CholeskyQR2). A zero,
-rank-deficient or wide-spectrum block takes a Householder QR instead. The
-only full SVD left is of the small sketch x sketch matrix Q2^T A^T Q.
+(their section 4.5), so each step normalizes the sketch once with SVQB
+(Stathopoulos & Wu 2002, "A block orthogonalization procedure with constant
+synchronization requirements"): an eigendecomposition of the small Gram
+matrix instead of a Householder QR of the tall sketch. The last sketch gets
+an orthonormal basis Q from two SVQB passes when it is well conditioned,
+which is orthonormal to working precision while eps * cond^2 << 1 (the bound
+Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015, ETNA 44, prove for
+CholeskyQR2). The Rayleigh-Ritz step then takes the eigendecomposition of
+the small Gram of A^T Q, as SVQB does, while A^T Q has cond < 1e4. A zero,
+rank-deficient or wide-spectrum block takes a Householder QR instead, and
+the Rayleigh-Ritz step then takes the SVD of a small square matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ FEATURE_MAGIC = b"SGDF"
 FEATURE_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, n, d
 
-# `_orthonormal` takes two SVQB passes while the Gram eigenvalues satisfy
+# `_orthonormal` takes two SVQB passes, and the Rayleigh-Ritz step the Gram's
+# eigendecomposition, while the Gram eigenvalues satisfy
 # lambda_min > ratio * lambda_max, i.e. cond < 1e4: there eps * cond^2 stays
 # near 2e-8, and the floor of `_svqb` (lambda_max * eps) cannot bind.
 _SVQB_MIN_RATIO = 1e-8
@@ -78,25 +80,27 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
     seed in single-threaded mode.
 
     The sketch Y = A Omega is refined by `power_iters` steps
-    Y <- A svqb(A^T svqb(Y)), with `_svqb` as the normalizer between products
-    (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, section 4.5; SVQB after
-    Stathopoulos & Wu 2002). The Rayleigh-Ritz step then takes orthonormal
-    bases Q of the last Y and Q2 of B^T = A^T Q, and the SVD of the small
-    C = Q2^T A^T Q = Uc S Vc^T, so U = Q Vc and V = Q2 Uc. Each basis comes
-    from `_orthonormal`: two SVQB passes when the block's condition number is
-    below 1e4, which holds for the sketches of the benchmark graphs (cond
-    about 5), and a Householder QR otherwise (a zero or rank-deficient
-    matrix, or a spectrum wide enough that the power steps leave the sketch
-    ill-conditioned). Two SVQB passes are orthonormal to working precision
-    while eps * cond^2 << 1 (Stathopoulos & Wu 2002; Yamamoto, Nakatsukasa,
-    Yanagisawa & Fukaya 2015, ETNA 44, for CholeskyQR2).
+    Y <- A (A^T svqb(Y)), with one `_svqb` normalization per step (Halko,
+    Martinsson & Tropp 2011, arXiv:0909.4061, section 4.5; SVQB after
+    Stathopoulos & Wu 2002). The Rayleigh-Ritz step takes an orthonormal
+    basis Q = `_orthonormal(Y)` and B^T = A^T Q. While the Gram
+    B B^T = W diag(lambda) W^T has lambda_min > 1e-8 lambda_max, that is
+    cond(B^T) < 1e4 (about 5 on the benchmark graphs), the top `rank` pairs
+    give U = Q W, S = sqrt(lambda) and V = B^T W / S. Otherwise (a zero or
+    rank-deficient matrix, or a spectrum wide enough that the Gram would
+    lose it) B^T = Q2 C by a Householder QR and the SVD of the small
+    C = Uc S Vc^T gives U = Q Vc and V = Q2 Uc.
 
-    Accuracy limit: SVQB squares the condition number of the block it
-    normalizes. While the top rank + oversample singular values span less
-    than about 1e10 the result matches a QR after every product; beyond
-    that, singular vectors with sigma_j below about 1e-10 * sigma_1 lose
-    accuracy, though the rank-`rank` reconstruction error stays of order
-    sigma_(rank+1) + 1e-9 * sigma_1.
+    Accuracy limit: the Gram branch squares cond(B^T). A singular value
+    sigma_j has relative error about eps * (sigma_1 / sigma_j)^2, against
+    eps * sigma_1 / sigma_j on the Householder branch, and V is orthonormal
+    to about eps * cond(B^T)^2, which at the switch (cond(B^T) near 1e4) is
+    1e-8; U stays orthonormal to working precision. SVQB also squares the
+    condition number of each sketch it normalizes: while the top rank +
+    oversample singular values span less than about 1e10 the result matches
+    a QR after every product; beyond that, singular vectors with sigma_j
+    below about 1e-10 * sigma_1 lose accuracy, though the rank-`rank`
+    reconstruction error stays of order sigma_(rank+1) + 1e-9 * sigma_1.
 
     Returns:
         (u, s, v) with orthonormal-column u (rows x rank) and v (cols x rank),
@@ -121,22 +125,34 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
     rng = np.random.default_rng(seed)
     y = m @ rng.standard_normal((n_cols, rank + oversample))
     for _ in range(power_iters):
-        y = m @ _svqb(m.T @ _svqb(y))
+        y = m @ (m.T @ _svqb(y))
     q = _orthonormal(y)
     del y
 
     # Rayleigh-Ritz on b = q^T m through its tall transpose b^T = m^T q, which
-    # keeps a sparse m sparse: b^T = q2 c with q2 orthonormal, so the SVD of
-    # the small c gives those of b^T and b.
+    # keeps a sparse m sparse.
     bt = m.T @ q
-    q2 = _orthonormal(bt)
-    c = q2.T @ bt
-    del bt
-    ur, s, ubt = np.linalg.svd(c)
-    u = q @ ubt[:rank].T
-    del q
-    v = q2 @ ur[:, :rank]
-    s = s[:rank].copy()
+    lam, vec = np.linalg.eigh(bt.T @ bt)
+    if lam[0] > _SVQB_MIN_RATIO * lam[-1]:
+        # b b^T = vec diag(lam) vec^T, so u = q vec, s = sqrt(lam) and
+        # v = b^T vec / s, in descending order.
+        s = np.sqrt(lam[::-1][:rank])
+        vec = np.ascontiguousarray(vec[:, ::-1][:, :rank])
+        u = q @ vec
+        del q
+        v = bt @ vec
+        del bt
+        v /= s
+    else:
+        # A zero, rank-deficient or wide-spectrum b^T: b^T = q2 c with q2
+        # from a Householder QR, and the SVD of the small c.
+        q2 = np.linalg.qr(bt)[0]
+        ur, s, ubt = np.linalg.svd(q2.T @ bt)
+        del bt
+        u = q @ ubt[:rank].T
+        del q
+        v = q2 @ ur[:, :rank]
+        s = s[:rank].copy()
 
     # Fix the sign ambiguity of each singular vector pair: the largest-magnitude
     # entry of each left vector is made positive.

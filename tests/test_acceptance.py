@@ -243,16 +243,20 @@ def test_criterion_7_injection_ratio_trend():
 
 
 def _interleaved_times(fns, rounds=7):
-    """Wall times, rounds x functions, with every function timed once per
-    round, so that clock-speed drift hits every function equally."""
+    """CPU times, rounds x functions, with every function timed once per
+    round, so that clock-speed drift hits every function equally.
+
+    `time.process_time` sums over the process's threads, so the channel walk
+    that `diffuse` runs on a second core counts in full, and time spent
+    waiting for a core that another process holds does not count at all."""
     for fn in fns:
         fn()  # warmup
     times = np.empty((rounds, len(fns)))
     for r in range(rounds):
         for i, fn in enumerate(fns):
-            start = time.perf_counter()
+            start = time.process_time()
             fn()
-            times[r, i] = time.perf_counter() - start
+            times[r, i] = time.process_time() - start
     return times
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import sgdnet.atomic
+import sgdnet.graph
 from sgdnet.cli import main
 from sgdnet.diffusion import DiffusionConfig
 from sgdnet.features import load_features, save_features
 from sgdnet.graph import (
+    EdgeList,
     SignedEdge,
     as_edge_list,
     load_id_map,
@@ -91,6 +93,11 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path):
 
 
 def test_edge_list_interrupted_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    # Rows are written a block at a time: three blocks of edges, and a budget
+    # that lets the first block through and interrupts the second.
+    i = np.arange(3 * sgdnet.graph._ROW_BLOCK)
+    edges = EdgeList(i, i + 1, np.where(i % 3, 1, -1))
+    first_block = "".join("%d\t%d\t%d\n" % e for e in edges[: sgdnet.graph._ROW_BLOCK])
     path = tmp_path / "edges.tsv"
     path.write_bytes(PREVIOUS)
     opened = []
@@ -102,12 +109,12 @@ def test_edge_list_interrupted_midway_keeps_the_previous_file(tmp_path, monkeypa
             return super().write(data)
 
     def interrupting_open(file, mode, **kwargs):
-        opened.append(InterruptedAfter(open(file, mode, **kwargs), budget=40))
+        opened.append(InterruptedAfter(open(file, mode, **kwargs), budget=len(first_block) + 1))
         return opened[-1]
 
     monkeypatch.setattr(sgdnet.atomic, "open", interrupting_open, raising=False)
     with pytest.raises(KeyboardInterrupt):
-        save_edge_list(path, as_edge_list(EDGES))
+        save_edge_list(path, edges)
     assert opened and opened[0].written > 0
     assert path.read_bytes() == PREVIOUS
     assert os.listdir(tmp_path) == ["edges.tsv"]

@@ -249,11 +249,29 @@ def test_svqb_matches_reference_at_bitcoin_alpha_size():
     _assert_matches_reference(g.a, rank=128, oversample=10, power_iters=2, seed=0)
 
 
-def _block_with_condition(cond, n=300, k=24, seed=0):
+def _spy(monkeypatch, name):
+    """Record the argument shape of every `np.linalg.<name>` call."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def _matrix_with_spectrum(sigma, n_rows=150, n_cols=100, seed=0):
+    """An n_rows x n_cols matrix whose nonzero singular values are `sigma`."""
     rng = np.random.default_rng(seed)
-    left, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    right, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    return (left * np.logspace(0, -np.log10(cond), k)) @ right.T
+    left, _ = np.linalg.qr(rng.standard_normal((n_rows, len(sigma))))
+    right, _ = np.linalg.qr(rng.standard_normal((n_cols, len(sigma))))
+    return (left * sigma) @ right.T
+
+
+def _block_with_condition(cond, seed=0):
+    return _matrix_with_spectrum(np.logspace(0, -np.log10(cond), 24), 300, 24, seed)
 
 
 def _rank_deficient_block():
@@ -275,14 +293,7 @@ def _rank_deficient_block():
     ids=["cond-1e3", "cond-1e5", "rank-deficient", "zeros"],
 )
 def test_orthonormal_basis_on_both_branches(monkeypatch, y, householder):
-    calls = []
-    real_qr = np.linalg.qr
-
-    def spy(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real_qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
+    calls = _spy(monkeypatch, "qr")
     q = _orthonormal(y)
     assert calls == ([y.shape] if householder else [])
     assert q.shape == y.shape
@@ -341,23 +352,85 @@ def test_accuracy_limit_on_a_wide_spectrum():
     assert err <= 1.1 * sigma[rank] + 1e-8 * sigma[0]
 
 
-def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch):
-    # Negate the first singular pair of the small SVD. In one of the two runs
-    # that column's largest-magnitude entry is negative and gets flipped; the
-    # results must agree bit for bit.
-    a = random_signed_graph(80, seed=3).a
+def _negate_pair(svd):
+    svd[0][:, 0] *= -1.0
+    svd[2][0] *= -1.0
+
+
+def _negate_eigenvectors(eigh):
+    eigh[1][:] *= -1.0
+
+
+# The Rayleigh-Ritz step is the last call of its LAPACK routine in a run: the
+# eigendecomposition of the Gram of a well-conditioned b^T, and the SVD of the
+# small matrix of the Householder branch.
+@pytest.mark.parametrize(
+    "a, name, negate",
+    [
+        (random_signed_graph(80, seed=3).a, "eigh", _negate_eigenvectors),
+        (_matrix_with_spectrum(np.logspace(0, -12, 20)), "svd", _negate_pair),
+    ],
+    ids=["gram", "householder"],
+)
+def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, a, name, negate):
+    # Negate what the Rayleigh-Ritz step gets from LAPACK: every eigenvector
+    # of the Gram, or the first singular pair of the small SVD. In one of the
+    # two runs each such column's largest-magnitude entry is negative and gets
+    # flipped; the results must agree bit for bit.
+    real = getattr(np.linalg, name)
+    calls, negate_at = [], []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        if len(calls) in negate_at:
+            negate(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, name, counted)
     u0, s0, v0 = randomized_svd(a, rank=6, oversample=4, seed=2)
-    real_svd = np.linalg.svd
-
-    def negated_first_pair(x, full_matrices=True):
-        left, s, right = real_svd(x, full_matrices=full_matrices)
-        left[:, 0] *= -1.0
-        right[0] *= -1.0
-        return left, s, right
-
-    monkeypatch.setattr(np.linalg, "svd", negated_first_pair)
+    assert calls
+    negate_at.append(2 * len(calls))
     u1, s1, v1 = randomized_svd(a, rank=6, oversample=4, seed=2)
+    assert len(calls) == negate_at[0]
     for x0, x1 in ((u0, u1), (s0, s1), (v0, v1)):
         assert np.array_equal(x0, x1)
     top = np.argmax(np.abs(u1), axis=0)
     assert np.all(u1[top, np.arange(6)] > 0)
+
+
+# A 150 x 100 matrix of rank 20, sketched with 12 + 8 columns, so that b^T is
+# 100 x 20 and its condition number is that of the spectrum. The power steps
+# leave the 150 x 20 sketch ill-conditioned in both cases, so it takes a
+# Householder QR of its own shape.
+@pytest.mark.parametrize("decades, gram", [(3.0, True), (12.0, False)], ids=["cond-1e3", "wide"])
+def test_rayleigh_ritz_branch(monkeypatch, decades, gram):
+    a = _matrix_with_spectrum(np.logspace(0, -decades, 20))
+    qr_calls, svd_calls = _spy(monkeypatch, "qr"), _spy(monkeypatch, "svd")
+    u, s, v = randomized_svd(a, rank=12, oversample=8, seed=3)
+    assert qr_calls.count((100, 20)) == (0 if gram else 1)
+    assert svd_calls == ([] if gram else [(20, 20)])
+    _assert_valid_factors(u, s, v, 12)
+    monkeypatch.undo()
+    _assert_matches_reference(a, rank=12, oversample=8, power_iters=2, seed=3)
+
+
+# Rank 20 with oversample 0, so the Rayleigh-Ritz step sees the whole spectrum
+# and the Gram's eigenvalues span twice its decades: 10^-7.8 is inside the
+# switch (ratio > 1e-8) and 10^-8.2 is outside.
+@pytest.mark.parametrize("decades, gram", [(3.9, True), (4.1, False)], ids=["inside", "outside"])
+def test_singular_value_accuracy_at_the_gram_switch(monkeypatch, decades, gram):
+    # sqrt of the Gram's eigenvalues: sigma_j has relative error about
+    # eps (sigma_1 / sigma_j)^2 and V is orthonormal to about eps cond(b^T)^2.
+    # The Householder branch keeps eps sigma_1 / sigma_j.
+    sigma = np.logspace(0, -decades, 20)
+    svd_calls = _spy(monkeypatch, "svd")
+    u, s, v = randomized_svd(_matrix_with_spectrum(sigma), rank=20, oversample=0, seed=0)
+    assert len(svd_calls) == (0 if gram else 1)
+    eps = np.finfo(np.float64).eps
+    growth = (sigma[0] / sigma) ** (2 if gram else 1)
+    assert np.all(np.abs(s - sigma) <= 8 * eps * growth * sigma)
+    assert np.abs(u.T @ u - np.eye(20)).max() <= 1e-12
+    # eps cond(b^T)^2 is 1.4e-8 inside; V still meets the 1e-8 of the
+    # random-matrix test above.
+    assert np.abs(v.T @ v - np.eye(20)).max() <= 1e-8

@@ -120,6 +120,37 @@ def test_edge_tsv_roundtrip(tmp_path):
     assert list(read_edge_tsv(path)) == edges
 
 
+# 0, 9, 10, ..., 10^k - 1, 10^k, ..., 10^18 and 2^63 - 1: every digit count.
+_BOUNDARY_IDS = np.sort(
+    np.concatenate([[0, 2**63 - 1], 10 ** np.arange(1, 19) - 1, 10 ** np.arange(1, 19)])
+)
+
+
+def _edge_list_case(case):
+    rng = np.random.default_rng(4)
+    if case == "single-row":
+        return EdgeList([7], [0], [-1])
+    if case == "boundary-ids":
+        src, dst = np.meshgrid(_BOUNDARY_IDS, _BOUNDARY_IDS)
+        signs = np.where(rng.random(src.size) < 0.5, 1, -1)
+        return EdgeList(src.ravel(), dst.ravel(), signs)
+    if case == "negative-values":
+        values = np.concatenate([-_BOUNDARY_IDS, [-(2**63)]])
+        return EdgeList(values, values[::-1], values)
+    # More than two blocks, with ids of every width in each block.
+    rows = 2 * sgdnet.graph._ROW_BLOCK + 5
+    ids = rng.integers(0, 10 ** rng.integers(1, 19, size=(2, rows)))
+    return EdgeList(ids[0], ids[1], np.where(rng.random(rows) < 0.8, 1, -1))
+
+
+@pytest.mark.parametrize("case", ["single-row", "boundary-ids", "negative-values", "blocks"])
+def test_saved_edge_list_bytes_equal_per_row_formatting(tmp_path, case):
+    edges = _edge_list_case(case)
+    path = tmp_path / "edges.tsv"
+    save_edge_list(path, edges)
+    assert path.read_bytes() == "".join("%d\t%d\t%d\n" % e for e in edges).encode()
+
+
 # ---------------------------------------------------------------- parsers against the per-line reference
 
 # name: (format, file text, whether the whole-array parse takes it)
