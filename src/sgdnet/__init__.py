@@ -5,7 +5,7 @@ Submodules:
     features    randomized-SVD initial node features
     diffusion   signed random-walk diffusion, exact solver, adjoint
     model       diffusion layers, forward pass, edge scoring, loss
-    training    reverse-mode gradients, Adam, gradient checks, epoch loop
+    training    reverse-mode gradients, Adam, epoch loop
     evaluation  edge splits, AUC, F1-macro, multi-seed experiments
     synthetic   random and planted signed graph generators
     cli         command-line entry points

@@ -10,8 +10,9 @@ the local features into the positive channel:
     m_next = (1 - c) * (NA-^T p + NA+^T m)
 
 The stacked state T = [p; m] contracts toward the unique fixed point at rate
-(1 - c) per step, because the block operator's maximum column sum is at most 1
-(see graph.column_sums_of_b).
+(1 - c) per step, because the block operator's maximum column sum is at most 1:
+its column sums are the row sums of S = NA+ + NA-, 1 at a node with
+out-edges and 0 at a deadend.
 
 The iteration runs on the sum and difference channels s = p + m and
 d = p - m, which decouple:
@@ -89,21 +90,15 @@ def initial_state(
     na: NormalizedAdjacency,
     h_tilde: np.ndarray,
     cfg: DiffusionConfig,
-    m0: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Build T0: the positive channel starts at the local features, the
     negative channel at zero or a seeded uniform draw in [-1, 1]."""
     h_tilde = _check_features(na, h_tilde)
-    if m0 is not None:
-        m0 = _check_features(na, m0)
-        if m0.shape != h_tilde.shape:
-            raise ValueError(f"m0 shape {m0.shape} does not match features {h_tilde.shape}")
-        return DiffusionState(h_tilde.copy(), m0.copy())
     if cfg.m0_mode == "zero":
         return DiffusionState(h_tilde.copy(), np.zeros_like(h_tilde))
     if rng is None:
-        raise ValueError("m0_mode='uniform' needs an rng (or an explicit m0)")
+        raise ValueError("m0_mode='uniform' needs an rng")
     return DiffusionState(h_tilde.copy(), rng.uniform(-1.0, 1.0, size=h_tilde.shape))
 
 
@@ -166,11 +161,10 @@ def diffusion_steps(
     na: NormalizedAdjacency,
     h_tilde: np.ndarray,
     cfg: DiffusionConfig,
-    m0: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
     """Yield T0, T1, ..., T_K one step at a time."""
-    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+    t0 = initial_state(na, h_tilde, cfg, rng=rng)
     walk_s, walk_d = _forward_walks(t0, na, cfg)
     yield t0
     for s, d in zip(walk_s, walk_d):
@@ -181,11 +175,10 @@ def diffuse(
     na: NormalizedAdjacency,
     h_tilde: np.ndarray,
     cfg: DiffusionConfig,
-    m0: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Run the signed random-walk diffusion for cfg.k_steps steps."""
-    t0 = initial_state(na, h_tilde, cfg, m0=m0, rng=rng)
+    t0 = initial_state(na, h_tilde, cfg, rng=rng)
     walks = _forward_walks(t0, na, cfg)
     del t0  # the walks hold their own start states
     return _to_state(*_run_walks(*walks))

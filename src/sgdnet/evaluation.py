@@ -31,17 +31,19 @@ class Split:
 
 
 def split_edges(edges, ratio: float, seed: int) -> Split:
-    """Seeded uniform shuffle; the first floor(ratio * m) edges become the
-    test set and the rest the training set."""
+    """Seeded uniform shuffle; the first floor(ratio * m) edges, which must be
+    at least one, become the test set and the rest the training set."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
     edges = as_edge_list(edges)
     m = len(edges)
     if m < 5:
         raise ValueError(f"need at least 5 edges to split, got {m}")
+    n_test = int(ratio * m)
+    if n_test == 0:
+        raise ValueError(f"split ratio {ratio} leaves no test edge among m={m} edges")
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
-    n_test = int(ratio * m)
     return Split(train=edges[order[n_test:]], test=edges[order[:n_test]])
 
 

@@ -154,13 +154,20 @@ def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, see
         v = q2 @ ur[:, :rank]
         s = s[:rank].copy()
 
-    # Fix the sign ambiguity of each singular vector pair: the largest-magnitude
-    # entry of each left vector is made positive.
-    top = np.argmax(np.abs(u), axis=0)
-    flip = u[top, np.arange(rank)] < 0
+    _fix_signs(u, v)
+    return u, s, v
+
+
+def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+    """Fix the sign ambiguity of each singular vector pair in place: the
+    largest-magnitude entry of each column of u (the first, on a tie) is made
+    positive. The row of that entry is found from the column maxima and
+    minima, so that no u-sized |u| array is made."""
+    a = np.maximum(u.max(axis=0), -u.min(axis=0))
+    top = np.argmax((u == a) | (u == -a), axis=0)
+    flip = u[top, np.arange(u.shape[1])] < 0
     np.negative(u, out=u, where=flip)
     np.negative(v, out=v, where=flip)
-    return u, s, v
 
 
 def init_features(

@@ -170,6 +170,8 @@ def _parse_csv_rating(line: str, lineno: int) -> tuple[str, str, int]:
         rating = float(rating_str)
     except ValueError:
         raise ParseError(f"line {lineno}: rating {rating_str!r} is not numeric") from None
+    if not np.isfinite(rating):
+        raise ParseError(f"line {lineno}: rating {rating_str!r} is not a finite number")
     if rating == 0:
         raise DataError(f"line {lineno}: zero rating carries no sign")
     return src, dst, (1 if rating > 0 else -1)
@@ -180,7 +182,9 @@ def _tsv_signs(column):
 
 
 def _rating_signs(column):
-    return None if np.any(column == 0) else np.where(column > 0, 1, -1)
+    if not np.all(np.isfinite(column) & (column != 0)):
+        return None  # the per-line reader names the line
+    return np.where(column > 0, 1, -1)
 
 
 # Per format: the per-line parser, and for `_read_table` the field separator,
@@ -477,15 +481,3 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     d = sp.csr_array((a.data / g.out_degree[rows], a.indices, a.indptr), shape=a.shape)
     g._normalized = NormalizedAdjacency(g.n, d)
     return g._normalized
-
-
-def column_sums_of_b(na: NormalizedAdjacency) -> np.ndarray:
-    """Column sums of the 2n x 2n block diffusion operator, without forming it.
-
-    The operator stacks the transposed per-sign matrices, so its column sums
-    are the row sums of S = NA+ + NA- repeated twice: 1 for nodes with
-    outgoing edges, 0 for deadends. The property suite uses this to certify
-    that the operator's maximum column sum never exceeds 1.
-    """
-    b = np.asarray(na.adj[0].sum(axis=1)).ravel()
-    return np.concatenate([b, b])

@@ -1,5 +1,5 @@
-"""Reverse-mode gradients for the whole model, the Adam optimizer, gradient
-verification against finite differences, and the full-batch epoch loop.
+"""Reverse-mode gradients for the whole model, the Adam optimizer, and the
+full-batch epoch loop.
 
 Layer 1 can read the input features' diffusion, computed once per training
 graph (see `model.diffuse_inputs`), instead of diffusing x @ w_in @ w_t in
@@ -38,7 +38,6 @@ from .model import (
     model_forward,
 )
 from .seeding import spawn_seeds
-from .synthetic import random_signed_graph
 
 
 def backward(
@@ -146,98 +145,6 @@ def forward_loss(
     logits = edge_logits(h_final, batch, params.w_head)
     loss = loss_total(logits, batch.signs, params, weight_decay)
     return loss, logits, cache
-
-
-@dataclass
-class GradCheckReport:
-    per_param: dict[str, float]
-    tolerance: float
-
-    @property
-    def max_error(self) -> float:
-        return max(self.per_param.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tolerance
-
-    def __str__(self) -> str:
-        lines = [
-            f"{name}: max rel err {err:.3e}" for name, err in self.per_param.items()
-        ]
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"{verdict} (tolerance {self.tolerance:g})")
-        return "\n".join(lines)
-
-
-def grad_check(
-    seed: int = 0,
-    n: int = 6,
-    d0: int = 4,
-    d: int = 3,
-    n_layers: int = 2,
-    k_steps: int = 3,
-    c: float = 0.5,
-    weight_decay: float = 1e-3,
-    fd_step: float = 1e-6,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences on a toy
-    instance. Failure is a reported verdict, not an exception.
-
-    Both layer-1 paths are checked, the direct one and the one reading the
-    precomputed diffusion of x; each parameter reports its worse error.
-    Layers 2 and up run the adjoint on both."""
-    if n > 10:
-        raise ValueError(f"grad_check is a toy-scale harness, keep n <= 10 (got {n})")
-    graph_seed, x_seed, init_seed = spawn_seeds(seed, 3)
-    g = random_signed_graph(n, avg_out_degree=3.0, deadend_fraction=0.15, seed=graph_seed)
-    na = normalize(g)
-    x = np.random.default_rng(x_seed).standard_normal((n, d0))
-    params = init_params(d0, d, n_layers, seed=init_seed)
-    batch = EdgeBatch.from_edges(g.edges)
-    cfg = DiffusionConfig(c=c, k_steps=k_steps, m0_mode="zero")
-
-    report = {name: 0.0 for name, _ in params.named()}
-    for x_diffused in (None, diffuse_inputs(na, x, cfg)):
-        errors = _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused)
-        for name, err in errors.items():
-            report[name] = max(report[name], err)
-    return GradCheckReport(per_param=report, tolerance=tolerance)
-
-
-def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
-    """Worst relative error per parameter of the analytic gradient against
-    central finite differences."""
-    loss, logits, cache = forward_loss(na, x, params, cfg, batch, weight_decay,
-                                       x_diffused=x_diffused)
-    grads = backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-                     weight_decay=weight_decay, x_diffused=x_diffused)
-
-    def loss_at() -> float:
-        value, _, _ = forward_loss(na, x, params, cfg, batch, weight_decay,
-                                   x_diffused=x_diffused)
-        return value
-
-    errors: dict[str, float] = {}
-    for name, w in params.named():
-        analytic = grads[name]
-        worst = 0.0
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + fd_step
-            up = loss_at()
-            w[idx] = orig - fd_step
-            down = loss_at()
-            w[idx] = orig
-            fd = (up - down) / (2 * fd_step)
-            a = analytic[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
-            worst = max(worst, rel)
-        errors[name] = worst
-    return errors
 
 
 @dataclass

@@ -1,11 +1,19 @@
-"""Shared test utilities: dataset discovery and independent oracles."""
+"""Shared test utilities: dataset discovery, independent oracles, and the
+checkers for the paper's invariants (block column sums, finite-difference
+gradients)."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from sgdnet.graph import DataError, ParseError
+import sgdnet.training as training
+from sgdnet.diffusion import DiffusionConfig
+from sgdnet.graph import DataError, ParseError, normalize
+from sgdnet.model import EdgeBatch, diffuse_inputs, init_params, loss_grad_logits
+from sgdnet.seeding import spawn_seeds
+from sgdnet.synthetic import random_signed_graph
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.environ.get("SGDNET_DATA", os.path.join(_HERE, "..", "data"))
@@ -167,6 +175,123 @@ def reference_diffuse_adjoint(g, grad_p, grad_m, c, k_steps):
     return grad_h + gp
 
 
+# Checkers for the paper's invariants, on the library's own operators.
+
+
+def column_sums_of_b(na):
+    """Column sums of the 2n x 2n block diffusion operator, without forming it.
+
+    The operator stacks the transposed per-sign matrices, so its column sums
+    are the row sums of S = NA+ + NA- repeated twice: 1 for nodes with
+    outgoing edges, 0 for deadends. The property suite uses this to certify
+    that the operator's maximum column sum never exceeds 1.
+    """
+    b = np.asarray(na.adj[0].sum(axis=1)).ravel()
+    return np.concatenate([b, b])
+
+
+# The finite-difference gradient check. It calls `training.forward_loss` and
+# `training.backward` through the module, so a test that monkeypatches either
+# (or `diffusion.diffuse_adjoint`, which `backward` calls the same way) is
+# checked with the patched function.
+
+
+@dataclass
+class GradCheckReport:
+    per_param: dict[str, float]
+    tolerance: float
+
+    @property
+    def max_error(self) -> float:
+        return max(self.per_param.values())
+
+    @property
+    def passed(self) -> bool:
+        return self.max_error < self.tolerance
+
+    def __str__(self) -> str:
+        lines = [
+            f"{name}: max rel err {err:.3e}" for name, err in self.per_param.items()
+        ]
+        verdict = "PASS" if self.passed else "FAIL"
+        lines.append(f"{verdict} (tolerance {self.tolerance:g})")
+        return "\n".join(lines)
+
+
+def grad_check(
+    seed: int = 0,
+    n: int = 6,
+    d0: int = 4,
+    d: int = 3,
+    n_layers: int = 2,
+    k_steps: int = 3,
+    c: float = 0.5,
+    weight_decay: float = 1e-3,
+    fd_step: float = 1e-6,
+    tolerance: float = 1e-4,
+) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences on a toy
+    instance. Failure is a reported verdict, not an exception.
+
+    Both layer-1 paths are checked, the direct one and the one reading the
+    precomputed diffusion of x; each parameter reports its worse error.
+    Layers 2 and up run the adjoint on both."""
+    if n > 10:
+        raise ValueError(f"grad_check is a toy-scale harness, keep n <= 10 (got {n})")
+    graph_seed, x_seed, init_seed = spawn_seeds(seed, 3)
+    g = random_signed_graph(n, avg_out_degree=3.0, deadend_fraction=0.15, seed=graph_seed)
+    na = normalize(g)
+    x = np.random.default_rng(x_seed).standard_normal((n, d0))
+    params = init_params(d0, d, n_layers, seed=init_seed)
+    batch = EdgeBatch.from_edges(g.edges)
+    cfg = DiffusionConfig(c=c, k_steps=k_steps, m0_mode="zero")
+
+    report = {name: 0.0 for name, _ in params.named()}
+    for x_diffused in (None, diffuse_inputs(na, x, cfg)):
+        errors = _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused)
+        for name, err in errors.items():
+            report[name] = max(report[name], err)
+    return GradCheckReport(per_param=report, tolerance=tolerance)
+
+
+def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
+    """Worst relative error per parameter of the analytic gradient against
+    central finite differences."""
+    loss, logits, cache = training.forward_loss(
+        na, x, params, cfg, batch, weight_decay, x_diffused=x_diffused
+    )
+    grads = training.backward(
+        na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
+        weight_decay=weight_decay, x_diffused=x_diffused,
+    )
+
+    def loss_at() -> float:
+        value, _, _ = training.forward_loss(
+            na, x, params, cfg, batch, weight_decay, x_diffused=x_diffused
+        )
+        return value
+
+    errors: dict[str, float] = {}
+    for name, w in params.named():
+        analytic = grads[name]
+        worst = 0.0
+        it = np.nditer(w, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = w[idx]
+            w[idx] = orig + fd_step
+            up = loss_at()
+            w[idx] = orig - fd_step
+            down = loss_at()
+            w[idx] = orig
+            fd = (up - down) / (2 * fd_step)
+            a = analytic[idx]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
+            worst = max(worst, rel)
+        errors[name] = worst
+    return errors
+
+
 # A literal copy of the channel walks over an earlier operator layout: the
 # per-sign transposes stored as sorted int64 CSR, the forward pair
 # (S^T, D^T) summed from them, the adjoint pair (S, D), and a full
@@ -264,6 +389,8 @@ def _reference_parse_csv_rating(line, lineno):
         rating = float(rating_str)
     except ValueError:
         raise ParseError(f"line {lineno}: rating {rating_str!r} is not numeric") from None
+    if not np.isfinite(rating):
+        raise ParseError(f"line {lineno}: rating {rating_str!r} is not a finite number")
     if rating == 0:
         raise DataError(f"line {lineno}: zero rating carries no sign")
     return src, dst, (1 if rating > 0 else -1)

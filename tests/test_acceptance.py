@@ -21,13 +21,13 @@ from sgdnet.diffusion import (
 )
 from sgdnet.evaluation import ExperimentConfig, run_experiment
 from sgdnet.features import init_features
-from sgdnet.graph import build_graph, column_sums_of_b, load_edge_list, normalize
+from sgdnet.graph import build_graph, load_edge_list, normalize
 from sgdnet.model import EdgeBatch
 from sgdnet.synthetic import planted_partition_graph, random_signed_graph
-from sgdnet.training import TrainConfig, grad_check, train
+from sgdnet.training import TrainConfig, train
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import bitcoin_alpha_path, bitcoin_otc_path
+from helpers import bitcoin_alpha_path, bitcoin_otc_path, column_sums_of_b, grad_check
 
 NO_ALPHA = "Bitcoin-Alpha dataset not present (place soc-sign-bitcoinalpha.csv in ./data)"
 NO_OTC = "Bitcoin-OTC dataset not present (place soc-sign-bitcoinotc.csv in ./data)"

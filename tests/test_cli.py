@@ -64,6 +64,16 @@ def test_prep_bad_line_after_comments_exits_2(tmp_path, capsys):
     assert "line 4: expected 3 tab-separated fields" in capsys.readouterr().err
 
 
+def test_prep_non_finite_rating_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("1,2,5\n2,3,nan\n3,1,-2\n")
+    out = tmp_path / "o"
+    code = run_cli("prep", "--input", str(raw), "--format", "csv-rating", "--out-dir", str(out))
+    assert code == 2
+    assert "line 2: rating 'nan' is not a finite number" in capsys.readouterr().err
+    assert not (out / "features.sgdf").exists()
+
+
 def test_prep_missing_file_exits_2(tmp_path):
     code = run_cli(
         "prep", "--input", str(tmp_path / "nope.tsv"), "--out-dir", str(tmp_path / "o")
@@ -134,6 +144,15 @@ def test_train_and_eval_roundtrip(tmp_path, prep_dir):
 
 def test_train_invalid_c_exits_2(prep_dir):
     assert run_cli("train", "--prep-dir", prep_dir, "--c", "1.5", "--epochs", "1") == 2
+
+
+def test_train_split_with_no_test_edge_exits_2(tmp_path, prep_dir, capsys):
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--dim", "8", "--epochs", "2", "--split-ratio", "0.001")
+    assert code == 2
+    assert "split ratio 0.001 leaves no test edge" in capsys.readouterr().err
+    assert not (run_dir / "test_edges.tsv").exists()
 
 
 def test_train_numeric_blowup_exits_3(tmp_path, prep_dir, capsys):

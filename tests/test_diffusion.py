@@ -73,13 +73,14 @@ def test_zero_features_zero_fixed_point():
 def test_negative_channel_decays_on_positive_only_graph():
     edges = [SignedEdge(0, 1, 1), SignedEdge(1, 2, 1), SignedEdge(2, 0, 1)]
     na = normalize(build_graph(edges, 3))
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((3, 4))
-    m0 = rng.standard_normal((3, 4))
+    h = np.random.default_rng(0).standard_normal((3, 4))
     c = 0.4
+    # The negative channel starts at the uniform draw `diffuse` makes.
+    m0 = np.random.default_rng(1).uniform(-1, 1, size=h.shape)
     m0_l1 = np.abs(m0).sum(axis=0).max()
     for k in (1, 2, 5, 10):
-        _, m = diffuse(na, h, zero_cfg(c, k), m0=m0)
+        cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="uniform")
+        _, m = diffuse(na, h, cfg, rng=np.random.default_rng(1))
         assert np.abs(m).sum(axis=0).max() <= (1 - c) ** k * m0_l1 + 1e-12
 
 
@@ -202,9 +203,10 @@ def test_initial_value_independence():
     rng = np.random.default_rng(4)
     h = rng.standard_normal((g.n, 2))
     c, k = 0.3, 15
-    m0_b = rng.uniform(-1, 1, size=h.shape)
+    m0_b = np.random.default_rng(5).uniform(-1, 1, size=h.shape)
     run_a = diffuse(na, h, zero_cfg(c, k))
-    run_b = diffuse(na, h, zero_cfg(c, k), m0=m0_b)
+    uniform_cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="uniform")
+    run_b = diffuse(na, h, uniform_cfg, rng=np.random.default_rng(5))
     t0_gap = l1_distance(
         DiffusionState(h, np.zeros_like(h)), DiffusionState(h, m0_b)
     )
@@ -347,8 +349,32 @@ EQUIVALENCE_GRAPHS = {
 }
 
 
+def start_rng(m0_mode, shape):
+    """The generator the negative channel is drawn from: a fresh one for
+    "uniform", and for "redrawn" one that has drawn once already, as in
+    every epoch of `train` after the first."""
+    rng = np.random.default_rng(7)
+    if m0_mode == "redrawn":
+        rng.uniform(-1.0, 1.0, size=shape)
+    return rng
+
+
+def start_m0(m0_mode, shape):
+    """The negative channel of T0 that `start_rng` gives."""
+    if m0_mode == "zero":
+        return np.zeros(shape)
+    return start_rng(m0_mode, shape).uniform(-1.0, 1.0, size=shape)
+
+
+def start_cfg(m0_mode, c, k):
+    return DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+
+
+START_MODES = ["zero", "uniform", "redrawn"]
+
+
 @pytest.mark.parametrize("graph", sorted(EQUIVALENCE_GRAPHS))
-@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("m0_mode", START_MODES)
 @pytest.mark.parametrize("k", [1, 5, 20])
 @pytest.mark.parametrize("c", [0.15, 0.5, 0.85])
 def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
@@ -356,25 +382,14 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
     na = normalize(g)
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 3))
-    if m0_mode == "zero":
-        m0 = np.zeros_like(h)
-    elif m0_mode == "uniform":
-        m0 = np.random.default_rng(7).uniform(-1.0, 1.0, size=h.shape)
-    else:
-        m0 = rng.standard_normal(h.shape)
-
-    def start():
-        if m0_mode == "uniform":
-            return {"rng": np.random.default_rng(7)}
-        return {"m0": m0} if m0_mode == "explicit" else {}
-
-    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+    m0 = start_m0(m0_mode, h.shape)
+    cfg = start_cfg(m0_mode, c, k)
     reference = reference_diffusion_states(g, h, c, k, m0)
 
-    p, m = diffuse(na, h, cfg, **start())
+    p, m = diffuse(na, h, cfg, rng=start_rng(m0_mode, h.shape))
     assert_rel_close(np.vstack([p, m]), np.vstack(reference[-1]))
 
-    states = list(diffusion_steps(na, h, cfg, **start()))
+    states = list(diffusion_steps(na, h, cfg, rng=start_rng(m0_mode, h.shape)))
     assert len(states) == k + 1
     assert np.array_equal(states[0].p, h) and np.array_equal(states[0].m, m0)
     for state, ref in zip(states, reference):
@@ -436,20 +451,18 @@ def test_difference_walk_runs_on_a_worker_only_with_two_cpus(monkeypatch, cpus, 
 
 
 @pytest.mark.parametrize("graph", sorted(EQUIVALENCE_GRAPHS))
-@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("m0_mode", START_MODES)
 @pytest.mark.parametrize("k", [1, 7])
 def test_threaded_and_inline_walks_are_bitwise_equal(monkeypatch, graph, m0_mode, k):
     na = normalize(EQUIVALENCE_GRAPHS[graph]())
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 4))
-    m0 = rng.standard_normal(h.shape)
     gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
-    cfg = DiffusionConfig(c=0.3, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+    cfg = start_cfg(m0_mode, 0.3, k)
 
     def outputs(cpus):
         use_cpus(monkeypatch, cpus)
-        start = {"uniform": {"rng": np.random.default_rng(7)}, "explicit": {"m0": m0}}
-        p, m = diffuse(na, h, cfg, **start.get(m0_mode, {}))
+        p, m = diffuse(na, h, cfg, rng=start_rng(m0_mode, h.shape))
         return p, m, diffuse_adjoint(na, gp, gm, cfg)
 
     for threaded, inline in zip(outputs(2), outputs(1)):
@@ -465,7 +478,7 @@ BITWISE_GRAPHS = {
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("graph", sorted(BITWISE_GRAPHS))
-@pytest.mark.parametrize("m0_mode", ["zero", "uniform", "explicit"])
+@pytest.mark.parametrize("m0_mode", START_MODES)
 @pytest.mark.parametrize("k", [1, 10])
 @pytest.mark.parametrize("c", [0.15, 0.55])
 def test_walks_are_bitwise_equal_to_stored_transpose_layout(
@@ -477,23 +490,13 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 4))
     gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
-    m0 = {
-        "zero": np.zeros_like(h),
-        "uniform": np.random.default_rng(7).uniform(-1.0, 1.0, size=h.shape),
-        "explicit": rng.standard_normal(h.shape),
-    }[m0_mode]
-
-    def start():
-        if m0_mode == "uniform":
-            return {"rng": np.random.default_rng(7)}
-        return {"m0": m0} if m0_mode == "explicit" else {}
-
-    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero" if m0_mode == "zero" else "uniform")
+    m0 = start_m0(m0_mode, h.shape)
+    cfg = start_cfg(m0_mode, c, k)
     reference = stored_layout_diffusion_states(g, h, c, k, m0)
-    final = diffuse(na, h, cfg, **start())
+    final = diffuse(na, h, cfg, rng=start_rng(m0_mode, h.shape))
     assert np.array_equal(final.p, reference[-1][0])
     assert np.array_equal(final.m, reference[-1][1])
-    steps = list(diffusion_steps(na, h, cfg, **start()))
+    steps = list(diffusion_steps(na, h, cfg, rng=start_rng(m0_mode, h.shape)))
     assert len(steps) == len(reference)
     for state, (p, m) in zip(steps, reference):
         assert np.array_equal(state.p, p) and np.array_equal(state.m, m)

@@ -99,6 +99,13 @@ def test_split_ratio_validation():
         split_edges(make_edges(4), 0.2, seed=0)
 
 
+def test_split_that_leaves_no_test_edge_rejected():
+    with pytest.raises(ValueError, match=r"split ratio 0\.1 leaves no test edge among m=9"):
+        split_edges(make_edges(9), 0.1, seed=0)
+    split = split_edges(make_edges(10), 0.1, seed=0)
+    assert (len(split.test), len(split.train)) == (1, 9)
+
+
 # ---------------------------------------------------------------- midranks
 
 

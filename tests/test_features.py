@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sgdnet.features import (
+    _fix_signs,
     _orthonormal,
     init_features,
     load_features,
@@ -397,6 +398,32 @@ def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, a, nam
         assert np.array_equal(x0, x1)
     top = np.argmax(np.abs(u1), axis=0)
     assert np.all(u1[top, np.arange(6)] > 0)
+
+
+def test_sign_fix_pivot_is_the_first_largest_magnitude_entry():
+    # Small integer entries, so that columns hold +0 and -0, entries +a and
+    # -a of equal magnitude, and (in some draws) nothing but zeros. The flips
+    # must be those of the pivot np.argmax(np.abs(u), axis=0).
+    rng = np.random.default_rng(0)
+    kinds = {"signed_zero": 0, "opposite_tie": 0, "zero_column": 0}
+    for _ in range(2000):
+        rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+        u = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
+        u[rng.random(u.shape) < 0.2] = -0.0
+        u[:, rng.random(cols) < 0.15] = 0.0
+        v = rng.standard_normal((3, cols))
+        a = np.abs(u).max(axis=0)
+        kinds["signed_zero"] += bool(np.any(np.signbit(u) & (u == 0)))
+        kinds["opposite_tie"] += bool(np.any((u == a).any(axis=0) & (u == -a).any(axis=0) & (a > 0)))
+        kinds["zero_column"] += bool(np.any(a == 0))
+
+        top = np.argmax(np.abs(u), axis=0)
+        flip = u[top, np.arange(cols)] < 0
+        want_u, want_v = np.where(flip, -u, u), np.where(flip, -v, v)
+        _fix_signs(u, v)
+        assert np.array_equal(u, want_u) and np.array_equal(np.signbit(u), np.signbit(want_u))
+        assert np.array_equal(v, want_v)
+    assert min(kinds.values()) > 100, kinds
 
 
 # A 150 x 100 matrix of rank 20, sketched with 12 + 8 columns, so that b^T is

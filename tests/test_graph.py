@@ -9,7 +9,6 @@ from sgdnet.graph import (
     SignedEdge,
     as_edge_list,
     build_graph,
-    column_sums_of_b,
     load_edge_list,
     load_id_map,
     normalize,
@@ -22,6 +21,7 @@ from sgdnet.synthetic import random_signed_graph
 from helpers import (
     bitcoin_alpha_path,
     bitcoin_otc_path,
+    column_sums_of_b,
     dense_block_operator,
     per_sign_adjacency,
     per_sign_operators,
@@ -166,7 +166,9 @@ PARSER_CASES = {
     "csv_split_and_empty_time": ("csv-rating", "7,12,3,1 2\n8,9,4,\n", False),
     "csv_empty_target_split_time": ("csv-rating", "7,,3,1 2\n", False),
     "csv_run_on_and_empty_time": ("csv-rating", "7,12,3,1-\n8,9,4,2 3,\n", False),
-    "csv_nan_rating": ("csv-rating", "7,12,nan,1\n12,7,inf,2\n", False),
+    # Only the rating must be finite; the time field is not read.
+    "csv_non_finite_time": ("csv-rating", "7,12,3,nan\n12,7,-1,inf\n", False),
+    "csv_overflowing_time": ("csv-rating", "7,12,3,1e999\n12,7,-1,2\n", True),
     "leading_zero_ids": ("tsv-sign", "007\t7\t1\n7\t007\t-1\n0\t00\t1\n", False),
     "non_numeric_ids": ("tsv-sign", "alice\tbob\t1\nbob\tcarol\t-1\n", False),
     "signed_ids": ("tsv-sign", "-5\t3\t1\n3\t+5\t-1\n", False),
@@ -312,6 +314,11 @@ def test_load_duplicate_keeps_first_position_and_last_sign(tmp_path, fmt, text):
     ("csv-rating", "# a\n1,2,3,4\n2,1,bad,4\n", "line 3: rating 'bad' is not numeric"),
     ("csv-rating", "# a\n1,2,3,4\n2,1,-0,4\n", "line 3: zero rating carries no sign"),
     ("csv-rating", "1,2,3,4\n2,1,nan(1),4\n", "line 2: rating 'nan(1)' is not numeric"),
+    ("csv-rating", "1,2,5\n2,3,nan\n3,1,-2\n", "line 2: rating 'nan' is not a finite number"),
+    ("csv-rating", "1,2,5\n2,3,-inf\n", "line 2: rating '-inf' is not a finite number"),
+    # The whole-file parse reads 1e999 as inf and leaves the line to the
+    # per-line reader.
+    ("csv-rating", "1,2,5,0\n2,3,1e999,0\n", "line 2: rating '1e999' is not a finite number"),
 ])
 def test_load_bad_line_after_comments_names_it(tmp_path, fmt, text, message):
     path = tmp_path / "e.txt"
@@ -323,6 +330,15 @@ def test_load_bad_line_after_comments_names_it(tmp_path, fmt, text, message):
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(message)
+
+
+def test_overflowing_rating_is_read_whole_then_named_by_line(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("1,2,5,0\n2,3,1e999,0\n")
+    table = sgdnet.graph._read_table(path, ",", None, np.float64)
+    assert table[1, 2] == np.inf
+    with pytest.raises(ParseError, match="line 2: rating '1e999' is not a finite number"):
+        load_edge_list(path, "csv-rating")
 
 
 @pytest.mark.parametrize("text", [

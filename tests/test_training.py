@@ -23,10 +23,11 @@ from sgdnet.training import (
     TrainingAbort,
     backward,
     forward_loss,
-    grad_check,
     train,
 )
 from sgdnet.evaluation import f1_macro, predict_edges
+
+from helpers import grad_check
 
 
 def zero_cfg(c=0.5, k=3):
