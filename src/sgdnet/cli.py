@@ -34,7 +34,8 @@ DATASETS = {
 
 
 def _read_config_file(path) -> dict[str, str]:
-    """Flat key=value file; '#' comments and blank lines are skipped."""
+    """Flat key=value file of long flag names without their '--' ('_' reads
+    as '-'); '#' comments and blank lines are skipped."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -44,7 +45,7 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("_", "-")] = value.strip()
     return values
 
 
@@ -196,13 +197,13 @@ def cmd_train(args) -> int:
     if not 0.0 <= args.split_ratio < 1.0:
         raise ValueError(f"--split-ratio must lie in [0, 1), got {args.split_ratio}")
 
+    cfg = TrainConfig(**_model_settings(args))
     out_dir = args.out_dir or args.prep_dir
     os.makedirs(out_dir, exist_ok=True)
 
     edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
     x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
     n = x.shape[0]
-    cfg = TrainConfig(**_model_settings(args))
 
     if args.split_ratio > 0:
         split, graph, x, cfg.seed = _split_features(
@@ -216,26 +217,23 @@ def cmd_train(args) -> int:
     save_edge_list(os.path.join(out_dir, "train_edges.tsv"), graph.edges)
     save_features(os.path.join(out_dir, "train_features.sgdf"), x)
 
-    checkpoint_path = os.path.join(out_dir, "checkpoint.sgdn")
-    loss_path = os.path.join(out_dir, "loss.csv")
-
-    def write_loss(history):
-        with atomic_write(loss_path) as fh:
-            fh.write("epoch,loss\n")
-            for epoch, loss in enumerate(history):
-                fh.write(f"{epoch},{loss:.10g}\n")
-
+    abort = None
     try:
         params, history = train(graph, x, cfg)
     except TrainingAbort as exc:
-        save_checkpoint(checkpoint_path, exc.params, cfg.diffusion())
-        write_loss(exc.history)
-        print(f"error: {exc}", file=sys.stderr)
+        params, history, abort = exc.params, exc.history, exc
+
+    checkpoint_path = os.path.join(out_dir, "checkpoint.sgdn")
+    save_checkpoint(checkpoint_path, params, cfg.diffusion())
+    with atomic_write(os.path.join(out_dir, "loss.csv")) as fh:
+        fh.write("epoch,loss\n")
+        for epoch, loss in enumerate(history):
+            fh.write(f"{epoch},{loss:.10g}\n")
+    if abort is not None:
+        print(f"error: {abort}", file=sys.stderr)
         print(f"last good checkpoint written to {checkpoint_path}", file=sys.stderr)
         return 3
 
-    save_checkpoint(checkpoint_path, params, cfg.diffusion())
-    write_loss(history)
     final = history[-1] if history else float("nan")
     print(f"trained {args.epochs} epochs on {graph.m} edges; final loss {final:.6f}")
     print(f"checkpoint: {checkpoint_path}")
@@ -378,55 +376,33 @@ def cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-
-    # Pull config-file values in as defaults so explicit flags still win.
-    pre, _ = parser.parse_known_args(argv)
-    config_path = getattr(pre, "config", None)
-    if config_path:
-        try:
-            values = _read_config_file(config_path)
-        except OSError as exc:
-            print(f"error: cannot read config file: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        sub_parser = _subparser_for(parser, pre.command)
-        valid = {action.dest for action in sub_parser._actions}
-        unknown = set(values) - valid
-        if unknown:
-            print(
-                f"error: unknown config keys: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        sub_parser.set_defaults(**values)
-
-    args = parser.parse_args(argv)
-
-    # Pin BLAS thread pools, from the flag or the config file, before numpy
-    # is imported; --threads 1 gives bitwise-reproducible runs.
-    if getattr(args, "threads", None) is not None:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
-
-    from .model import NumericError
-
     try:
-        return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # Config entries become flags right after the subcommand, so argparse
+        # checks them like flags and explicit flags, parsed later, still win.
+        # The first pass finds --config; it also keeps required flags on the
+        # command line.
+        pre, _ = parser.parse_known_args(argv)
+        if pre.config:
+            at = argv.index(pre.command) + 1
+            argv[at:at] = [f"--{k}={v}" for k, v in _read_config_file(pre.config).items()]
+        args = parser.parse_args(argv)
+
+        # Pin BLAS thread pools, from the flag or the config file, before
+        # numpy is imported; --threads 1 gives bitwise-reproducible runs.
+        if args.threads is not None:
+            for var in _THREAD_ENV_VARS:
+                os.environ[var] = str(args.threads)
+
+        from .model import NumericError
+
+        try:
+            return args.func(args)
+        except NumericError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _subparser_for(parser, command):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("subparsers not configured")
 
 
 if __name__ == "__main__":

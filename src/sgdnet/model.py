@@ -268,7 +268,13 @@ def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
 
-        # Checked first, so that a corrupt header cannot ask for the memory.
+        # Checked first, so that a corrupt header cannot ask for the memory;
+        # a zero dimension would zero the size whatever the layer count.
+        if d0 < 1 or d < 1 or n_layers < 1:
+            raise ValueError(
+                f"{path}: checkpoint dimensions must be positive,"
+                f" got d0={d0}, d={d}, layers={n_layers}"
+            )
         size = 8 * (d0 * d + n_layers * 3 * d * d + 2 * d * 2)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if size > left:

@@ -162,8 +162,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1 or self.n_layers < 1:
             raise ValueError(f"dim and n_layers must be positive, got {self.dim}, {self.n_layers}")
-        if self.lr < 0 or self.weight_decay < 0 or self.epochs < 0:
-            raise ValueError("lr, weight_decay, and epochs must be non-negative")
+        if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf and self.epochs >= 0):
+            raise ValueError(
+                "lr and weight_decay must be finite and non-negative, and epochs non-negative;"
+                f" got {self.lr}, {self.weight_decay}, {self.epochs}"
+            )
         self.diffusion()  # validates c, k_steps, m0_mode
 
     def diffusion(self) -> DiffusionConfig:

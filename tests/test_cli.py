@@ -146,6 +146,16 @@ def test_train_invalid_c_exits_2(prep_dir):
     assert run_cli("train", "--prep-dir", prep_dir, "--c", "1.5", "--epochs", "1") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--weight-decay", "inf")])
+def test_train_non_finite_rate_exits_2(tmp_path, prep_dir, capsys, flag, value):
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--dim", "4", "--epochs", "2", flag, value)
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_train_split_with_no_test_edge_exits_2(tmp_path, prep_dir, capsys):
     run_dir = tmp_path / "run"
     code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
@@ -394,6 +404,45 @@ def test_config_file_unknown_key_exits_2(tmp_path, dataset):
                    "--config", str(cfg)) == 2
 
 
+def test_config_file_missing_exits_2(tmp_path, dataset, capsys):
+    cfg = tmp_path / "absent.cfg"
+    assert run_cli("prep", "--input", dataset, "--out-dir", str(tmp_path / "o"),
+                   "--config", str(cfg)) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_exits_2(tmp_path, dataset, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\nseed=1\nsvd-rank 8\n")
+    assert run_cli("prep", "--input", dataset, "--out-dir", str(tmp_path / "o"),
+                   "--config", str(cfg)) == 2
+    assert f"{cfg}:3:" in capsys.readouterr().err
+
+
+def test_config_file_bad_choice_exits_2_before_writing(tmp_path, prep_dir, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m0=gaussian\n")
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--config", str(cfg)) == 2
+    assert "gaussian" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_config_driven_train_matches_flags(tmp_path, prep_dir):
+    settings = {"dim": "8", "epochs": "3", "k": "3", "weight_decay": "0.01", "seed": "4"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    flags = [token for key, value in settings.items()
+             for token in (f"--{key.replace('_', '-')}", value)]
+    for name, extra in (("flags", flags), ("config", ["--config", str(cfg)])):
+        assert run_cli("train", "--prep-dir", prep_dir,
+                       "--out-dir", str(tmp_path / name), *extra) == 0
+    for artifact in ("checkpoint.sgdn", "loss.csv"):
+        flag_run = (tmp_path / "flags" / artifact).read_bytes()
+        assert (tmp_path / "config" / artifact).read_bytes() == flag_run
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_threads_must_be_positive(tmp_path, monkeypatch, capsys, source, threads):
@@ -484,6 +533,19 @@ cli.cmd_eval = probe
 seen["code"] = cli.main(sys.argv[1:])
 print(json.dumps(seen))
 """
+
+
+def test_importing_the_package_loads_no_submodule():
+    import json
+    import subprocess
+    import sys
+
+    code = "import json, sys, sgdnet; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "numpy" not in loaded
+    assert [name for name in loaded if name.startswith("sgdnet.")] == []
 
 
 def _run_thread_probe(*args):

@@ -56,6 +56,14 @@ def test_experiment_config_validates_the_training_fields():
         ExperimentConfig(m0_mode="gaussian")
 
 
+@pytest.mark.parametrize("config", [TrainConfig, ExperimentConfig])
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_configs_reject_non_finite_rates(config, field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        config(**{field: value})
+
+
 # ---------------------------------------------------------------- splits
 
 

@@ -6,6 +6,7 @@ import pytest
 from sgdnet.diffusion import DiffusionConfig, diffuse
 from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.model import (
+    _HEADER,
     EdgeBatch,
     edge_logits,
     init_params,
@@ -308,6 +309,20 @@ def test_checkpoint_rejects_huge_claimed_dims(tmp_path, dims):
     struct.pack_into("<III", raw, 8, *dims)
     path.write_bytes(raw)
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+# Zero dimensions with a payload of exactly the claimed size: d = 0 zeroes
+# the size whatever the layer count, so the size check alone lets them load.
+@pytest.mark.parametrize("dims", [(4, 0, 3), (0, 4, 1), (4, 4, 0), (8, 0, 0)])
+def test_checkpoint_rejects_zero_dims(tmp_path, dims):
+    d0, d, n_layers = dims
+    path = tmp_path / "model.sgdn"
+    save_checkpoint(path, init_params(3, 2, 1, seed=0), zero_cfg())
+    raw = bytearray(path.read_bytes()[:_HEADER.size])
+    struct.pack_into("<III", raw, 8, *dims)
+    path.write_bytes(bytes(raw) + bytes(8 * (d0 * d + n_layers * 3 * d * d + 4 * d)))
+    with pytest.raises(ValueError, match="must be positive"):
         load_checkpoint(path)
 
 
