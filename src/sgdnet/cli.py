@@ -70,24 +70,24 @@ def _add_common(sub):
     )
 
 
-def _add_model(sub, layers, c):
-    """The model and training flags of `train` and `experiment`."""
-    sub.add_argument("--layers", type=_positive_int, default=layers)
-    sub.add_argument("--c", type=float, default=c, help="local injection ratio in (0,1)")
-    sub.add_argument("--k", type=_positive_int, default=10, help="diffusion steps")
-    sub.add_argument("--dim", type=_positive_int, default=32)
-    sub.add_argument("--lr", type=float, default=0.01)
-    sub.add_argument("--weight-decay", type=float, default=1e-3)
-    sub.add_argument("--epochs", type=_non_negative_int, default=100)
-    sub.add_argument("--m0", default="uniform", choices=["uniform", "zero"])
+def _add_model(sub):
+    """The model and training flags of `train` and `experiment`; one left out
+    takes its config dataclass default, or in `experiment` the dataset's."""
+    sub.add_argument("--layers", type=_positive_int)
+    sub.add_argument("--c", type=float, help="local injection ratio in (0,1)")
+    sub.add_argument("--k", type=_positive_int, help="diffusion steps")
+    sub.add_argument("--dim", type=_positive_int)
+    sub.add_argument("--lr", type=float)
+    sub.add_argument("--weight-decay", type=float)
+    sub.add_argument("--epochs", type=_non_negative_int)
+    sub.add_argument("--m0", choices=["uniform", "zero"])
 
 
-def _model_settings(args) -> dict:
-    """The `_add_model` flags as TrainConfig fields."""
-    return dict(
-        dim=args.dim, n_layers=args.layers, c=args.c, k_steps=args.k, lr=args.lr,
-        weight_decay=args.weight_decay, epochs=args.epochs, m0_mode=args.m0,
-    )
+def _model_settings(args, **extra) -> dict:
+    """The `_add_model` flags, and `extra`, that were given, as config fields."""
+    values = dict(dim=args.dim, n_layers=args.layers, c=args.c, k_steps=args.k, lr=args.lr,
+                  weight_decay=args.weight_decay, epochs=args.epochs, m0_mode=args.m0, **extra)
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,17 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="tsv-sign", choices=["tsv-sign", "csv-rating"])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--svd-rank", type=_positive_int, default=128)
-    p.add_argument("--oversample", type=_non_negative_int, default=10)
-    p.add_argument("--power-iters", type=_non_negative_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_prep)
 
     p = subs.add_parser("train", help="train a model on prepped artifacts")
     p.add_argument("--prep-dir", required=True)
     p.add_argument("--out-dir", help="defaults to --prep-dir")
-    _add_model(p, layers=1, c=0.35)
-    p.add_argument("--seed", type=int, default=0)
+    _add_model(p)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
         "--split-ratio", type=float, default=0.2,
         help="held-out edge fraction; 0 trains on every prepped edge",
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--m0", default="zero", choices=["zero", "uniform"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", help="trace CSV; default <prep-dir>/diffusion.csv")
     _add_common(p)
     p.set_defaults(func=cmd_diffuse)
@@ -146,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="raw signed edge file")
     p.add_argument("--format", choices=["tsv-sign", "csv-rating"],
                    help="override the dataset's edge format")
-    _add_model(p, layers=None, c=None)  # None: the dataset's value
-    p.add_argument("--svd-rank", type=_positive_int, default=128)
-    p.add_argument("--ratio", type=float, default=0.2)
+    _add_model(p)
+    p.add_argument("--svd-rank", type=_positive_int)
+    p.add_argument("--ratio", type=float)
     p.add_argument("--seeds", type=_positive_int, default=10)
     p.add_argument("--out-dir", default=".")
     _add_common(p)
@@ -171,9 +169,7 @@ def cmd_prep(args) -> int:
     save_id_map(os.path.join(args.out_dir, "idmap.tsv"), id_map)
 
     rank = min(args.svd_rank, n)
-    x = init_features(
-        g, rank, seed=args.seed, oversample=args.oversample, power_iters=args.power_iters
-    )
+    x = init_features(g, rank, seed=args.seed)
     save_features(os.path.join(args.out_dir, "features.sgdf"), x)
 
     header = "n\tm\tm_plus\tm_minus\trho_plus\trho_minus"
@@ -235,7 +231,7 @@ def cmd_train(args) -> int:
         return 3
 
     final = history[-1] if history else float("nan")
-    print(f"trained {args.epochs} epochs on {graph.m} edges; final loss {final:.6f}")
+    print(f"trained {cfg.epochs} epochs on {graph.m} edges; final loss {final:.6f}")
     print(f"checkpoint: {checkpoint_path}")
     return 0
 
@@ -291,14 +287,14 @@ def cmd_diffuse(args) -> int:
     from .features import load_features
     from .graph import build_graph, normalize, read_edge_tsv
 
+    cfg = DiffusionConfig(c=args.c, k_steps=args.k, m0_mode=args.m0)
+    rng = np.random.default_rng(args.seed)
+
     edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
     x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
     n = x.shape[0]
     graph = build_graph(edges, n)
     na = normalize(graph)
-
-    cfg = DiffusionConfig(c=args.c, k_steps=args.k, m0_mode=args.m0)
-    rng = np.random.default_rng(args.seed)
 
     with_exact = n <= EXACT_MAX_N
     t_star = exact_solve(na, x, args.c) if with_exact else None
@@ -332,10 +328,8 @@ def cmd_experiment(args) -> int:
     from .graph import load_edge_list
 
     fmt, layers, c = DATASETS[args.dataset]
-    settings = _model_settings(args)
-    settings["n_layers"] = layers if args.layers is None else args.layers
-    settings["c"] = c if args.c is None else args.c
-    config = ExperimentConfig(**settings, svd_rank=args.svd_rank, ratio=args.ratio)
+    given = _model_settings(args, svd_rank=args.svd_rank, ratio=args.ratio)
+    config = ExperimentConfig(**{"n_layers": layers, "c": c, **given})
 
     edges, n, _ = load_edge_list(args.input, args.format or fmt)
     print(

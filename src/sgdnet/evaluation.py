@@ -8,7 +8,7 @@ probability; F1-macro uses the argmax sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .features import init_features
 from .graph import EdgeList, SignedDigraph, as_edge_list, build_graph, normalize
 from .model import EdgeBatch, ModelParams, edge_logits, model_forward, softmax
 from .seeding import spawn_seeds
-from .training import TrainConfig, train
+from .training import ModelConfig, TrainConfig, train
 
 
 class MetricError(ValueError):
@@ -128,8 +128,7 @@ def predict_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score edges with a deterministic forward pass (zero negative-channel
     start), returning positive-class probabilities and argmax signs."""
-    eval_cfg = DiffusionConfig(c=dcfg.c, k_steps=dcfg.k_steps, m0_mode="zero")
-    h_final, _ = model_forward(normalize(graph), x, params, eval_cfg)
+    h_final, _ = model_forward(normalize(graph), x, params, replace(dcfg, m0_mode="zero"))
     logits = edge_logits(h_final, batch, params.w_head)
     probs = softmax(logits)
     p_plus = probs[:, 0]
@@ -138,31 +137,20 @@ def predict_edges(
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(ModelConfig):
     svd_rank: int = 128
-    dim: int = 32
-    n_layers: int = 1
-    c: float = 0.35
-    k_steps: int = 10
-    lr: float = 0.01
-    weight_decay: float = 1e-3
-    epochs: int = 100
     ratio: float = 0.2
-    m0_mode: str = "uniform"
 
     def __post_init__(self):
         if self.svd_rank < 1:
             raise ValueError(f"svd_rank must be positive, got {self.svd_rank}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"split ratio must lie in (0, 1), got {self.ratio}")
-        self.train_config(0)  # validates the training fields
+        super().__post_init__()
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim, n_layers=self.n_layers, c=self.c, k_steps=self.k_steps,
-            lr=self.lr, weight_decay=self.weight_decay, epochs=self.epochs,
-            m0_mode=self.m0_mode, seed=seed,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
+        return TrainConfig(**shared, seed=seed)
 
 
 @dataclass

@@ -42,6 +42,8 @@ _HEADER = struct.Struct("<4sIQQ")  # magic, version, n, d
 # near 2e-8, and the floor of `_svqb` (lambda_max * eps) cannot bind.
 _SVQB_MIN_RATIO = 1e-8
 
+OVERSAMPLE = 10  # extra sketch columns; Halko et al. 2011, section 4.2, find 10 ample
+
 
 def _svqb(y: np.ndarray) -> np.ndarray:
     """A well-conditioned basis of range(y), by SVQB: y @ V diag(lambda)^(-1/2)
@@ -73,7 +75,9 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(y)[0]
 
 
-def randomized_svd(m, rank: int, oversample: int = 10, power_iters: int = 2, seed: int = 0):
+def randomized_svd(
+    m, rank: int, oversample: int = OVERSAMPLE, power_iters: int = 2, seed: int = 0
+):
     """Sketch-based truncated SVD (Gaussian range finder plus power iterations).
 
     Works on dense arrays and scipy sparse matrices. Deterministic for a fixed
@@ -170,23 +174,17 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     np.negative(v, out=v, where=flip)
 
 
-def init_features(
-    g: SignedDigraph,
-    rank: int,
-    seed: int = 0,
-    oversample: int = 10,
-    power_iters: int = 2,
-) -> np.ndarray:
+def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
     """Compute the n x rank feature matrix X = U * S for the signed adjacency.
 
-    Oversampling is clipped so the sketch never exceeds the matrix dimension.
+    The recipe is fixed: `randomized_svd` with its two power steps and
+    `OVERSAMPLE` extra sketch columns, clipped to n - rank.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > g.n:
         raise ValueError(f"rank {rank} exceeds node count {g.n}")
-    oversample = min(oversample, g.n - rank)
-    u, s, _ = randomized_svd(g.a, rank, oversample=oversample, power_iters=power_iters, seed=seed)
+    u, s, _ = randomized_svd(g.a, rank, oversample=min(OVERSAMPLE, g.n - rank), seed=seed)
     return u * s
 
 

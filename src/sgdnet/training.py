@@ -106,11 +106,10 @@ def _scatter_to_nodes(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 class Adam:
     """Bias-corrected Adam; weight decay enters through the loss gradient."""
 
-    def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's values
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -148,7 +147,9 @@ def forward_loss(
 
 
 @dataclass
-class TrainConfig:
+class ModelConfig:
+    """The model and training settings of `train` and the experiment protocol."""
+
     dim: int = 32
     n_layers: int = 1
     c: float = 0.35
@@ -157,7 +158,6 @@ class TrainConfig:
     weight_decay: float = 1e-3
     epochs: int = 100
     m0_mode: str = "uniform"
-    seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1 or self.n_layers < 1:
@@ -171,6 +171,11 @@ class TrainConfig:
 
     def diffusion(self) -> DiffusionConfig:
         return DiffusionConfig(c=self.c, k_steps=self.k_steps, m0_mode=self.m0_mode)
+
+
+@dataclass
+class TrainConfig(ModelConfig):
+    seed: int = 0
 
 
 class TrainingAbort(NumericError):

@@ -195,6 +195,32 @@ def test_train_zero_epochs_equals_init(tmp_path, prep_dir):
         assert np.array_equal(wa, wb)
 
 
+def test_train_without_model_flags_takes_the_train_config_defaults(tmp_path, prep_dir, capsys):
+    from sgdnet.model import load_checkpoint
+
+    run_dir = tmp_path / "defaults"
+    assert run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--epochs", "0") == 0
+    assert "trained 0 epochs" in capsys.readouterr().out
+    params, dcfg = load_checkpoint(run_dir / "checkpoint.sgdn")
+    _, dim, n_layers = params.dims
+    assert (n_layers, dim, dcfg.c, dcfg.k_steps) == (1, 32, 0.35, 10)
+
+
+@pytest.mark.parametrize("command, args, out_flag", [
+    ("prep", ["--input", "{dataset}"], "--out-dir"),
+    ("train", ["--prep-dir", "{prep_dir}"], "--out-dir"),
+    ("diffuse", ["--prep-dir", "{prep_dir}", "--m0", "uniform"], "--out"),
+])
+def test_negative_seed_exits_2_before_writing(tmp_path, dataset, prep_dir, capsys,
+                                              command, args, out_flag):
+    out = tmp_path / "neg"
+    args = [a.format(dataset=dataset, prep_dir=prep_dir) for a in args]
+    assert run_cli(command, *args, out_flag, str(out), "--seed", "-1") == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_reproducible(tmp_path, prep_dir):
     runs = []
     for name in ("r1", "r2"):
@@ -350,6 +376,12 @@ def test_diffuse_exact_columns_follow_the_size_limit(tmp_path, prep_dir, monkeyp
     assert len(lines) == 5 and all(len(l.split(",")) == len(header.split(",")) for l in lines)
 
 
+def test_diffuse_bad_c_exits_2_before_loading(tmp_path, capsys):
+    code = run_cli("diffuse", "--prep-dir", str(tmp_path / "nowhere"), "--c", "1.5")
+    assert code == 2
+    assert "c must lie in (0, 1)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- experiment
 
 
@@ -366,6 +398,19 @@ def test_experiment_smoke(tmp_path, dataset, capsys):
     assert rows[-1]["seed"] == "summary"
     out = capsys.readouterr().out
     assert "AUC" in out and "F1-macro" in out
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], "layers=2 c=0.25"),
+    (["--c", "0.4"], "layers=2 c=0.4"),
+])
+def test_experiment_flags_beat_the_dataset_row(tmp_path, dataset, capsys, flags, expected):
+    code = run_cli(
+        "experiment", "--dataset", "bitcoin-otc", "--format", "tsv-sign", "--input", dataset,
+        "--seeds", "1", "--epochs", "1", "--svd-rank", "8", "--out-dir", str(tmp_path), *flags,
+    )
+    assert code == 0
+    assert expected in capsys.readouterr().out
 
 
 def test_experiment_unknown_dataset_exits_2(dataset):

@@ -41,8 +41,8 @@ def test_train_config_maps_every_shared_field():
 
 
 def test_experiment_and_train_config_defaults_agree():
-    # ExperimentConfig copies the fields instead of holding a TrainConfig so
-    # that `ExperimentConfig().epochs` and the like keep working.
+    # Both inherit the fields from ModelConfig, which keeps
+    # `ExperimentConfig().epochs` and the like working.
     exp, tcfg = ExperimentConfig(), TrainConfig()
     assert [getattr(exp, name) for name in SHARED_FIELDS] == [
         getattr(tcfg, name) for name in SHARED_FIELDS
