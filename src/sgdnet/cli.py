@@ -192,6 +192,11 @@ def cmd_train(args) -> int:
 
     if not 0.0 <= args.split_ratio < 1.0:
         raise ValueError(f"--split-ratio must lie in [0, 1), got {args.split_ratio}")
+    if args.split_ratio == 0 and args.svd_rank is not None:
+        raise ValueError(
+            "--svd-rank sets the rank of recomputed split features;"
+            " with --split-ratio 0, train uses prep's features as they are"
+        )
 
     cfg = TrainConfig(**_model_settings(args))
     out_dir = args.out_dir or args.prep_dir

@@ -98,6 +98,9 @@ class LayerCache(NamedTuple):
 
 
 class ForwardCache(NamedTuple):
+    """What `model_forward` keeps for the backward pass, one `LayerCache` per
+    layer. `training.backward` spends it: it pops `layers` as it goes."""
+
     x: np.ndarray
     h0: np.ndarray
     layers: list[LayerCache]
@@ -210,15 +213,11 @@ def edge_logits(h_final: np.ndarray, batch: EdgeBatch, w_head: np.ndarray) -> np
     return (h_final @ w_head[:d])[batch.uv[:, 0]] + (h_final @ w_head[d:])[batch.uv[:, 1]]
 
 
-def sign_to_index(signs: np.ndarray) -> np.ndarray:
-    """Class index per label: 0 for +1, 1 for -1."""
-    return (signs < 0).astype(np.int64)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax of the head's b x 2 logits (class 0 positive, 1 negative)."""
+    shifted = logits - np.maximum(logits[:, 0], logits[:, 1])[:, None]
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / (e[:, 0] + e[:, 1])[:, None]
 
 
 def params_sq_norm(params: ModelParams) -> float:
@@ -231,20 +230,25 @@ def loss_total(
     params: ModelParams,
     weight_decay: float,
 ) -> float:
-    """Mean cross entropy over edges plus weight_decay * sum of squared weights."""
-    idx = sign_to_index(np.asarray(signs))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    data = float(np.mean(log_norm - shifted[np.arange(len(idx)), idx]))
+    """Mean two-class cross entropy over edges (class 0 for a +1 sign, 1 for
+    -1) plus weight_decay * sum of squared weights."""
+    l0, l1 = logits[:, 0], logits[:, 1]
+    top = np.maximum(l0, l1)
+    s0, s1 = l0 - top, l1 - top
+    log_norm = np.log(np.exp(s0) + np.exp(s1))
+    data = float(np.mean(log_norm - np.where(np.asarray(signs) < 0, s1, s0)))
     return data + weight_decay * params_sq_norm(params)
 
 
 def loss_grad_logits(logits: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross entropy with respect to the logits."""
-    idx = sign_to_index(np.asarray(signs))
+    """Gradient of the mean two-class cross entropy with respect to the b x 2
+    logits: the softmax minus the one-hot of each edge's class."""
+    negative = np.asarray(signs) < 0
     grad = softmax(logits)
-    grad[np.arange(len(idx)), idx] -= 1.0
-    return grad / len(idx)
+    grad[:, 0] -= ~negative
+    grad[:, 1] -= negative
+    grad /= len(negative)
+    return grad
 
 
 def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:

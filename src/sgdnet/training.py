@@ -13,6 +13,11 @@ adjoint) and 2d fewer in zero mode (the forward and the adjoint). The cost
 of a diffusion is linear in its column count, so the rule is
 epochs * (columns saved per epoch) >= d0. The precomputed state holds
 2 * n * d0 float64 for the whole run.
+
+`backward` spends the `ForwardCache` it is given. It pops each layer's
+entry as it reaches that layer and drops the layer's p, m and h_next before
+the diffusion adjoint runs, so each adjoint's walks share memory only with
+the layers below. A cache serves one `backward`; a second call raises.
 """
 
 from __future__ import annotations
@@ -57,33 +62,50 @@ def backward(
     analytic 2 * weight_decay * W regularization term. With `x_diffused`,
     layer 1's gradients come from the precomputed diffusion of x instead of
     an adjoint pass.
+
+    Spends `cache`: each layer's entry is popped from `cache.layers`, and
+    its p, m and h_next are dropped before that layer's diffusion adjoint
+    runs. A second call on the same cache raises ValueError; run
+    `forward_loss` (or `model_forward`) again for a new one.
     """
+    layers = cache.layers
+    if len(layers) != len(params.layers):
+        raise ValueError(
+            f"forward cache holds {len(layers)} of {len(params.layers)} layers;"
+            " backward spends its cache, so run forward_loss again"
+        )
     d = params.w_in.shape[1]
-    h_final = cache.layers[-1].h_next if cache.layers else cache.h0
+    h_final = layers[-1].h_next if layers else cache.h0
     g_u = _scatter_to_nodes(batch.uv[:, 0], grad_logits, h_final.shape[0])
     g_v = _scatter_to_nodes(batch.uv[:, 1], grad_logits, h_final.shape[0])
 
     grads: dict[str, np.ndarray] = {}
     grads["w_head"] = np.vstack([h_final.T @ g_u, h_final.T @ g_v])
+    del h_final
     dh = g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T
 
     dw_in = 0.0  # w_in's gradient through layer 1's W = w_in @ w_t
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        lc = cache.layers[i]
-        dpre = dh * (1.0 - lc.h_next * lc.h_next)
+        h_prev, p, m, h_next = layers.pop()
+        dpre = h_next * h_next
+        del h_next
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dh
+        del dh
         # Not kept: the n x 2d stack would stay alive through the adjoint.
-        grads[f"layers.{i}.w_n"] = np.hstack([lc.p, lc.m]).T @ dpre
+        grads[f"layers.{i}.w_n"] = np.hstack([p, m]).T @ dpre
+        del p, m
         dpm = dpre @ layer.w_n.T
         if i == 0 and x_diffused is not None:
             dw = x_diffused.p.T @ dpm[:, :d] + x_diffused.m.T @ dpm[:, d:]
             grads[f"layers.{i}.w_t"] = params.w_in.T @ dw
             dw_in = dw @ layer.w_t.T
-            dh = dpre  # skip path only
         else:
             dh_tilde = _diffusion.diffuse_adjoint(na, dpm[:, :d], dpm[:, d:], cfg)
-            grads[f"layers.{i}.w_t"] = lc.h_prev.T @ dh_tilde
-            dh = dpre + dh_tilde @ layer.w_t.T  # skip path plus transform path
+            grads[f"layers.{i}.w_t"] = h_prev.T @ dh_tilde
+            dpre += dh_tilde @ layer.w_t.T  # the transform path joins the skip path
+        dh = dpre
 
     grads["w_in"] = cache.x.T @ dh + dw_in
 

@@ -11,7 +11,13 @@ import scipy.sparse as sp
 import sgdnet.training as training
 from sgdnet.diffusion import DiffusionConfig
 from sgdnet.graph import DataError, ParseError, normalize
-from sgdnet.model import EdgeBatch, diffuse_inputs, init_params, loss_grad_logits
+from sgdnet.model import (
+    EdgeBatch,
+    diffuse_inputs,
+    init_params,
+    loss_grad_logits,
+    params_sq_norm,
+)
 from sgdnet.seeding import spawn_seeds
 from sgdnet.synthetic import random_signed_graph
 
@@ -290,6 +296,36 @@ def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
             worst = max(worst, rel)
         errors[name] = worst
     return errors
+
+
+# A literal copy of the row-wise loss head that indexed each edge's class
+# column: k-column softmax, max over axis 1, fancy-indexed one-hot. An oracle
+# for bitwise-equality tests of the two-column head.
+
+
+def _reference_sign_to_index(signs):
+    return (signs < 0).astype(np.int64)
+
+
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_total(logits, signs, params, weight_decay):
+    idx = _reference_sign_to_index(np.asarray(signs))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    data = float(np.mean(log_norm - shifted[np.arange(len(idx)), idx]))
+    return data + weight_decay * params_sq_norm(params)
+
+
+def reference_loss_grad_logits(logits, signs):
+    idx = _reference_sign_to_index(np.asarray(signs))
+    grad = reference_softmax(logits)
+    grad[np.arange(len(idx)), idx] -= 1.0
+    return grad / len(idx)
 
 
 # A literal copy of the channel walks over an earlier operator layout: the

@@ -165,6 +165,17 @@ def test_train_split_with_no_test_edge_exits_2(tmp_path, prep_dir, capsys):
     assert not (run_dir / "test_edges.tsv").exists()
 
 
+@pytest.mark.parametrize("rank", ["3", "16"])
+def test_train_svd_rank_without_a_split_exits_2(tmp_path, prep_dir, capsys, rank):
+    run_dir = tmp_path / "r0"
+    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--dim", "4", "--epochs", "1", "--split-ratio", "0", "--svd-rank", rank)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--svd-rank" in err and "--split-ratio 0" in err
+    assert not run_dir.exists()
+
+
 def test_train_numeric_blowup_exits_3(tmp_path, prep_dir, capsys):
     run_dir = str(tmp_path / "blowup")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,18 @@ from sgdnet.evaluation import (
     auc,
     class_metrics,
     f1_macro,
+    predict_edges,
     run_experiment,
     run_seed,
     score_report,
     split_edges,
 )
-from sgdnet.graph import SignedEdge
+from sgdnet.graph import SignedEdge, normalize
+from sgdnet.model import EdgeBatch, edge_logits, model_forward
 from sgdnet.synthetic import planted_partition_graph
-from sgdnet.training import TrainConfig
+from sgdnet.training import TrainConfig, train
 
-from helpers import brute_force_auc, reference_midranks
+from helpers import brute_force_auc, reference_midranks, reference_softmax
 
 
 def make_edges(m):
@@ -283,3 +287,17 @@ def test_test_edges_never_in_training_graph():
     train_pairs = {(e.src, e.dst) for e in split.train}
     test_pairs = {(e.src, e.dst) for e in split.test}
     assert train_pairs.isdisjoint(test_pairs)
+
+
+def test_predict_edges_probabilities_are_bitwise_the_row_wise_softmax():
+    g = planted_partition_graph(n=48, seed=0)
+    x = np.random.default_rng(1).standard_normal((g.n, 6))
+    cfg = TrainConfig(dim=4, n_layers=2, epochs=5, seed=2)
+    params, _ = train(g, x, cfg)
+    batch = EdgeBatch.from_edges(g.edges)
+    p_plus, _ = predict_edges(g, x, params, cfg.diffusion(), batch)
+
+    zero_start = replace(cfg.diffusion(), m0_mode="zero")
+    h_final, _ = model_forward(normalize(g), x, params, zero_start)
+    reference = reference_softmax(edge_logits(h_final, batch, params.w_head))[:, 0]
+    assert np.array_equal(p_plus, reference)

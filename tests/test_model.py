@@ -20,6 +20,8 @@ from sgdnet.model import (
 )
 from sgdnet.synthetic import random_signed_graph
 
+from helpers import reference_loss_grad_logits, reference_loss_total, reference_softmax
+
 
 def zero_cfg(c=0.5, k=2):
     return DiffusionConfig(c=c, k_steps=k, m0_mode="zero")
@@ -253,6 +255,37 @@ def test_loss_grad_matches_softmax_minus_onehot():
     expected[0, 0] -= 1.0
     expected[1, 1] -= 1.0
     assert np.allclose(grad, expected / 2.0)
+
+
+HEAD_LOGITS = {
+    "normal": lambda rng, b: 3.0 * rng.standard_normal((b, 2)),
+    "tied": lambda rng, b: np.repeat(rng.uniform(-1e3, 1e3, size=(b, 1)), 2, axis=1),
+    "huge": lambda rng, b: rng.uniform(-1e3, 1e3, size=(b, 2)),
+    "some_tied": lambda rng, b: np.where(
+        rng.random((b, 1)) < 0.5, rng.standard_normal((b, 1)), rng.standard_normal((b, 2))
+    ),
+}
+HEAD_SIGNS = {
+    "positive": lambda rng, b: np.ones(b, dtype=np.int64),
+    "negative": lambda rng, b: -np.ones(b, dtype=np.int64),
+    "mixed": lambda rng, b: rng.permutation(np.where(np.arange(b) % 2, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("signs_kind", sorted(HEAD_SIGNS))
+@pytest.mark.parametrize("logits_kind", sorted(HEAD_LOGITS))
+@pytest.mark.parametrize("b", (1, 2, 1000))
+def test_loss_head_is_bitwise_the_row_wise_reference(b, logits_kind, signs_kind):
+    rng = np.random.default_rng(b)
+    logits = HEAD_LOGITS[logits_kind](rng, b)
+    signs = HEAD_SIGNS[signs_kind](rng, b)
+    params = init_params(3, 2, 1, seed=b)
+    for weight_decay in (0.0, 1e-3):
+        assert (loss_total(logits, signs, params, weight_decay)
+                == reference_loss_total(logits, signs, params, weight_decay))
+    assert np.array_equal(softmax(logits), reference_softmax(logits))
+    assert np.array_equal(loss_grad_logits(logits, signs),
+                          reference_loss_grad_logits(logits, signs))
 
 
 # ---------------------------------------------------------------- checkpoints

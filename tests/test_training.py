@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -136,16 +139,72 @@ def test_backward_head_matches_concatenation_reference():
 def test_data_gradient_shrinks_as_correct_margins_double():
     g, na, x, params, batch = toy_setup(seed=4)
     cfg = zero_cfg()
-    h_final, cache = model_forward(na, x, params, cfg)
     correct = np.zeros((len(batch), 2))
     correct[np.arange(len(batch)), (batch.signs < 0).astype(int)] = 1.0
     norms = []
     for margin in (1.0, 2.0, 4.0, 8.0):
+        _, cache = model_forward(na, x, params, cfg)  # backward spends its cache
         logits = margin * (2 * correct - 1)  # +margin for the true sign
         grads = backward(na, cfg, params, cache, batch,
                          loss_grad_logits(logits, batch.signs), weight_decay=0.0)
         norms.append(np.sqrt(sum(float((g_ * g_).sum()) for g_ in grads.values())))
     assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+# ---------------------------------------------------------------- cache release
+
+
+def test_backward_frees_each_layer_before_its_adjoint(monkeypatch):
+    g, na, x, params, batch = toy_setup(seed=5)
+    cfg = zero_cfg()
+    _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
+    refs = [[weakref.ref(a) for a in (lc.p, lc.m, lc.h_next)] for lc in cache.layers]
+    adjoint = sgdnet.diffusion.diffuse_adjoint
+    alive = []  # per adjoint call, top layer first: are p, m, h_next alive?
+
+    def watched(*args, **kwargs):
+        layer = len(refs) - 1 - len(alive)
+        alive.append([ref() is not None for ref in refs[layer]])
+        return adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(sgdnet.diffusion, "diffuse_adjoint", watched)
+    backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs))
+    assert alive == [[False] * 3, [False] * 3]
+    assert cache.layers == []
+
+
+def test_second_backward_on_a_spent_cache_raises():
+    g, na, x, params, batch = toy_setup(seed=6)
+    cfg = zero_cfg()
+    _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
+    grad_logits = loss_grad_logits(logits, batch.signs)
+    backward(na, cfg, params, cache, batch, grad_logits)
+    with pytest.raises(ValueError, match="run forward_loss again"):
+        backward(na, cfg, params, cache, batch, grad_logits)
+
+
+def test_backward_peak_memory_stays_under_fifteen_state_arrays():
+    # The peak falls inside the top layer's adjoint: the cache entries still
+    # needed below it, dpre, dpm and the adjoint's walks make about 13 n x d
+    # arrays. Holding the whole cache through that adjoint makes about 18.
+    n, d = 3000, 32
+    g = random_signed_graph(n, avg_out_degree=4.0, neg_fraction=0.3, seed=1)
+    na = normalize(g)
+    x = np.random.default_rng(2).standard_normal((n, 8))
+    params = init_params(8, d, 2, seed=3)
+    batch = EdgeBatch.from_edges(g.edges)
+    cfg = DiffusionConfig(c=0.5, k_steps=4, m0_mode="zero")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
+        grad_logits = loss_grad_logits(logits, batch.signs)
+        tracemalloc.reset_peak()
+        backward(na, cfg, params, cache, batch, grad_logits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (n * d * 8) < 15.0
 
 
 @pytest.mark.parametrize("seed", range(3))
