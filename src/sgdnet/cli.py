@@ -329,7 +329,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .evaluation import ExperimentConfig, ExperimentResult, run_seed
+    from .evaluation import ExperimentConfig, mean_std, run_experiment
     from .graph import load_edge_list
 
     fmt, layers, c = DATASETS[args.dataset]
@@ -337,25 +337,24 @@ def cmd_experiment(args) -> int:
     config = ExperimentConfig(**{"n_layers": layers, "c": c, **given})
 
     edges, n, _ = load_edge_list(args.input, args.format or fmt)
+    os.makedirs(args.out_dir, exist_ok=True)
     print(
         f"{args.dataset}: {n} nodes, {len(edges)} edges; "
         f"layers={config.n_layers} c={config.c} k={config.k_steps} seeds={args.seeds}"
     )
 
-    result = ExperimentResult()
-    for seed in range(args.seeds):
-        outcome = run_seed(edges, n, config, seed)
-        result.rows.append(outcome)
-        print(f"seed {seed}: auc {outcome.auc:.4f}  f1_macro {outcome.f1_macro:.4f}")
+    rows = []
+    for row in run_experiment(edges, n, config, range(args.seeds)):
+        rows.append(row)
+        print(f"seed {row.seed}: auc {row.auc:.4f}  f1_macro {row.f1_macro:.4f}")
 
-    auc_mean, auc_std = result.auc_mean_std
-    f1_mean, f1_std = result.f1_mean_std
+    auc_mean, auc_std = mean_std([row.auc for row in rows])
+    f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
 
-    os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "runs.csv")
     with atomic_write(out_path) as fh:
         fh.write("dataset,seed,auc,f1_macro\n")
-        for row in result.rows:
+        for row in rows:
             fh.write(f"{args.dataset},{row.seed},{row.auc:.10g},{row.f1_macro:.10g}\n")
         fh.write(
             f"{args.dataset},summary,{auc_mean:.4f}+/-{auc_std:.4f},"

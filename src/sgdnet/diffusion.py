@@ -29,11 +29,15 @@ multiply by S and D. When the process may run on two or more CPUs,
 worker thread while the calling thread runs the sum walk (scipy's
 sparse-times-dense product releases the GIL). On a single usable CPU (per
 the process's CPU affinity) both walks run inline, one after the other,
-since two threads on one core only evict each other's cache. The worker
-pool lives for one call: a pool kept across calls would leave a thread
-behind that a forked child cannot use. Each walk does the same arithmetic
-in either case, so the results are bitwise the same. `diffusion_steps`
-advances both walks in lockstep on the calling thread.
+which measured faster there: pinned to one CPU of a 2-CPU Xeon with one
+BLAS thread, `diffuse` plus `diffuse_adjoint` (K = 10, d = 32) took
+1.05-1.22 s inline against 1.54-1.69 s threaded at half-Epinions shape
+(inline faster in 4 of 4 alternating process pairs), and medians of 36.5
+against 39.5 ms at Bitcoin-Alpha shape (5 of 6). The worker pool lives for
+one call: a pool kept across calls would leave a thread behind that a
+forked child cannot use. Each walk does the same arithmetic in either case,
+so the results are bitwise the same. `diffusion_steps` advances both walks
+in lockstep on the calling thread.
 
 Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
 bound holds for each channel on its own. The p/m state is recovered once,
@@ -86,22 +90,6 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def initial_state(
-    na: NormalizedAdjacency,
-    h_tilde: np.ndarray,
-    cfg: DiffusionConfig,
-    rng: np.random.Generator | None = None,
-) -> DiffusionState:
-    """Build T0: the positive channel starts at the local features, the
-    negative channel at zero or a seeded uniform draw in [-1, 1]."""
-    h_tilde = _check_features(na, h_tilde)
-    if cfg.m0_mode == "zero":
-        return DiffusionState(h_tilde.copy(), np.zeros_like(h_tilde))
-    if rng is None:
-        raise ValueError("m0_mode='uniform' needs an rng")
-    return DiffusionState(h_tilde.copy(), rng.uniform(-1.0, 1.0, size=h_tilde.shape))
-
-
 def _restart_walk(op, start: list, inject: np.ndarray, decay: float, k_steps: int):
     """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
     one sparse product per step. The decay is folded into a scaled copy of
@@ -147,13 +135,24 @@ def _to_state(s: np.ndarray, d: np.ndarray) -> DiffusionState:
     return DiffusionState(0.5 * (s + d), 0.5 * (s - d))
 
 
-def _forward_walks(t0: DiffusionState, na, cfg):
-    """The sum and difference walks from T0, injecting c * h at every step."""
-    inject = cfg.c * t0.p
+def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, rng):
+    """Draw m0 and build the sum and difference walks from T0 = (h, m0),
+    injecting c * h at every step. Returns (m0, walk_s, walk_d). In zero
+    mode m0 is None and both walks start from h itself, which no walk
+    writes to; in uniform mode m0 is a seeded draw in [-1, 1]."""
+    if cfg.m0_mode == "zero":
+        m0, start_s, start_d = None, h, h
+    elif rng is None:
+        raise ValueError("m0_mode='uniform' needs an rng")
+    else:
+        m0 = rng.uniform(-1.0, 1.0, size=h.shape)
+        start_s, start_d = h + m0, h - m0
+    inject = cfg.c * h
     decay = 1.0 - cfg.c
     return (
-        _restart_walk(na.adj[0].T, [t0.p + t0.m], inject, decay, cfg.k_steps),
-        _restart_walk(na.adj[1].T, [t0.p - t0.m], inject, decay, cfg.k_steps),
+        m0,
+        _restart_walk(na.adj[0].T, [start_s], inject, decay, cfg.k_steps),
+        _restart_walk(na.adj[1].T, [start_d], inject, decay, cfg.k_steps),
     )
 
 
@@ -163,10 +162,11 @@ def diffusion_steps(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
-    """Yield T0, T1, ..., T_K one step at a time."""
-    t0 = initial_state(na, h_tilde, cfg, rng=rng)
-    walk_s, walk_d = _forward_walks(t0, na, cfg)
-    yield t0
+    """Yield T0, T1, ..., T_K one step at a time. T0 is (h_tilde, m0), with
+    m0 zero or a seeded uniform draw in [-1, 1] per cfg.m0_mode."""
+    h = _check_features(na, h_tilde)
+    m0, walk_s, walk_d = _forward_walks(na, h, cfg, rng)
+    yield DiffusionState(h, np.zeros_like(h) if m0 is None else m0)
     for s, d in zip(walk_s, walk_d):
         yield _to_state(s, d)
 
@@ -178,9 +178,8 @@ def diffuse(
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Run the signed random-walk diffusion for cfg.k_steps steps."""
-    t0 = initial_state(na, h_tilde, cfg, rng=rng)
-    walks = _forward_walks(t0, na, cfg)
-    del t0  # the walks hold their own start states
+    # Slicing off m0 frees it: the walks hold their own start states.
+    walks = _forward_walks(na, _check_features(na, h_tilde), cfg, rng)[1:]
     return _to_state(*_run_walks(*walks))
 
 

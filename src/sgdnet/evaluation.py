@@ -3,12 +3,15 @@
 The protocol per seed: split the edges 8:2, rebuild the diffusion graph from
 the training edges only, compute SVD features on that training graph, train,
 then score the held-out edges. AUC uses the positive-class softmax
-probability; F1-macro uses the argmax sign.
+probability; F1-macro uses the argmax sign. `run_experiment` yields each
+seed's `SeedResult` as its run ends, and `mean_std` aggregates one metric
+over the seeds as its mean and sample standard deviation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -160,24 +163,6 @@ class SeedResult:
     f1_macro: float
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[SeedResult] = field(default_factory=list)
-
-    def _agg(self, values):
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        return mean, std
-
-    @property
-    def auc_mean_std(self):
-        return self._agg([r.auc for r in self.rows])
-
-    @property
-    def f1_mean_std(self):
-        return self._agg([r.f1_macro for r in self.rows])
-
-
 def _split_features(edges, n: int, ratio: float, svd_rank: int, seed: int):
     """The protocol's first steps for one run seed: split the edges, rebuild
     the graph from the training edges, and take its SVD features. Returns
@@ -206,9 +191,16 @@ def run_seed(edges, n: int, config: ExperimentConfig, seed: int) -> SeedResult:
     )
 
 
-def run_experiment(edges, n: int, config: ExperimentConfig, seeds) -> ExperimentResult:
-    """Repeat the protocol across seeds and aggregate mean and sample std."""
-    result = ExperimentResult()
+def run_experiment(edges, n: int, config: ExperimentConfig, seeds) -> Iterator[SeedResult]:
+    """Repeat the protocol across seeds, yielding each seed's result as soon
+    as its run ends."""
     for seed in seeds:
-        result.rows.append(run_seed(edges, n, config, seed))
-    return result
+        yield run_seed(edges, n, config, seed)
+
+
+def mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof=1; 0.0 for one value)."""
+    if len(values) == 0:
+        raise ValueError("mean_std needs at least one value")
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return float(np.mean(values)), std

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgdnet.diffusion
+import sgdnet.evaluation
 from sgdnet.cli import _THREAD_ENV_VARS, main
 from sgdnet.graph import save_edge_list
 from sgdnet.synthetic import planted_partition_graph
@@ -409,6 +410,25 @@ def test_experiment_smoke(tmp_path, dataset, capsys):
     assert rows[-1]["seed"] == "summary"
     out = capsys.readouterr().out
     assert "AUC" in out and "F1-macro" in out
+
+
+def test_experiment_out_dir_that_is_a_file_exits_2_before_any_seed(
+    tmp_path, dataset, capsys, monkeypatch
+):
+    def no_seed_may_run(*args):
+        raise AssertionError("a seed ran before the out-dir was checked")
+
+    monkeypatch.setattr(sgdnet.evaluation, "run_seed", no_seed_may_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli(
+        "experiment", "--dataset", "generic-tsv", "--input", dataset,
+        "--seeds", "2", "--epochs", "1", "--svd-rank", "8", "--out-dir", str(taken),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert not [line for line in captured.out.splitlines() if line.startswith("seed")]
 
 
 @pytest.mark.parametrize("flags, expected", [

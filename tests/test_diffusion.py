@@ -481,8 +481,9 @@ BITWISE_GRAPHS = {
 @pytest.mark.parametrize("m0_mode", START_MODES)
 @pytest.mark.parametrize("k", [1, 10])
 @pytest.mark.parametrize("c", [0.15, 0.55])
+@pytest.mark.parametrize("signed_zero_rows", [False, True])
 def test_walks_are_bitwise_equal_to_stored_transpose_layout(
-    monkeypatch, cpus, graph, m0_mode, k, c
+    monkeypatch, cpus, graph, m0_mode, k, c, signed_zero_rows
 ):
     use_cpus(monkeypatch, cpus)
     g = BITWISE_GRAPHS[graph]()
@@ -490,16 +491,20 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     rng = np.random.default_rng(k)
     h = rng.standard_normal((na.n, 4))
     gp, gm = rng.standard_normal(h.shape), rng.standard_normal(h.shape)
+    if signed_zero_rows:
+        # Zero mode starts both walks from h itself, where the reference
+        # starts from h + 0 and h - 0; rows of -0.0 must not tell them apart.
+        h[::3], h[1::5] = -0.0, 0.0
     m0 = start_m0(m0_mode, h.shape)
     cfg = start_cfg(m0_mode, c, k)
     reference = stored_layout_diffusion_states(g, h, c, k, m0)
     final = diffuse(na, h, cfg, rng=start_rng(m0_mode, h.shape))
-    assert np.array_equal(final.p, reference[-1][0])
-    assert np.array_equal(final.m, reference[-1][1])
+    assert final.p.tobytes() == reference[-1][0].tobytes()
+    assert final.m.tobytes() == reference[-1][1].tobytes()
     steps = list(diffusion_steps(na, h, cfg, rng=start_rng(m0_mode, h.shape)))
     assert len(steps) == len(reference)
     for state, (p, m) in zip(steps, reference):
-        assert np.array_equal(state.p, p) and np.array_equal(state.m, m)
+        assert state.p.tobytes() == p.tobytes() and state.m.tobytes() == m.tobytes()
     assert np.array_equal(
         diffuse_adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(g, gp, gm, c, k)
     )

@@ -3,14 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sgdnet.evaluation
 import sgdnet.graph
 from sgdnet.evaluation import (
     ExperimentConfig,
     MetricError,
+    SeedResult,
     _midranks,
     auc,
     class_metrics,
     f1_macro,
+    mean_std,
     predict_edges,
     run_experiment,
     run_seed,
@@ -230,10 +233,10 @@ def test_run_experiment_on_planted_graph():
         svd_rank=16, dim=16, n_layers=1, c=0.35, k_steps=5,
         lr=0.01, weight_decay=1e-3, epochs=60, ratio=0.2,
     )
-    result = run_experiment(list(g.edges), g.n, config, seeds=[0, 1])
-    assert len(result.rows) == 2
-    auc_mean, auc_std = result.auc_mean_std
-    f1_mean, f1_std = result.f1_mean_std
+    rows = list(run_experiment(list(g.edges), g.n, config, seeds=[0, 1]))
+    assert [row.seed for row in rows] == [0, 1]
+    auc_mean, auc_std = mean_std([row.auc for row in rows])
+    f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
     assert 0.5 < auc_mean <= 1.0
     assert 0.0 <= f1_mean <= 1.0
     assert auc_std >= 0.0 and f1_std >= 0.0
@@ -245,9 +248,9 @@ def test_run_experiment_single_seed_has_zero_std():
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=10, ratio=0.2,
     )
-    result = run_experiment(list(g.edges), g.n, config, seeds=[7])
-    _, auc_std = result.auc_mean_std
-    _, f1_std = result.f1_mean_std
+    rows = list(run_experiment(list(g.edges), g.n, config, seeds=[7]))
+    _, auc_std = mean_std([row.auc for row in rows])
+    _, f1_std = mean_std([row.f1_macro for row in rows])
     assert auc_std == 0.0 and f1_std == 0.0
 
 
@@ -275,10 +278,43 @@ def test_run_experiment_deterministic():
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=5, ratio=0.2,
     )
-    a = run_experiment(list(g.edges), g.n, config, seeds=[0])
-    b = run_experiment(list(g.edges), g.n, config, seeds=[0])
-    assert a.rows[0].auc == b.rows[0].auc
-    assert a.rows[0].f1_macro == b.rows[0].f1_macro
+    (a,) = run_experiment(list(g.edges), g.n, config, seeds=[0])
+    (b,) = run_experiment(list(g.edges), g.n, config, seeds=[0])
+    assert a.auc == b.auc
+    assert a.f1_macro == b.f1_macro
+
+
+def test_run_experiment_runs_a_seed_only_when_its_result_is_taken(monkeypatch):
+    ran = []
+
+    def counted_run_seed(edges, n, config, seed):
+        ran.append(seed)
+        return SeedResult(seed=seed, auc=0.5, f1_macro=0.5)
+
+    monkeypatch.setattr(sgdnet.evaluation, "run_seed", counted_run_seed)
+    results = run_experiment([], 0, ExperimentConfig(), seeds=[3, 4, 5])
+    assert ran == []
+    assert next(results).seed == 3
+    assert ran == [3]
+    assert [row.seed for row in results] == [4, 5]
+    assert ran == [3, 4, 5]
+
+
+def test_mean_std_of_one_value_has_zero_std():
+    assert mean_std([0.75]) == (0.75, 0.0)
+
+
+def test_mean_std_uses_the_sample_std():
+    values = [0.61, 0.83]
+    mean, std = mean_std(values)
+    assert mean == float(np.mean(values))
+    assert std == float(np.std(values, ddof=1))
+    assert std > float(np.std(values))
+
+
+def test_mean_std_of_no_values_raises():
+    with pytest.raises(ValueError, match="at least one value"):
+        mean_std([])
 
 
 def test_test_edges_never_in_training_graph():
