@@ -199,12 +199,13 @@ def cmd_train(args) -> int:
         )
 
     cfg = TrainConfig(**_model_settings(args))
-    out_dir = args.out_dir or args.prep_dir
-    os.makedirs(out_dir, exist_ok=True)
 
     edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
     x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
     n = x.shape[0]
+    # After the reads, so that a missing prep dir leaves no out-dir behind.
+    out_dir = args.out_dir or args.prep_dir
+    os.makedirs(out_dir, exist_ok=True)
 
     if args.split_ratio > 0:
         split, graph, x, cfg.seed = _split_features(

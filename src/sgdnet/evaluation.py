@@ -51,15 +51,14 @@ def split_edges(edges, ratio: float, seed: int) -> Split:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    # Tie group k spans sorted positions first[k]..last[k].
-    first = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    last = np.r_[first[1:], len(values)] - 1
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
-    return ranks
+    """Ranks starting at 1; tied values share the mean of their ranks.
+
+    A tie group of `count` values ends at rank `end`, so its mean rank is
+    end - (count - 1) / 2. Each NaN is a group of its own.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]
 
 
 def auc(scores, labels) -> float:

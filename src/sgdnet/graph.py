@@ -367,51 +367,24 @@ def load_id_map(path) -> dict[str, int]:
     return id_map
 
 
-# `save_edge_list` formats and writes this many rows at a time.
+# `save_edge_list` formats and writes this many rows at a time; the block
+# caps the tuple of Python ints that one `%` takes.
 _ROW_BLOCK = 1 << 14
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-# 10 .. 10^19: a uint64 v has 1 + searchsorted(_POWERS_OF_TEN, v, "right") digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
-def _decimal_rows(cols) -> bytes:
-    r"""The bytes of "%d\t%d\t%d\n" % row for every row of the int64 columns.
-
-    Each column becomes a byte matrix, one value per row, right-aligned to
-    the column's widest text and followed by its separator; a mask keeps each
-    row's own sign, digits and separator, so the row-major selection from the
-    side-by-side matrices is the text.
-    """
-    texts, keeps = [], []
-    for col, end in zip(cols, b"\t\t\n"):
-        neg = col < 0
-        mag = col.astype(np.uint64)
-        np.negative(mag, out=mag, where=neg)  # |col|, exact for -2^63 too
-        size = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1 + neg
-        width = int(size.max())
-        text = np.empty((len(col), width + 1), dtype=np.uint8)
-        for j in range(width - 1, -1, -1):
-            mag, digit = np.divmod(mag, np.uint64(10))
-            text[:, j] = _DIGITS[digit]
-        lead = width - size
-        text[neg, lead[neg]] = ord("-")
-        text[:, width] = end
-        texts.append(text)
-        keeps.append(np.arange(width + 1) >= lead[:, None])
-    return np.hstack(texts)[np.hstack(keeps)].tobytes()
 
 
 def save_edge_list(path, edges) -> None:
     r"""Write edges as dense-id TSV (src, dst, sign), loadable as tsv-sign.
 
-    The bytes are those of "%d\t%d\t%d\n" per row; rows are formatted from
-    the int64 columns `_ROW_BLOCK` at a time, one write per block.
+    Each `_ROW_BLOCK` of rows is formatted by one printf-style `%` with
+    "%d\t%d\t%d\n" per row and written as bytes, so the newline is the same
+    on every platform.
     """
     edges = as_edge_list(edges)
+    cols = (edges.src, edges.dst, edges.sign)
     with atomic_write(path, binary=True) as fh:
         for start in range(0, len(edges), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            fh.write(_decimal_rows((edges.src[block], edges.dst[block], edges.sign[block])))
+            block = np.column_stack([c[start : start + _ROW_BLOCK] for c in cols])
+            fh.write(("%d\t%d\t%d\n" * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 def read_edge_tsv(path) -> EdgeList:

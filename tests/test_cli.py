@@ -177,6 +177,18 @@ def test_train_svd_rank_without_a_split_exits_2(tmp_path, prep_dir, capsys, rank
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("named_out_dir", [False, True])
+def test_train_missing_prep_dir_exits_2_and_creates_no_dir(tmp_path, capsys, named_out_dir):
+    # The out-dir defaults to the prep dir; neither may be created by a run
+    # that cannot read its inputs.
+    prep, run_dir = tmp_path / "nowhere", tmp_path / "newrun"
+    out_args = ["--out-dir", str(run_dir)] if named_out_dir else []
+    code = run_cli("train", "--prep-dir", str(prep), *out_args, "--dim", "4", "--epochs", "1")
+    assert code == 2
+    assert "edges.tsv" in capsys.readouterr().err
+    assert not prep.exists() and not run_dir.exists()
+
+
 def test_train_numeric_blowup_exits_3(tmp_path, prep_dir, capsys):
     run_dir = str(tmp_path / "blowup")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sgdnet.atomic
 import sgdnet.graph
 from sgdnet.graph import (
     DataError,
@@ -128,6 +131,8 @@ _BOUNDARY_IDS = np.sort(
 
 def _edge_list_case(case):
     rng = np.random.default_rng(4)
+    if case == "empty":
+        return EdgeList([], [], [])
     if case == "single-row":
         return EdgeList([7], [0], [-1])
     if case == "boundary-ids":
@@ -143,12 +148,45 @@ def _edge_list_case(case):
     return EdgeList(ids[0], ids[1], np.where(rng.random(rows) < 0.8, 1, -1))
 
 
-@pytest.mark.parametrize("case", ["single-row", "boundary-ids", "negative-values", "blocks"])
+@pytest.mark.parametrize(
+    "case", ["empty", "single-row", "boundary-ids", "negative-values", "blocks"]
+)
 def test_saved_edge_list_bytes_equal_per_row_formatting(tmp_path, case):
     edges = _edge_list_case(case)
     path = tmp_path / "edges.tsv"
     save_edge_list(path, edges)
     assert path.read_bytes() == "".join("%d\t%d\t%d\n" % e for e in edges).encode()
+
+
+def test_saved_edge_list_bytes_do_not_follow_the_platform_newline(tmp_path, monkeypatch):
+    # Text files opened as on Windows turn each "\n" into "\r\n"; the edge
+    # file is written as bytes, so its newlines stay "\n".
+    def windows_open(file, mode, **kwargs):
+        if "b" not in mode:
+            kwargs["newline"] = "\r\n"
+        return open(file, mode, **kwargs)
+
+    monkeypatch.setattr(sgdnet.atomic, "open", windows_open, raising=False)
+    path = tmp_path / "edges.tsv"
+    save_edge_list(path, EdgeList([7, 0], [0, 12], [-1, 1]))
+    assert path.read_bytes() == b"7\t0\t-1\n0\t12\t1\n"
+
+
+def test_save_edge_list_peak_memory_stays_per_block(tmp_path):
+    # Each block's rows go through one tuple of Python ints (about 2.4 MiB
+    # at 12-digit ids); formatting the four blocks at once would take ~9 MiB.
+    rows = 4 * sgdnet.graph._ROW_BLOCK
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, 10**12, size=(2, rows))
+    edges = EdgeList(ids[0], ids[1], np.where(rng.random(rows) < 0.8, 1, -1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_edge_list(tmp_path / "edges.tsv", edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4 * 2**20
 
 
 # ---------------------------------------------------------------- parsers against the per-line reference
