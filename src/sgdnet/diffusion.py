@@ -39,6 +39,13 @@ forked child cannot use. Each walk does the same arithmetic in either case,
 so the results are bitwise the same. `diffusion_steps` advances both walks
 in lockstep on the calling thread.
 
+Two kinds of thread run code of this module besides the caller's: the
+per-call walk worker above, and the worker of `training.train`, which lives
+for one `train` call and runs `_noise_state` (the next epoch's layer-1
+noise, on the same rng and arithmetic) while the caller runs the dense work.
+Both run only private code: the walks, `rng.uniform` and array arithmetic.
+No public function of the package ever runs off the calling thread.
+
 Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
 bound holds for each channel on its own. The p/m state is recovered once,
 as p = (s + d) / 2 and m = (s - d) / 2. `exact_solve` solves the two
@@ -90,17 +97,19 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _restart_walk(op, start: list, inject: np.ndarray, decay: float, k_steps: int):
+def _restart_walk(op, start: list, inject: np.ndarray | None, decay: float, k_steps: int):
     """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
-    one sparse product per step. The decay is folded into a scaled copy of
-    op's values once per walk, on op's own index arrays, so no step makes an
-    extra pass over z. `start` is a one-element list holding z_0; the walk
-    pops it, so that z_0 can be freed after the first step."""
+    one sparse product per step; an inject of None adds nothing. The decay is
+    folded into a scaled copy of op's values once per walk, on op's own index
+    arrays, so no step makes an extra pass over z. `start` is a one-element
+    list holding z_0; the walk pops it, so that z_0 can be freed after the
+    first step."""
     op = type(op)((op.data * decay, op.indices, op.indptr), shape=op.shape)
     z = start.pop()
     for _ in range(k_steps):
         z = op @ z
-        z += inject
+        if inject is not None:
+            z += inject
         yield z
 
 
@@ -154,6 +163,32 @@ def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, rng):
         _restart_walk(na.adj[0].T, [start_s], inject, decay, cfg.k_steps),
         _restart_walk(na.adj[1].T, [start_d], inject, decay, cfg.k_steps),
     )
+
+
+def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> DiffusionState:
+    """diffuse(na, np.zeros(shape), cfg, rng) in uniform mode, bit for bit,
+    with the same single draw of m0 from rng: the K-step diffusion of T0 =
+    (0, m0). With h = 0 there is nothing to inject, so the walks start from
+    m0 and -m0 and add no c * h term; adding +0.0 would change no bit,
+    because a sparse product starts from +0.0 and never yields -0.0. Both
+    walks run inline, one after the other, and m0 and each walk's states are
+    dropped as soon as they are spent. Runs no public function of this
+    package, so `training.train` may call it on a worker thread."""
+    m0 = rng.uniform(-1.0, 1.0, size=shape)
+    start_d = [np.negative(m0)]
+    start_s = [m0]
+    del m0
+    decay = 1.0 - cfg.c
+    s = _last(_restart_walk(na.adj[0].T, start_s, None, decay, cfg.k_steps))
+    d = _last(_restart_walk(na.adj[1].T, start_d, None, decay, cfg.k_steps))
+    # The pair 0.5 * (s + d), 0.5 * (s - d): m overwrites d, and s is
+    # freed before the halving passes.
+    p = s + d
+    m = np.subtract(s, d, out=d)
+    del s, d
+    p *= 0.5
+    m *= 0.5
+    return DiffusionState(p, m)
 
 
 def diffusion_steps(

@@ -9,9 +9,12 @@ The diffusion is linear in the features it carries. Layer 1 diffuses
 h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
 W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
 features can be run once per training graph (`diffuse_inputs`). Given it,
-layer 1 computes p = x_p @ W and m = x_m @ W with no sparse work; in uniform
-mode the parameter-free term diffuse(0, m0) is added, drawn from the same rng
-in the same order as the direct path. The state holds 2 * n * d0 float64
+layer 1 computes p = x_p @ W and m = x_m @ W with no sparse work. In uniform
+mode it adds the parameter-free pair diffuse(0, m0), the "noise": m0 is drawn
+from the same rng in the same order as on the direct path, by
+`diffusion._noise_state`. `training.train` hands layer 1 that pair, drawn
+and diffused on a worker thread while the previous epoch ran; called on its
+own, `model_forward` draws it inline. The state holds 2 * n * d0 float64
 (about 8 MB at Bitcoin-Alpha size, 270 MB at Epinions size with d0 = 128).
 `training.train` decides when it pays for itself. Layers 2 and up always
 diffuse directly.
@@ -122,23 +125,20 @@ def layer_forward(
 
 
 def _first_layer_forward(
-    na: NormalizedAdjacency,
     h0: np.ndarray,
     x_diffused: DiffusionState,
     w_in: np.ndarray,
     params: LayerParams,
-    cfg: DiffusionConfig,
-    rng: np.random.Generator | None,
+    noise: DiffusionState | None,
 ) -> tuple[np.ndarray, LayerCache]:
-    """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t)."""
+    """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t),
+    plus `noise`, the diffusion of (0, m0), if given."""
     w = w_in @ params.w_t
     p = x_diffused.p @ w
     m = x_diffused.m @ w
-    if cfg.m0_mode == "uniform":
-        # The diffused m0 does not depend on the parameters.
-        p0, m0 = diffusion.diffuse(na, np.zeros_like(h0), cfg, rng=rng)
-        p += p0
-        m += m0
+    if noise is not None:
+        p += noise.p
+        m += noise.m
     return _mix(h0, p, m, params)
 
 
@@ -165,11 +165,14 @@ def model_forward(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
     x_diffused: DiffusionState | None = None,
+    noise: DiffusionState | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Project the input features and apply every diffusion layer in order.
 
     With `x_diffused` (from `diffuse_inputs` on the same na, x and cfg),
-    layer 1 runs without a diffusion of its own.
+    layer 1 runs without a diffusion of its own and adds `noise`, the
+    diffusion of (0, m0) (`diffusion._noise_state`), if given; in uniform
+    mode without it, layer 1 draws that pair from `rng`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.w_in.shape[0]:
@@ -181,7 +184,11 @@ def model_forward(
     caches = []
     for i, layer in enumerate(params.layers):
         if i == 0 and x_diffused is not None:
-            h, cache = _first_layer_forward(na, h, x_diffused, params.w_in, layer, cfg, rng)
+            if noise is None and cfg.m0_mode == "uniform":
+                if rng is None:
+                    raise ValueError("m0_mode='uniform' needs an rng")
+                noise = diffusion._noise_state(na, h.shape, cfg, rng)
+            h, cache = _first_layer_forward(h, x_diffused, params.w_in, layer, noise)
         else:
             h, cache = layer_forward(na, h, layer, cfg, rng=rng)
         caches.append(cache)

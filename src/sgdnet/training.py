@@ -14,6 +14,19 @@ of a diffusion is linear in its column count, so the rule is
 epochs * (columns saved per epoch) >= d0. The precomputed state holds
 2 * n * d0 float64 for the whole run.
 
+On that path in uniform mode, layer 1 still adds a fresh noise pair each
+epoch: the diffusion of (0, m0), with m0 drawn from the training rng. It
+does not depend on the parameters, so `train` feeds it (`_NoiseFeed`): with
+two or more usable CPUs, a worker thread that lives for one `train` call
+draws and diffuses epoch e + 1's pair while the calling thread runs epoch
+e's forward, loss, backward and Adam step. The draws keep the direct path's
+rng order, layer 1 and then layers 2..L, epoch by epoch: with one layer the
+next draw starts once this epoch's pair is taken, with more only after the
+forward pass, whose layers 2..L draw inside it. On one usable CPU the pair
+is computed inline when it is taken. Either way the losses and parameters
+are bitwise the same. The worker is shut down, and its thread joined, when
+`train` returns or raises.
+
 `backward` spends the `ForwardCache` it is given. It pops each layer's
 entry as it reaches that layer and drops the layer's p, m and h_next before
 the diffusion adjoint runs, so each adjoint's walks share memory only with
@@ -22,7 +35,10 @@ the layers below. A cache serves one `backward`; a second call raises.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,9 +176,12 @@ def forward_loss(
     weight_decay: float,
     rng: np.random.Generator | None = None,
     x_diffused: DiffusionState | None = None,
+    noise: DiffusionState | None = None,
 ):
     """One forward pass through model, head, and loss."""
-    h_final, cache = model_forward(na, x, params, cfg, rng=rng, x_diffused=x_diffused)
+    h_final, cache = model_forward(
+        na, x, params, cfg, rng=rng, x_diffused=x_diffused, noise=noise
+    )
     logits = edge_logits(h_final, batch, params.w_head)
     loss = loss_total(logits, batch.signs, params, weight_decay)
     return loss, logits, cache
@@ -200,6 +219,50 @@ class TrainConfig(ModelConfig):
     seed: int = 0
 
 
+class _NoiseFeed:
+    """Layer 1's noise pairs for one `train` call, one per epoch, from
+    `diffusion._noise_state` on the training graph and rng (see the module
+    docstring). The worker thread, if any, exists while the feed is open and
+    runs only that private function."""
+
+    def __init__(self, na, shape, cfg: DiffusionConfig, rng, epochs: int, n_layers: int):
+        self._draw = functools.partial(_diffusion._noise_state, na, shape, cfg, rng)
+        self._left = epochs  # pairs still to take
+        # With one layer the forward pass draws nothing, so the next pair may
+        # be drawn at once; layers 2..L draw inside the forward pass.
+        self._early = n_layers == 1
+        self._pending = None
+        self._worker = None
+        if epochs and _diffusion._usable_cpus() >= 2:
+            self._worker = ThreadPoolExecutor(max_workers=1)
+            self._submit()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._worker.shutdown(cancel_futures=True)  # joins the thread
+
+    def _submit(self):
+        if self._worker is not None and self._left:
+            self._pending = self._worker.submit(self._draw)
+
+    def take(self) -> DiffusionState:
+        """This epoch's pair; a failure of the worker's task raises here."""
+        self._left -= 1
+        pending, self._pending = self._pending, None
+        pair = self._draw() if pending is None else pending.result()
+        if self._early:
+            self._submit()
+        return pair
+
+    def forward_done(self) -> None:
+        """Layers 2..L have drawn this epoch's m0s."""
+        if not self._early:
+            self._submit()
+
+
 class TrainingAbort(NumericError):
     """Training hit a non-finite loss; carries the last good parameters."""
 
@@ -235,25 +298,33 @@ def train(
     if cfg.epochs * saved_per_epoch >= x.shape[1] and np.all(np.isfinite(x)):
         x_diffused = diffuse_inputs(na, x, dcfg)
 
+    feed = None
+    if x_diffused is not None and cfg.m0_mode == "uniform":
+        feed = _NoiseFeed(na, (graph.n, cfg.dim), dcfg, rng, cfg.epochs, cfg.n_layers)
+
     history: list[float] = []
     last_good = copy.deepcopy(params)
-    for epoch in range(cfg.epochs):
-        try:
-            loss, logits, cache = forward_loss(
-                na, x, params, dcfg, batch, cfg.weight_decay, rng=rng, x_diffused=x_diffused
-            )
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}")
-            grads = backward(
-                na, dcfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-                weight_decay=cfg.weight_decay, x_diffused=x_diffused,
-            )
-        except NumericError as exc:
-            raise TrainingAbort(
-                f"training aborted at epoch {epoch}: {exc}", last_good, history
-            ) from exc
-        history.append(loss)
-        last_good = copy.deepcopy(params)
-        optimizer.step(params, grads)
+    with feed or contextlib.nullcontext():
+        for epoch in range(cfg.epochs):
+            try:
+                loss, logits, cache = forward_loss(
+                    na, x, params, dcfg, batch, cfg.weight_decay, rng=rng,
+                    x_diffused=x_diffused, noise=feed.take() if feed else None,
+                )
+                if feed:
+                    feed.forward_done()
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at epoch {epoch}")
+                grads = backward(
+                    na, dcfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
+                    weight_decay=cfg.weight_decay, x_diffused=x_diffused,
+                )
+            except NumericError as exc:
+                raise TrainingAbort(
+                    f"training aborted at epoch {epoch}: {exc}", last_good, history
+                ) from exc
+            history.append(loss)
+            last_good = copy.deepcopy(params)
+            optimizer.step(params, grads)
     return params, history
 

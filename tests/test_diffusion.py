@@ -469,6 +469,22 @@ def test_threaded_and_inline_walks_are_bitwise_equal(monkeypatch, graph, m0_mode
         assert np.array_equal(threaded, inline)
 
 
+@pytest.mark.parametrize("graph", sorted(EQUIVALENCE_GRAPHS))
+@pytest.mark.parametrize("m0_mode", ["uniform", "redrawn"])
+@pytest.mark.parametrize("k", [1, 7])
+@pytest.mark.parametrize("c", [0.15, 0.55])
+def test_noise_state_equals_the_diffusion_of_zero_features(graph, m0_mode, k, c):
+    na = normalize(EQUIVALENCE_GRAPHS[graph]())
+    shape = (na.n, 4)
+    cfg = start_cfg(m0_mode, c, k)
+    rng, rng_ref = start_rng(m0_mode, shape), start_rng(m0_mode, shape)
+    noise = diffusion_module._noise_state(na, shape, cfg, rng)
+    reference = diffuse(na, np.zeros(shape), cfg, rng=rng_ref)
+    assert noise.p.tobytes() == reference.p.tobytes()
+    assert noise.m.tobytes() == reference.m.tobytes()
+    assert rng.random() == rng_ref.random()  # one draw of the same shape
+
+
 BITWISE_GRAPHS = {
     "random": lambda: random_signed_graph(300, avg_out_degree=5.0, neg_fraction=0.3, seed=17),
     "deadends": EQUIVALENCE_GRAPHS["deadends"],

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -433,20 +437,28 @@ def test_precomputed_first_layer_matches_direct_path(graph_name, n_layers, m0_mo
 
 
 def count_diffusions(monkeypatch):
-    """Record the column count of every diffuse call and count adjoint calls."""
+    """Record the column count of every diffuse call and of every layer-1
+    noise diffusion (`_noise_state`, which may run on a worker thread), and
+    count adjoint calls."""
     real_diffuse = sgdnet.diffusion.diffuse
+    real_noise = sgdnet.diffusion._noise_state
     real_adjoint = sgdnet.diffusion.diffuse_adjoint
-    calls = {"diffuse": [], "adjoint": 0}
+    calls = {"diffuse": [], "noise": [], "adjoint": 0}
 
     def diffuse(na, h, cfg, *args, **kwargs):
         calls["diffuse"].append(np.shape(h)[1])
         return real_diffuse(na, h, cfg, *args, **kwargs)
+
+    def noise(na, shape, cfg, rng):
+        calls["noise"].append(shape[1])
+        return real_noise(na, shape, cfg, rng)
 
     def adjoint(*args, **kwargs):
         calls["adjoint"] += 1
         return real_adjoint(*args, **kwargs)
 
     monkeypatch.setattr(sgdnet.diffusion, "diffuse", diffuse)
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state", noise)
     monkeypatch.setattr(sgdnet.diffusion, "diffuse_adjoint", adjoint)
     return calls
 
@@ -464,10 +476,13 @@ def test_train_precomputes_at_or_above_the_cost_rule(monkeypatch, m0_mode, epoch
     train(g, x, cfg)
     per_epoch = 1 if m0_mode == "uniform" else 0
     if precomputed:
-        assert calls["diffuse"] == [12] + [3] * (per_epoch * epochs)
+        # One input diffusion; each epoch's noise goes through `_noise_state`.
+        assert calls["diffuse"] == [12]
+        assert calls["noise"] == [3] * (per_epoch * epochs)
         assert calls["adjoint"] == 0
     else:
         assert calls["diffuse"] == [3] * epochs
+        assert calls["noise"] == []
         assert calls["adjoint"] == epochs
 
 
@@ -507,3 +522,140 @@ def test_precomputed_first_layer_rejects_nonfinite_weights(name):
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         forward_loss(na, x, params, cfg, EdgeBatch.from_edges(g.edges), 0.0,
                      x_diffused=diffuse_inputs(na, x, cfg))
+
+
+# ---------------------------------------------------------------- layer-1 noise feed
+
+# d0 = 12 and d = 3: 1 epoch is below the precompute rule in both modes, 6 above.
+FEED_X = np.random.default_rng(6).standard_normal((30, 12))
+
+
+def feed_cfg(n_layers, m0_mode, epochs):
+    return TrainConfig(dim=3, n_layers=n_layers, c=0.4, k_steps=4, epochs=epochs,
+                       m0_mode=m0_mode, seed=2)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("epochs", (1, 6))
+@pytest.mark.parametrize("m0_mode", ("zero", "uniform"))
+@pytest.mark.parametrize("n_layers", (1, 2, 3))
+def test_train_is_bitwise_equal_on_one_and_two_cpus(monkeypatch, n_layers, m0_mode, epochs):
+    g = PRECOMPUTE_GRAPHS["deadends"]()
+    cfg = feed_cfg(n_layers, m0_mode, epochs)
+
+    def run(cpus):
+        use_cpus(monkeypatch, cpus)
+        return train(g, FEED_X, cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a draw out of order shows
+    try:
+        (params1, history1), (params2, history2) = run(1), run(2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array(history1).tobytes() == np.array(history2).tobytes()
+    for (name, w1), (_, w2) in zip(params1.named(), params2.named()):
+        assert w1.tobytes() == w2.tobytes(), name
+
+
+SGDNET_MODULES = ("graph", "features", "diffusion", "model", "training", "evaluation")
+
+
+def record_threads(monkeypatch):
+    """Wrap every public function and method of the sgdnet modules, under
+    every sgdnet name that refers to it, so that each call records its
+    name and thread; `_noise_state` is recorded too. Returns the records."""
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for short in SGDNET_MODULES:
+        mod = importlib.import_module(f"sgdnet.{short}")
+        for attr, obj in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) and not inspect.isgeneratorfunction(obj):
+                wrappers[id(obj)] = recorded(f"{short}.{attr}", obj)
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                for name, raw in list(vars(obj).items()):
+                    if not name.startswith("_") and inspect.isfunction(raw):
+                        monkeypatch.setattr(obj, name, recorded(f"{short}.{attr}.{name}", raw))
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.startswith("sgdnet"):
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state",
+                        recorded("diffusion._noise_state", sgdnet.diffusion._noise_state))
+    return calls
+
+
+@pytest.mark.parametrize("n_layers", (1, 2))
+def test_train_runs_every_public_function_on_the_calling_thread(monkeypatch, n_layers):
+    use_cpus(monkeypatch, 2)
+    g = PRECOMPUTE_GRAPHS["deadends"]()
+    calls = record_threads(monkeypatch)
+    sgdnet.training.train(g, FEED_X, feed_cfg(n_layers, "uniform", 6))
+    caller = threading.get_ident()
+    public = {(name, ident == caller) for name, ident in calls if "._" not in name}
+    assert ("training.train", True) in public and ("diffusion.diffuse", True) in public
+    assert all(on_caller for _, on_caller in public), sorted(public)
+    noise = [ident == caller for name, ident in calls if name == "diffusion._noise_state"]
+    assert len(noise) == 6 and not any(noise)  # the feed did run on its worker
+
+
+def failing_noise(monkeypatch, on_call):
+    """Make the `on_call`-th noise diffusion raise."""
+    real = sgdnet.diffusion._noise_state
+    count = []
+
+    def noise(*args):
+        count.append(1)
+        if len(count) == on_call:
+            raise RuntimeError("noise task failed")
+        return real(*args)
+
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state", noise)
+
+
+@pytest.mark.parametrize("n_layers", (1, 2))
+def test_train_reraises_a_failure_of_the_worker_task(monkeypatch, n_layers):
+    use_cpus(monkeypatch, 2)
+    failing_noise(monkeypatch, on_call=3)
+    with pytest.raises(RuntimeError, match="noise task failed"):
+        train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", 6))
+
+
+@pytest.mark.parametrize("outcome", ("return", "abort", "raise"))
+def test_train_leaves_no_thread_behind(monkeypatch, outcome):
+    use_cpus(monkeypatch, 2)
+    if outcome == "abort":
+        real_loss = sgdnet.training.loss_total
+        losses = []
+
+        def loss_total(*args, **kwargs):
+            losses.append(real_loss(*args, **kwargs))
+            return np.nan if len(losses) == 3 else losses[-1]
+
+        monkeypatch.setattr(sgdnet.training, "loss_total", loss_total)
+    elif outcome == "raise":
+        failing_noise(monkeypatch, on_call=4)
+    g = PRECOMPUTE_GRAPHS["deadends"]()
+    before = threading.active_count()
+    try:
+        train(g, FEED_X, feed_cfg(1, "uniform", 6))
+    except TrainingAbort as exc:
+        assert outcome == "abort" and len(exc.history) == 2
+    except RuntimeError:
+        assert outcome == "raise"
+    else:
+        assert outcome == "return"
+    assert threading.active_count() == before
