@@ -12,9 +12,9 @@ features can be run once per training graph (`diffuse_inputs`). Given it,
 layer 1 computes p = x_p @ W and m = x_m @ W with no sparse work. In uniform
 mode it adds the parameter-free pair diffuse(0, m0), the "noise": m0 is drawn
 from the same rng in the same order as on the direct path, by
-`diffusion._noise_state`. `training.train` hands layer 1 that pair, drawn
-and diffused on a worker thread while the previous epoch ran; called on its
-own, `model_forward` draws it inline. The state holds 2 * n * d0 float64
+`diffusion._noise_state`. With two or more usable CPUs, `training.train`
+hands layer 1 that pair, drawn and diffused on a worker thread while the
+previous epoch ran; otherwise `model_forward` draws it inline. The state holds 2 * n * d0 float64
 (about 8 MB at Bitcoin-Alpha size, 270 MB at Epinions size with d0 = 128).
 `training.train` decides when it pays for itself. Layers 2 and up always
 diffuse directly.

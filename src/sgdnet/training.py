@@ -22,10 +22,11 @@ draws and diffuses epoch e + 1's pair while the calling thread runs epoch
 e's forward, loss, backward and Adam step. The draws keep the direct path's
 rng order, layer 1 and then layers 2..L, epoch by epoch: with one layer the
 next draw starts once this epoch's pair is taken, with more only after the
-forward pass, whose layers 2..L draw inside it. On one usable CPU the pair
-is computed inline when it is taken. Either way the losses and parameters
-are bitwise the same. The worker is shut down, and its thread joined, when
-`train` returns or raises.
+forward pass, whose layers 2..L draw inside it. On one usable CPU `train`
+makes no feed and `model_forward` draws the pair inline. Either way the
+losses and parameters are bitwise the same. The worker starts when the feed
+is entered and is shut down, its thread joined, when `train` returns or
+raises.
 
 `backward` spends the `ForwardCache` it is given. It pops each layer's
 entry as it reaches that layer and drops the layer's p, m and h_next before
@@ -222,37 +223,35 @@ class TrainConfig(ModelConfig):
 class _NoiseFeed:
     """Layer 1's noise pairs for one `train` call, one per epoch, from
     `diffusion._noise_state` on the training graph and rng (see the module
-    docstring). The worker thread, if any, exists while the feed is open and
-    runs only that private function."""
+    docstring). Its worker thread exists while the feed is open and runs
+    only that private function."""
 
     def __init__(self, na, shape, cfg: DiffusionConfig, rng, epochs: int, n_layers: int):
         self._draw = functools.partial(_diffusion._noise_state, na, shape, cfg, rng)
-        self._left = epochs  # pairs still to take
+        self._left = epochs  # pairs still to draw
         # With one layer the forward pass draws nothing, so the next pair may
         # be drawn at once; layers 2..L draw inside the forward pass.
         self._early = n_layers == 1
         self._pending = None
         self._worker = None
-        if epochs and _diffusion._usable_cpus() >= 2:
-            self._worker = ThreadPoolExecutor(max_workers=1)
-            self._submit()
 
     def __enter__(self):
+        self._worker = ThreadPoolExecutor(max_workers=1)
+        self._submit()
         return self
 
     def __exit__(self, *exc_info):
-        if self._worker is not None:
-            self._worker.shutdown(cancel_futures=True)  # joins the thread
+        self._worker.shutdown(cancel_futures=True)  # joins the thread
 
     def _submit(self):
-        if self._worker is not None and self._left:
+        if self._left:
+            self._left -= 1
             self._pending = self._worker.submit(self._draw)
 
     def take(self) -> DiffusionState:
         """This epoch's pair; a failure of the worker's task raises here."""
-        self._left -= 1
         pending, self._pending = self._pending, None
-        pair = self._draw() if pending is None else pending.result()
+        pair = pending.result()
         if self._early:
             self._submit()
         return pair
@@ -299,7 +298,7 @@ def train(
         x_diffused = diffuse_inputs(na, x, dcfg)
 
     feed = None
-    if x_diffused is not None and cfg.m0_mode == "uniform":
+    if x_diffused is not None and cfg.m0_mode == "uniform" and _diffusion._usable_cpus() >= 2:
         feed = _NoiseFeed(na, (graph.n, cfg.dim), dcfg, rng, cfg.epochs, cfg.n_layers)
 
     history: list[float] = []

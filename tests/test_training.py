@@ -2,6 +2,7 @@ import importlib
 import inspect
 import sys
 import threading
+import types
 import tracemalloc
 import weakref
 
@@ -634,10 +635,15 @@ def test_train_reraises_a_failure_of_the_worker_task(monkeypatch, n_layers):
         train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", 6))
 
 
-@pytest.mark.parametrize("outcome", ("return", "abort", "raise"))
+@pytest.mark.parametrize("outcome", ("return", "abort", "raise", "raise before the loop"))
 def test_train_leaves_no_thread_behind(monkeypatch, outcome):
     use_cpus(monkeypatch, 2)
-    if outcome == "abort":
+    if outcome == "raise before the loop":
+        def deepcopy(obj):
+            raise RuntimeError("copy failed")
+
+        monkeypatch.setattr(sgdnet.training, "copy", types.SimpleNamespace(deepcopy=deepcopy))
+    elif outcome == "abort":
         real_loss = sgdnet.training.loss_total
         losses = []
 
@@ -655,7 +661,7 @@ def test_train_leaves_no_thread_behind(monkeypatch, outcome):
     except TrainingAbort as exc:
         assert outcome == "abort" and len(exc.history) == 2
     except RuntimeError:
-        assert outcome == "raise"
+        assert outcome.startswith("raise")
     else:
         assert outcome == "return"
     assert threading.active_count() == before
