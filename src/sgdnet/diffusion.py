@@ -48,9 +48,21 @@ No public function of the package ever runs off the calling thread.
 
 Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
 bound holds for each channel on its own. The p/m state is recovered once,
-as p = (s + d) / 2 and m = (s - d) / 2. `exact_solve` solves the two
+as p = (s + d) / 2 and m = (s - d) / 2, written into the two halves of one
+n x 2d block [p || m]. `diffuse`, `diffusion_steps` and `exact_solve`
+return the halves as views; the model's layers keep the block, which they
+mix and the backward pass reads without a copy. `exact_solve` solves the two
 channels' fixed points densely, for graphs of at most EXACT_MAX_N nodes;
 the tests check it against the per-sign block system built from the graph.
+
+The adjoint owns its inputs: its caller hands the gradient pair over in a
+one-element list, so that `training.backward` has its n x 2d gradient freed
+once the two start sums exist, and each walk scales its own start by c in
+place and injects that instead of a copy. `diffuse` and `diffuse_adjoint`
+check that their inputs are finite and raise ValueError. The model's layers
+and `training.backward` call the same passes unchecked (`_diffuse`,
+`_adjoint`): a layer checks its features itself and raises NumericError, and
+`backward` checks the gradients it returns.
 """
 
 from __future__ import annotations
@@ -97,17 +109,24 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _restart_walk(op, start: list, inject: np.ndarray | None, decay: float, k_steps: int):
+def _restart_walk(op, start: list, inject, decay: float, k_steps: int):
     """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
-    one sparse product per step; an inject of None adds nothing. The decay is
-    folded into a scaled copy of op's values once per walk, on op's own index
-    arrays, so no step makes an extra pass over z. `start` is a one-element
-    list holding z_0; the walk pops it, so that z_0 can be freed after the
-    first step."""
+    one sparse product per step. `inject` is an n x d array, None (add
+    nothing), or a float c for an inject of c * z_0: the walk then scales z_0
+    by c in place once the first product has read it and injects that, so it
+    keeps no copy. The decay is folded into a scaled copy of op's values once
+    per walk, on op's own index arrays, so no step makes an extra pass over z.
+    `start` is a one-element list holding z_0; the walk pops it, so that z_0
+    is freed after the first step, or, with a float inject, is the walk's own
+    to scale."""
     op = type(op)((op.data * decay, op.indices, op.indptr), shape=op.shape)
     z = start.pop()
-    for _ in range(k_steps):
-        z = op @ z
+    for step in range(k_steps):
+        z_prev, z = z, op @ z
+        if step == 0 and isinstance(inject, float):
+            z_prev *= inject
+            inject = z_prev
+        del z_prev
         if inject is not None:
             z += inject
         yield z
@@ -139,9 +158,21 @@ def _run_walks(walk_s, walk_d) -> tuple[np.ndarray, np.ndarray]:
         return s, future_d.result()
 
 
-def _to_state(s: np.ndarray, d: np.ndarray) -> DiffusionState:
-    """Turn the sum/difference channels back into the p/m channels."""
-    return DiffusionState(0.5 * (s + d), 0.5 * (s - d))
+def _readout(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The p/m channels p = (s + d) / 2 and m = (s - d) / 2 of the
+    sum/difference channels, written into the halves of one n x 2d block."""
+    k = s.shape[1]
+    pm = np.empty((s.shape[0], 2 * k))
+    np.add(s, d, out=pm[:, :k])
+    np.subtract(s, d, out=pm[:, k:])
+    pm *= 0.5
+    return pm
+
+
+def _state(pm: np.ndarray) -> DiffusionState:
+    """The two halves of an n x 2d block [p || m], as views."""
+    k = pm.shape[1] // 2
+    return DiffusionState(pm[:, :k], pm[:, k:])
 
 
 def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, rng):
@@ -203,7 +234,7 @@ def diffusion_steps(
     m0, walk_s, walk_d = _forward_walks(na, h, cfg, rng)
     yield DiffusionState(h, np.zeros_like(h) if m0 is None else m0)
     for s, d in zip(walk_s, walk_d):
-        yield _to_state(s, d)
+        yield _state(_readout(s, d))
 
 
 def diffuse(
@@ -213,9 +244,15 @@ def diffuse(
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
     """Run the signed random-walk diffusion for cfg.k_steps steps."""
+    return _state(_diffuse(na, _check_features(na, h_tilde), cfg, rng))
+
+
+def _diffuse(na, h: np.ndarray, cfg: DiffusionConfig, rng) -> np.ndarray:
+    """`diffuse` on n x d float64 features that the caller has checked to be
+    finite, returned as the n x 2d block [p || m]."""
     # Slicing off m0 frees it: the walks hold their own start states.
-    walks = _forward_walks(na, _check_features(na, h_tilde), cfg, rng)[1:]
-    return _to_state(*_run_walks(*walks))
+    walks = _forward_walks(na, h, cfg, rng)[1:]
+    return _readout(*_run_walks(*walks))
 
 
 def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> DiffusionState:
@@ -238,7 +275,7 @@ def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> Diffu
         lhs[np.diag_indices(na.n)] += 1.0
         return np.linalg.solve(lhs, c * h_tilde)
 
-    return _to_state(*map(solve, na.adj))
+    return _state(_readout(*map(solve, na.adj)))
 
 
 def diffuse_adjoint(
@@ -262,15 +299,26 @@ def diffuse_adjoint(
     grad_m = _check_features(na, grad_m)
     if grad_p.shape != grad_m.shape:
         raise ValueError(f"gradient shapes differ: {grad_p.shape} vs {grad_m.shape}")
+    return _adjoint(na, [(grad_p, grad_m)], cfg)
 
+
+def _adjoint(na, grads: list, cfg: DiffusionConfig) -> np.ndarray:
+    """`diffuse_adjoint` on a pair of equal-shape gradients that the caller
+    vouches for. `grads` is a one-element list holding the pair
+    (grad_p, grad_m); the adjoint pops it, so that a caller that keeps no
+    other reference has the pair freed once the two start sums exist. Each
+    walk then scales its own start by c in place and injects it."""
+    grad_p, grad_m = grads.pop()
     start_s, start_d = [grad_p + grad_m], [grad_p - grad_m]
-    inject_s, inject_d = cfg.c * start_s[0], cfg.c * start_d[0]
-    decay = 1.0 - cfg.c
+    del grad_p, grad_m
+    c, decay = float(cfg.c), 1.0 - cfg.c  # a float inject: c * the walk's own start
     s, d = _run_walks(
-        _restart_walk(na.adj[0], start_s, inject_s, decay, cfg.k_steps),
-        _restart_walk(na.adj[1], start_d, inject_d, decay, cfg.k_steps),
+        _restart_walk(na.adj[0], start_s, c, decay, cfg.k_steps),
+        _restart_walk(na.adj[1], start_d, c, decay, cfg.k_steps),
     )
-    return 0.5 * (s + d)
+    s += d  # 0.5 * (s + d), in s's own memory
+    s *= 0.5
+    return s
 
 
 def l1_distance(a: DiffusionState, b: DiffusionState) -> float:

@@ -5,17 +5,22 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 
     h_next = tanh([p || m] @ w_n + h_prev)
 
+The diffusion writes p and m into the two halves of one n x 2d block, so
+[p || m] is that block: the layer mixes it and keeps it for the backward
+pass without a copy (`LayerCache.pm`).
+
 The diffusion is linear in the features it carries. Layer 1 diffuses
 h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
 W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
 features can be run once per training graph (`diffuse_inputs`). Given it,
-layer 1 computes p = x_p @ W and m = x_m @ W with no sparse work. In uniform
-mode it adds the parameter-free pair diffuse(0, m0), the "noise": m0 is drawn
-from the same rng in the same order as on the direct path, by
-`diffusion._noise_state`. With two or more usable CPUs, `training.train`
-hands layer 1 that pair, drawn and diffused on a worker thread while the
-previous epoch ran; otherwise `model_forward` draws it inline. The state holds 2 * n * d0 float64
-(about 8 MB at Bitcoin-Alpha size, 270 MB at Epinions size with d0 = 128).
+layer 1 computes p = x_p @ W and m = x_m @ W, into the halves of a block,
+with no sparse work. In uniform mode it adds the parameter-free pair
+diffuse(0, m0), the "noise": m0 is drawn from the same rng in the same order
+as on the direct path, by `diffusion._noise_state`. With two or more usable
+CPUs, `training.train` hands layer 1 that pair, drawn and diffused on a
+worker thread while the previous epoch ran; otherwise `model_forward` draws
+it inline. The state holds 2 * n * d0 float64 (about 8 MB at Bitcoin-Alpha
+size, 270 MB at Epinions size with d0 = 128).
 `training.train` decides when it pays for itself. Layers 2 and up always
 diffuse directly.
 
@@ -95,8 +100,7 @@ def init_params(d0: int, d: int, n_layers: int, seed: int = 0) -> ModelParams:
 
 class LayerCache(NamedTuple):
     h_prev: np.ndarray
-    p: np.ndarray
-    m: np.ndarray
+    pm: np.ndarray  # the diffused channels as one n x 2d block [p || m]
     h_next: np.ndarray
 
 
@@ -120,8 +124,7 @@ def layer_forward(
     h_tilde = h_prev @ params.w_t
     if not np.all(np.isfinite(h_tilde)):
         raise NumericError("non-finite features entering the diffusion")
-    p, m = diffusion.diffuse(na, h_tilde, cfg, rng=rng)
-    return _mix(h_prev, p, m, params)
+    return _mix(h_prev, diffusion._diffuse(na, h_tilde, cfg, rng), params)
 
 
 def _first_layer_forward(
@@ -134,21 +137,25 @@ def _first_layer_forward(
     """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t),
     plus `noise`, the diffusion of (0, m0), if given."""
     w = w_in @ params.w_t
-    p = x_diffused.p @ w
-    m = x_diffused.m @ w
+    d = w.shape[1]
+    pm = np.empty((h0.shape[0], 2 * d))
+    p = np.matmul(x_diffused.p, w, out=pm[:, :d])
+    m = np.matmul(x_diffused.m, w, out=pm[:, d:])
     if noise is not None:
         p += noise.p
         m += noise.m
-    return _mix(h0, p, m, params)
+    return _mix(h0, pm, params)
 
 
-def _mix(h_prev, p, m, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
-    """Mix the diffusion channels, add the skip connection, apply tanh."""
-    pre = np.hstack([p, m]) @ params.w_n + h_prev
+def _mix(h_prev, pm, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
+    """Mix the diffusion channels, held as one n x 2d block [p || m], add
+    the skip connection, apply tanh."""
+    pre = pm @ params.w_n
+    pre += h_prev
     if not np.all(np.isfinite(pre)):
         raise NumericError("non-finite activations in diffusion layer")
     h_next = np.tanh(pre)
-    return h_next, LayerCache(h_prev=h_prev, p=p, m=m, h_next=h_next)
+    return h_next, LayerCache(h_prev=h_prev, pm=pm, h_next=h_next)
 
 
 def diffuse_inputs(
@@ -175,9 +182,9 @@ def model_forward(
     mode without it, layer 1 draws that pair from `rng`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.w_in.shape[0]:
+    if x.shape != (na.n, params.w_in.shape[0]):
         raise ValueError(
-            f"input features must be n x {params.w_in.shape[0]}, got shape {x.shape}"
+            f"input features must be {na.n} x {params.w_in.shape[0]}, got shape {x.shape}"
         )
     h = x @ params.w_in
     h0 = h

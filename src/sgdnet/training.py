@@ -29,9 +29,11 @@ is entered and is shut down, its thread joined, when `train` returns or
 raises.
 
 `backward` spends the `ForwardCache` it is given. It pops each layer's
-entry as it reaches that layer and drops the layer's p, m and h_next before
-the diffusion adjoint runs, so each adjoint's walks share memory only with
-the layers below. A cache serves one `backward`; a second call raises.
+entry as it reaches that layer and drops the layer's channel block and
+h_next before the diffusion adjoint runs. It hands the adjoint the block's
+n x 2d gradient dpm, which is freed once the adjoint's two start sums
+exist, so each adjoint's walks share memory only with the layers below. A
+cache serves one `backward`; a second call raises.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def backward(
     an adjoint pass.
 
     Spends `cache`: each layer's entry is popped from `cache.layers`, and
-    its p, m and h_next are dropped before that layer's diffusion adjoint
-    runs. A second call on the same cache raises ValueError; run
-    `forward_loss` (or `model_forward`) again for a new one.
+    its channel block and h_next, and then dpm, are dropped before that
+    layer's diffusion adjoint runs its walks. A second call on the same
+    cache raises ValueError; run `forward_loss` (or `model_forward`) again
+    for a new one.
     """
     layers = cache.layers
     if len(layers) != len(params.layers):
@@ -104,22 +107,25 @@ def backward(
     dw_in = 0.0  # w_in's gradient through layer 1's W = w_in @ w_t
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        h_prev, p, m, h_next = layers.pop()
+        h_prev, pm, h_next = layers.pop()
         dpre = h_next * h_next
         del h_next
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dh
         del dh
-        # Not kept: the n x 2d stack would stay alive through the adjoint.
-        grads[f"layers.{i}.w_n"] = np.hstack([p, m]).T @ dpre
-        del p, m
+        grads[f"layers.{i}.w_n"] = pm.T @ dpre
+        del pm
         dpm = dpre @ layer.w_n.T
         if i == 0 and x_diffused is not None:
             dw = x_diffused.p.T @ dpm[:, :d] + x_diffused.m.T @ dpm[:, d:]
             grads[f"layers.{i}.w_t"] = params.w_in.T @ dw
             dw_in = dw @ layer.w_t.T
         else:
-            dh_tilde = _diffusion.diffuse_adjoint(na, dpm[:, :d], dpm[:, d:], cfg)
+            # Handed over in a list (see `_diffusion._adjoint`), so that dpm
+            # is freed once the adjoint's start sums exist.
+            owned = [(dpm[:, :d], dpm[:, d:])]
+            del dpm
+            dh_tilde = _diffusion._adjoint(na, owned, cfg)
             grads[f"layers.{i}.w_t"] = h_prev.T @ dh_tilde
             dpre += dh_tilde @ layer.w_t.T  # the transform path joins the skip path
         dh = dpre

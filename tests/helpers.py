@@ -198,8 +198,8 @@ def column_sums_of_b(na):
 
 # The finite-difference gradient check. It calls `training.forward_loss` and
 # `training.backward` through the module, so a test that monkeypatches either
-# (or `diffusion.diffuse_adjoint`, which `backward` calls the same way) is
-# checked with the patched function.
+# (or `diffusion._adjoint`, which `backward` calls the same way) is checked
+# with the patched function.
 
 
 @dataclass

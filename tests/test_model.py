@@ -3,11 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from sgdnet.diffusion import DiffusionConfig, diffuse
+from sgdnet.diffusion import DiffusionConfig, _noise_state, diffuse
 from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.model import (
     _HEADER,
     EdgeBatch,
+    diffuse_inputs,
     edge_logits,
     init_params,
     layer_forward,
@@ -90,7 +91,38 @@ def test_layer_matches_diffusion_oracle_on_toy_graph():
     assert np.allclose(p, [[0.5], [0.25]])
     expected = np.tanh(np.hstack([p, m]) @ layer.w_n + h_prev)
     assert np.allclose(h_next, expected)
-    assert np.allclose(cache.p, p)
+    assert np.allclose(cache.pm, np.hstack([p, m]))
+
+
+def test_layer_mixes_its_channel_block_as_the_stacked_channels_bytewise():
+    g = random_signed_graph(200, avg_out_degree=4.0, neg_fraction=0.3, seed=8)
+    na = normalize(g)
+    h_prev = np.random.default_rng(8).standard_normal((na.n, 5))
+    layer = init_params(5, 5, 1, seed=8).layers[0]
+    cfg = DiffusionConfig(c=0.35, k_steps=6, m0_mode="uniform")
+    h_next, cache = layer_forward(na, h_prev, layer, cfg, rng=np.random.default_rng(1))
+    p, m = diffuse(na, h_prev @ layer.w_t, cfg, rng=np.random.default_rng(1))
+    assert cache.pm.tobytes() == np.hstack([p, m]).tobytes()
+    expected = np.tanh(np.hstack([p, m]) @ layer.w_n + h_prev)
+    assert h_next.tobytes() == expected.tobytes()
+
+
+def test_precomputed_first_layer_block_equals_the_stacked_channels_bytewise():
+    g = random_signed_graph(200, avg_out_degree=4.0, neg_fraction=0.3, seed=9)
+    na = normalize(g)
+    x = np.random.default_rng(9).standard_normal((na.n, 7))
+    params = init_params(7, 4, 1, seed=9)
+    layer = params.layers[0]
+    cfg = DiffusionConfig(c=0.35, k_steps=6, m0_mode="uniform")
+    x_diffused = diffuse_inputs(na, x, cfg)
+    h_final, cache = model_forward(na, x, params, cfg, rng=np.random.default_rng(2),
+                                   x_diffused=x_diffused)
+    noise = _noise_state(na, (na.n, 4), cfg, np.random.default_rng(2))
+    w = params.w_in @ layer.w_t
+    pm = np.hstack([x_diffused.p @ w + noise.p, x_diffused.m @ w + noise.m])
+    assert cache.layers[0].pm.tobytes() == pm.tobytes()
+    expected = np.tanh(pm @ layer.w_n + x @ params.w_in)
+    assert h_final.tobytes() == expected.tobytes()
 
 
 def test_layer_output_in_open_unit_interval():
