@@ -29,22 +29,14 @@ multiply by S and D. When the process may run on two or more CPUs,
 worker thread while the calling thread runs the sum walk (scipy's
 sparse-times-dense product releases the GIL). On a single usable CPU (per
 the process's CPU affinity) both walks run inline, one after the other,
-which measured faster there: pinned to one CPU of a 2-CPU Xeon with one
-BLAS thread, `diffuse` plus `diffuse_adjoint` (K = 10, d = 32) took
-1.05-1.22 s inline against 1.54-1.69 s threaded at half-Epinions shape
-(inline faster in 4 of 4 alternating process pairs), and medians of 36.5
-against 39.5 ms at Bitcoin-Alpha shape (5 of 6). The worker pool lives for
-one call: a pool kept across calls would leave a thread behind that a
-forked child cannot use. Each walk does the same arithmetic in either case,
-so the results are bitwise the same. `diffusion_steps` advances both walks
-in lockstep on the calling thread.
-
-Two kinds of thread run code of this module besides the caller's: the
-per-call walk worker above, and the worker of `training.train`, which lives
-for one `train` call and runs `_noise_state` (the next epoch's layer-1
-noise, on the same rng and arithmetic) while the caller runs the dense work.
-Both run only private code: the walks, `rng.uniform` and array arithmetic.
-No public function of the package ever runs off the calling thread.
+which measured faster there. The worker pool lives for one call: a pool
+kept across calls would leave a thread behind that a forked child cannot
+use. Each walk does the same arithmetic in either case, so the results are
+bitwise the same. `diffusion_steps` advances both walks in lockstep on the
+calling thread. The only other thread that runs code of this module is
+`training.train`'s noise worker, which runs `_noise_state`; like the walk
+worker it runs only private code, so no public function of the package
+ever runs off the calling thread.
 
 Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
 bound holds for each channel on its own. The p/m state is recovered once,
@@ -243,7 +235,11 @@ def diffuse(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
-    """Run the signed random-walk diffusion for cfg.k_steps steps."""
+    """Run the signed random-walk diffusion for cfg.k_steps steps.
+
+    Kept beside `_diffuse` as the checked entry point (ValueError on bad
+    input) that the oracle and acceptance tests call and that
+    `benchmarks/spans.py` times."""
     return _state(_diffuse(na, _check_features(na, h_tilde), cfg, rng))
 
 
@@ -294,6 +290,10 @@ def diffuse_adjoint(
     into the forward recurrence with g re-injected, run on the sum and
     difference channels of g with the pair `adj`, one sparse product per
     step and channel.
+
+    Kept beside `_adjoint` as the checked entry point (ValueError on bad
+    input) that the oracle and acceptance tests call and that
+    `benchmarks/spans.py` times.
     """
     grad_p = _check_features(na, grad_p)
     grad_m = _check_features(na, grad_m)

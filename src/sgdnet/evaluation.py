@@ -114,10 +114,11 @@ def score_report(scores, predictions, labels) -> MetricReport:
         auc_value = auc(scores, labels)
     except MetricError:
         auc_value = None
+    per_class = class_metrics(predictions, labels)
     return MetricReport(
         auc=auc_value,
-        f1_macro=f1_macro(predictions, labels),
-        per_class=class_metrics(predictions, labels),
+        f1_macro=0.5 * (per_class[1]["f1"] + per_class[-1]["f1"]),
+        per_class=per_class,
     )
 
 

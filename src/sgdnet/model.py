@@ -5,9 +5,7 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 
     h_next = tanh([p || m] @ w_n + h_prev)
 
-The diffusion writes p and m into the two halves of one n x 2d block, so
-[p || m] is that block: the layer mixes it and keeps it for the backward
-pass without a copy (`LayerCache.pm`).
+[p || m] is the diffusion's n x 2d block (see `diffusion`), kept as `LayerCache.pm`.
 
 The diffusion is linear in the features it carries. Layer 1 diffuses
 h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
@@ -15,14 +13,9 @@ W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
 features can be run once per training graph (`diffuse_inputs`). Given it,
 layer 1 computes p = x_p @ W and m = x_m @ W, into the halves of a block,
 with no sparse work. In uniform mode it adds the parameter-free pair
-diffuse(0, m0), the "noise": m0 is drawn from the same rng in the same order
-as on the direct path, by `diffusion._noise_state`. With two or more usable
-CPUs, `training.train` hands layer 1 that pair, drawn and diffused on a
-worker thread while the previous epoch ran; otherwise `model_forward` draws
-it inline. The state holds 2 * n * d0 float64 (about 8 MB at Bitcoin-Alpha
-size, 270 MB at Epinions size with d0 = 128).
-`training.train` decides when it pays for itself. Layers 2 and up always
-diffuse directly.
+diffuse(0, m0), the "noise" (`diffusion._noise_state`). `training.train`
+decides when the precompute pays and schedules the noise (see there).
+Layers 2 and up always diffuse directly.
 
 The prediction head scores an edge (u, v) from the concatenated endpoint
 embeddings, with class 0 meaning a positive sign and class 1 a negative sign.

@@ -12,28 +12,26 @@ and each epoch then runs d fewer diffusion columns in uniform mode (the
 adjoint) and 2d fewer in zero mode (the forward and the adjoint). The cost
 of a diffusion is linear in its column count, so the rule is
 epochs * (columns saved per epoch) >= d0. The precomputed state holds
-2 * n * d0 float64 for the whole run.
+2 * n * d0 float64 for the whole run (270 MB at Epinions size, d0 = 128).
 
 On that path in uniform mode, layer 1 still adds a fresh noise pair each
-epoch: the diffusion of (0, m0), with m0 drawn from the training rng. It
-does not depend on the parameters, so `train` feeds it (`_NoiseFeed`): with
-two or more usable CPUs, a worker thread that lives for one `train` call
-draws and diffuses epoch e + 1's pair while the calling thread runs epoch
-e's forward, loss, backward and Adam step. The draws keep the direct path's
-rng order, layer 1 and then layers 2..L, epoch by epoch: with one layer the
-next draw starts once this epoch's pair is taken, with more only after the
-forward pass, whose layers 2..L draw inside it. On one usable CPU `train`
-makes no feed and `model_forward` draws the pair inline. Either way the
-losses and parameters are bitwise the same. The worker starts when the feed
-is entered and is shut down, its thread joined, when `train` returns or
-raises.
+epoch: the diffusion of (0, m0), with m0 drawn from the training rng
+(`diffusion._noise_state`). It does not depend on the parameters, so with
+two or more usable CPUs `train` runs its epoch loop beside a one-thread
+pool that draws and diffuses epoch e + 1's pair while the calling thread
+runs epoch e's forward, loss, backward and Adam step. The draws keep the
+direct path's rng order, layer 1 and then layers 2..L, epoch by epoch:
+with one layer the next draw is submitted as soon as this epoch's pair is
+taken, with more only after the forward pass, whose layers 2..L draw inside
+it. On one usable CPU `model_forward` draws the pair inline. Either way the
+losses and parameters are bitwise the same. The pool's thread is joined
+when `train` returns or raises.
 
 `backward` spends the `ForwardCache` it is given. It pops each layer's
-entry as it reaches that layer and drops the layer's channel block and
-h_next before the diffusion adjoint runs. It hands the adjoint the block's
-n x 2d gradient dpm, which is freed once the adjoint's two start sums
-exist, so each adjoint's walks share memory only with the layers below. A
-cache serves one `backward`; a second call raises.
+entry as it reaches that layer, drops the layer's channel block and h_next,
+and hands dpm over to the adjoint (see `diffusion`), so each adjoint's
+walks share memory only with the layers below. A cache serves one
+`backward`; a second call raises.
 """
 
 from __future__ import annotations
@@ -226,48 +224,6 @@ class TrainConfig(ModelConfig):
     seed: int = 0
 
 
-class _NoiseFeed:
-    """Layer 1's noise pairs for one `train` call, one per epoch, from
-    `diffusion._noise_state` on the training graph and rng (see the module
-    docstring). Its worker thread exists while the feed is open and runs
-    only that private function."""
-
-    def __init__(self, na, shape, cfg: DiffusionConfig, rng, epochs: int, n_layers: int):
-        self._draw = functools.partial(_diffusion._noise_state, na, shape, cfg, rng)
-        self._left = epochs  # pairs still to draw
-        # With one layer the forward pass draws nothing, so the next pair may
-        # be drawn at once; layers 2..L draw inside the forward pass.
-        self._early = n_layers == 1
-        self._pending = None
-        self._worker = None
-
-    def __enter__(self):
-        self._worker = ThreadPoolExecutor(max_workers=1)
-        self._submit()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._worker.shutdown(cancel_futures=True)  # joins the thread
-
-    def _submit(self):
-        if self._left:
-            self._left -= 1
-            self._pending = self._worker.submit(self._draw)
-
-    def take(self) -> DiffusionState:
-        """This epoch's pair; a failure of the worker's task raises here."""
-        pending, self._pending = self._pending, None
-        pair = pending.result()
-        if self._early:
-            self._submit()
-        return pair
-
-    def forward_done(self) -> None:
-        """Layers 2..L have drawn this epoch's m0s."""
-        if not self._early:
-            self._submit()
-
-
 class TrainingAbort(NumericError):
     """Training hit a non-finite loss; carries the last good parameters."""
 
@@ -303,21 +259,27 @@ def train(
     if cfg.epochs * saved_per_epoch >= x.shape[1] and np.all(np.isfinite(x)):
         x_diffused = diffuse_inputs(na, x, dcfg)
 
-    feed = None
+    draw = None
     if x_diffused is not None and cfg.m0_mode == "uniform" and _diffusion._usable_cpus() >= 2:
-        feed = _NoiseFeed(na, (graph.n, cfg.dim), dcfg, rng, cfg.epochs, cfg.n_layers)
+        draw = functools.partial(_diffusion._noise_state, na, (graph.n, cfg.dim), dcfg, rng)
 
     history: list[float] = []
     last_good = copy.deepcopy(params)
-    with feed or contextlib.nullcontext():
+    with ThreadPoolExecutor(max_workers=1) if draw else contextlib.nullcontext() as worker:
+        pending = worker.submit(draw) if worker and cfg.epochs else None
         for epoch in range(cfg.epochs):
+            draw_next = worker and epoch + 1 < cfg.epochs  # order: module docstring
             try:
+                noise, pending = pending and pending.result(), None
+                if draw_next and cfg.n_layers == 1:
+                    pending = worker.submit(draw)
                 loss, logits, cache = forward_loss(
                     na, x, params, dcfg, batch, cfg.weight_decay, rng=rng,
-                    x_diffused=x_diffused, noise=feed.take() if feed else None,
+                    x_diffused=x_diffused, noise=noise,
                 )
-                if feed:
-                    feed.forward_done()
+                del noise  # spent: layer 1 added it into its block
+                if draw_next and cfg.n_layers > 1:
+                    pending = worker.submit(draw)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 grads = backward(

@@ -743,3 +743,60 @@ def test_train_leaves_no_thread_behind(monkeypatch, outcome):
     else:
         assert outcome == "return"
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_layers", (1, 2, 3))
+def test_train_draws_the_next_noise_pair_in_rng_order(monkeypatch, n_layers):
+    # With one layer the next epoch's draw overlaps this epoch's forward pass;
+    # with more it may start only after the forward pass, whose layers 2..L
+    # draw from the same rng. A draw submitted before the forward pass starts
+    # on the idle worker within the wait below.
+    use_cpus(monkeypatch, 2)
+    epochs = 4
+    started = [threading.Event() for _ in range(epochs + 1)]
+    draws = []
+    real_noise, real_forward = sgdnet.diffusion._noise_state, sgdnet.training.forward_loss
+
+    def noise(*args):
+        started[len(draws)].set()
+        draws.append(1)
+        return real_noise(*args)
+
+    forwards, seen = [], []
+
+    def forward_loss(*args, **kwargs):
+        out = real_forward(*args, **kwargs)
+        epoch = len(forwards)
+        forwards.append(1)
+        if epoch + 1 < epochs:
+            seen.append(started[epoch + 1].wait(timeout=5.0 if n_layers == 1 else 0.2))
+        return out
+
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state", noise)
+    monkeypatch.setattr(sgdnet.training, "forward_loss", forward_loss)
+    train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", epochs))
+    assert seen == [n_layers == 1] * (epochs - 1)
+    assert len(draws) == epochs
+
+
+@pytest.mark.parametrize("n_layers", (1, 2))
+def test_train_frees_each_noise_pair_before_backward(monkeypatch, n_layers):
+    # Layer 1 adds the pair into its block, so the epoch loop must not keep
+    # it (or the finished task that returned it) alive through the backward.
+    use_cpus(monkeypatch, 2)
+    real_noise, real_backward = sgdnet.diffusion._noise_state, sgdnet.training.backward
+    pairs, alive = [], []
+
+    def noise(*args):
+        pair = real_noise(*args)
+        pairs.append((weakref.ref(pair.p), weakref.ref(pair.m)))
+        return pair
+
+    def backward(*args, **kwargs):
+        alive.append(any(ref() is not None for ref in pairs[len(alive)]))
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state", noise)
+    monkeypatch.setattr(sgdnet.training, "backward", backward)
+    train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", 4))
+    assert alive == [False] * 4
