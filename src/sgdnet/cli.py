@@ -3,8 +3,8 @@ inspection, and multi-seed experiments with persisted artifacts.
 
 Exit codes: 0 success, 2 usage/config/data or file-system error, 3 numeric
 failure.
-All randomness funnels through one --seed per run; sub-streams are derived in
-a fixed order (split, svd, training) so components stay reproducible.
+All randomness funnels through one --seed per run, from which `seeding`
+derives each component's sub-stream in a fixed order.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
     from .features import load_features, save_features
     from .graph import build_graph, read_edge_tsv, save_edge_list
     from .model import save_checkpoint
-    from .seeding import spawn_seeds
+    from .seeding import run_seeds
     from .training import TrainConfig, TrainingAbort, train
 
     if not 0.0 <= args.split_ratio < 1.0:
@@ -214,7 +214,7 @@ def cmd_train(args) -> int:
         save_edge_list(os.path.join(out_dir, "test_edges.tsv"), split.test)
     else:
         graph = build_graph(edges, n)
-        cfg.seed = spawn_seeds(args.seed, 3)[2]  # the training seed of the split branch
+        cfg.seed = run_seeds(args.seed).train
 
     save_edge_list(os.path.join(out_dir, "train_edges.tsv"), graph.edges)
     save_features(os.path.join(out_dir, "train_features.sgdf"), x)

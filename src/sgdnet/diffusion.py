@@ -47,14 +47,12 @@ mix and the backward pass reads without a copy. `exact_solve` solves the two
 channels' fixed points densely, for graphs of at most EXACT_MAX_N nodes;
 the tests check it against the per-sign block system built from the graph.
 
-The adjoint owns its inputs: its caller hands the gradient pair over in a
-one-element list, so that `training.backward` has its n x 2d gradient freed
-once the two start sums exist, and each walk scales its own start by c in
-place and injects that instead of a copy. `diffuse` and `diffuse_adjoint`
-check that their inputs are finite and raise ValueError. The model's layers
-and `training.backward` call the same passes unchecked (`_diffuse`,
-`_adjoint`): a layer checks its features itself and raises NumericError, and
-`backward` checks the gradients it returns.
+`diffuse` and `diffuse_adjoint` check that their inputs are finite and raise
+ValueError; `model.diffuse_inputs` calls `diffuse`, and otherwise only the
+tests call them. The model's layers and `training.backward` call the same
+passes unchecked (`_diffuse`, and `_adjoint`, which owns its inputs): a
+layer checks its features itself and raises NumericError, and `backward`
+checks the gradients it returns.
 """
 
 from __future__ import annotations
@@ -139,9 +137,8 @@ def _usable_cpus() -> int:
 
 
 def _run_walks(walk_s, walk_d) -> tuple[np.ndarray, np.ndarray]:
-    """Final states of the sum and difference walks. With two or more usable
-    CPUs the difference walk runs on a worker thread meanwhile; the worker
-    runs only the walk itself, never a public function of this package."""
+    """Final states of the sum and difference walks, the difference walk on
+    a worker thread with two or more usable CPUs (see the module docstring)."""
     if _usable_cpus() < 2:
         return _last(walk_s), _last(walk_d)
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -167,18 +164,22 @@ def _state(pm: np.ndarray) -> DiffusionState:
     return DiffusionState(pm[:, :k], pm[:, k:])
 
 
+def _draw_m0(shape: tuple[int, int], cfg: DiffusionConfig, rng) -> np.ndarray | None:
+    """The negative channel's start m0: None in zero mode, else rng.uniform(-1, 1)."""
+    if cfg.m0_mode == "zero":
+        return None
+    if rng is None:
+        raise ValueError("m0_mode='uniform' needs an rng")
+    return rng.uniform(-1.0, 1.0, size=shape)
+
+
 def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, rng):
     """Draw m0 and build the sum and difference walks from T0 = (h, m0),
     injecting c * h at every step. Returns (m0, walk_s, walk_d). In zero
     mode m0 is None and both walks start from h itself, which no walk
-    writes to; in uniform mode m0 is a seeded draw in [-1, 1]."""
-    if cfg.m0_mode == "zero":
-        m0, start_s, start_d = None, h, h
-    elif rng is None:
-        raise ValueError("m0_mode='uniform' needs an rng")
-    else:
-        m0 = rng.uniform(-1.0, 1.0, size=h.shape)
-        start_s, start_d = h + m0, h - m0
+    writes to."""
+    m0 = _draw_m0(h.shape, cfg, rng)
+    start_s, start_d = (h, h) if m0 is None else (h + m0, h - m0)
     inject = cfg.c * h
     decay = 1.0 - cfg.c
     return (
@@ -197,7 +198,7 @@ def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> Diffu
     walks run inline, one after the other, and m0 and each walk's states are
     dropped as soon as they are spent. Runs no public function of this
     package, so `training.train` may call it on a worker thread."""
-    m0 = rng.uniform(-1.0, 1.0, size=shape)
+    m0 = _draw_m0(shape, cfg, rng)
     start_d = [np.negative(m0)]
     start_s = [m0]
     del m0
@@ -235,11 +236,8 @@ def diffuse(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
-    """Run the signed random-walk diffusion for cfg.k_steps steps.
-
-    Kept beside `_diffuse` as the checked entry point (ValueError on bad
-    input) that the oracle and acceptance tests call and that
-    `benchmarks/spans.py` times."""
+    """Run the signed random-walk diffusion for cfg.k_steps steps; the
+    checked form of `_diffuse` (see the module docstring)."""
     return _state(_diffuse(na, _check_features(na, h_tilde), cfg, rng))
 
 
@@ -289,11 +287,8 @@ def diffuse_adjoint(
     a constant, so its path is dropped. Horner's rule turns the polynomial
     into the forward recurrence with g re-injected, run on the sum and
     difference channels of g with the pair `adj`, one sparse product per
-    step and channel.
-
-    Kept beside `_adjoint` as the checked entry point (ValueError on bad
-    input) that the oracle and acceptance tests call and that
-    `benchmarks/spans.py` times.
+    step and channel. The checked form of `_adjoint` (see the module
+    docstring).
     """
     grad_p = _check_features(na, grad_p)
     grad_m = _check_features(na, grad_m)

@@ -19,7 +19,7 @@ from .diffusion import DiffusionConfig
 from .features import init_features
 from .graph import EdgeList, SignedDigraph, as_edge_list, build_graph, normalize
 from .model import EdgeBatch, ModelParams, edge_logits, model_forward, softmax
-from .seeding import spawn_seeds
+from .seeding import run_seeds
 from .training import ModelConfig, TrainConfig, train
 
 
@@ -114,11 +114,8 @@ def score_report(scores, predictions, labels) -> MetricReport:
         auc_value = auc(scores, labels)
     except MetricError:
         auc_value = None
-    per_class = class_metrics(predictions, labels)
     return MetricReport(
-        auc=auc_value,
-        f1_macro=0.5 * (per_class[1]["f1"] + per_class[-1]["f1"]),
-        per_class=per_class,
+        auc_value, f1_macro(predictions, labels), class_metrics(predictions, labels)
     )
 
 
@@ -167,11 +164,11 @@ def _split_features(edges, n: int, ratio: float, svd_rank: int, seed: int):
     """The protocol's first steps for one run seed: split the edges, rebuild
     the graph from the training edges, and take its SVD features. Returns
     (split, training graph, features, training seed)."""
-    split_seed, svd_seed, train_seed = spawn_seeds(seed, 3)
-    split = split_edges(edges, ratio, split_seed)
+    seeds = run_seeds(seed)
+    split = split_edges(edges, ratio, seeds.split)
     graph = build_graph(split.train, n)
-    x = init_features(graph, min(svd_rank, n), seed=svd_seed)
-    return split, graph, x, train_seed
+    x = init_features(graph, min(svd_rank, n), seed=seeds.svd)
+    return split, graph, x, seeds.train
 
 
 def run_seed(edges, n: int, config: ExperimentConfig, seed: int) -> SeedResult:

@@ -98,10 +98,14 @@ class LayerCache(NamedTuple):
 
 
 class ForwardCache(NamedTuple):
-    """What `model_forward` keeps for the backward pass, one `LayerCache` per
-    layer. `training.backward` spends it: it pops `layers` as it goes."""
+    """What `model_forward` ran on and keeps, one `LayerCache` per layer: all
+    that `training.backward` reads. `backward` pops `layers` as it goes."""
 
+    na: NormalizedAdjacency
+    cfg: DiffusionConfig
+    params: ModelParams
     x: np.ndarray
+    x_diffused: DiffusionState | None
     h0: np.ndarray
     layers: list[LayerCache]
 
@@ -179,20 +183,17 @@ def model_forward(
         raise ValueError(
             f"input features must be {na.n} x {params.w_in.shape[0]}, got shape {x.shape}"
         )
-    h = x @ params.w_in
-    h0 = h
+    h0 = h = x @ params.w_in
     caches = []
     for i, layer in enumerate(params.layers):
         if i == 0 and x_diffused is not None:
             if noise is None and cfg.m0_mode == "uniform":
-                if rng is None:
-                    raise ValueError("m0_mode='uniform' needs an rng")
                 noise = diffusion._noise_state(na, h.shape, cfg, rng)
             h, cache = _first_layer_forward(h, x_diffused, params.w_in, layer, noise)
         else:
             h, cache = layer_forward(na, h, layer, cfg, rng=rng)
         caches.append(cache)
-    return h, ForwardCache(x=x, h0=h0, layers=caches)
+    return h, ForwardCache(na, cfg, params, x, x_diffused, h0, caches)
 
 
 class EdgeBatch(NamedTuple):

@@ -27,10 +27,11 @@ it. On one usable CPU `model_forward` draws the pair inline. Either way the
 losses and parameters are bitwise the same. The pool's thread is joined
 when `train` returns or raises.
 
-`backward` spends the `ForwardCache` it is given. It pops each layer's
-entry as it reaches that layer, drops the layer's channel block and h_next,
-and hands dpm over to the adjoint (see `diffusion`), so each adjoint's
-walks share memory only with the layers below. A cache serves one
+`backward` reads the operator, config, parameters and inputs from the
+`ForwardCache` of the pass it differentiates, and spends it: it pops each
+layer's entry as it reaches that layer, drops the layer's channel block and
+h_next, and hands dpm over to the adjoint (see `diffusion`), so each
+adjoint's walks share memory only with the layers below. A cache serves one
 `backward`; a second call raises.
 """
 
@@ -63,22 +64,19 @@ from .seeding import spawn_seeds
 
 
 def backward(
-    na,
-    cfg: DiffusionConfig,
-    params: ModelParams,
     cache: ForwardCache,
     batch: EdgeBatch,
     grad_logits: np.ndarray,
     weight_decay: float = 0.0,
-    x_diffused: DiffusionState | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the total loss for every parameter matrix.
+    """Exact gradients of the total loss for every parameter matrix, from the
+    pass that built `cache` and `grad_logits`, its loss gradient on `batch`.
 
     Composes the head adjoint, each layer's tanh/skip/mixing adjoints, the
     diffusion adjoint, and the input projection adjoint, then adds the
-    analytic 2 * weight_decay * W regularization term. With `x_diffused`,
-    layer 1's gradients come from the precomputed diffusion of x instead of
-    an adjoint pass.
+    analytic 2 * weight_decay * W regularization term. If the forward pass
+    read a precomputed `x_diffused`, layer 1's gradients come from it
+    instead of an adjoint pass.
 
     Spends `cache`: each layer's entry is popped from `cache.layers`, and
     its channel block and h_next, and then dpm, are dropped before that
@@ -86,7 +84,7 @@ def backward(
     cache raises ValueError; run `forward_loss` (or `model_forward`) again
     for a new one.
     """
-    layers = cache.layers
+    params, x_diffused, layers = cache.params, cache.x_diffused, cache.layers
     if len(layers) != len(params.layers):
         raise ValueError(
             f"forward cache holds {len(layers)} of {len(params.layers)} layers;"
@@ -123,7 +121,7 @@ def backward(
             # is freed once the adjoint's start sums exist.
             owned = [(dpm[:, :d], dpm[:, d:])]
             del dpm
-            dh_tilde = _diffusion._adjoint(na, owned, cfg)
+            dh_tilde = _diffusion._adjoint(cache.na, owned, cache.cfg)
             grads[f"layers.{i}.w_t"] = h_prev.T @ dh_tilde
             dpre += dh_tilde @ layer.w_t.T  # the transform path joins the skip path
         dh = dpre
@@ -283,8 +281,7 @@ def train(
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 grads = backward(
-                    na, dcfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-                    weight_decay=cfg.weight_decay, x_diffused=x_diffused,
+                    cache, batch, loss_grad_logits(logits, batch.signs), cfg.weight_decay
                 )
             except NumericError as exc:
                 raise TrainingAbort(

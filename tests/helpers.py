@@ -267,8 +267,7 @@ def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
         na, x, params, cfg, batch, weight_decay, x_diffused=x_diffused
     )
     grads = training.backward(
-        na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-        weight_decay=weight_decay, x_diffused=x_diffused,
+        cache, batch, loss_grad_logits(logits, batch.signs), weight_decay
     )
 
     def loss_at() -> float:
@@ -296,6 +295,28 @@ def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
             worst = max(worst, rel)
         errors[name] = worst
     return errors
+
+
+def assert_precompute_matches_direct_path(na, x, params, cfg, batch):
+    """`forward_loss` plus `backward` with layer 1 reading the precomputed
+    diffusion of x give the direct path's loss and gradients to 1e-12
+    relative, and consume the rng alike."""
+
+    def loss_grads_and_next_draw(x_diffused):
+        rng = np.random.default_rng(3)
+        loss, logits, cache = training.forward_loss(
+            na, x, params, cfg, batch, 1e-3, rng=rng, x_diffused=x_diffused
+        )
+        grads = training.backward(cache, batch, loss_grad_logits(logits, batch.signs), 1e-3)
+        return loss, grads, rng.random()
+
+    loss, grads, draw = loss_grads_and_next_draw(None)
+    loss_pre, grads_pre, draw_pre = loss_grads_and_next_draw(diffuse_inputs(na, x, cfg))
+    assert abs(loss_pre - loss) <= 1e-12 * abs(loss)
+    assert list(grads_pre) == list(grads)
+    for name, ref in grads.items():
+        assert np.abs(grads_pre[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert draw_pre == draw
 
 
 # A literal copy of the row-wise loss head that indexed each edge's class

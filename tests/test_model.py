@@ -165,6 +165,30 @@ def test_model_forward_dimension_mismatch():
         model_forward(na, np.zeros((8, 5)), params, zero_cfg())
 
 
+@pytest.mark.parametrize("precomputed", (False, True))
+def test_model_forward_uniform_mode_without_an_rng_raises(precomputed):
+    g = random_signed_graph(8, seed=6)
+    na = normalize(g)
+    x = np.random.default_rng(1).standard_normal((8, 3))
+    cfg = DiffusionConfig(c=0.5, k_steps=2, m0_mode="uniform")
+    x_diffused = diffuse_inputs(na, x, cfg) if precomputed else None
+    with pytest.raises(ValueError, match="needs an rng"):
+        model_forward(na, x, init_params(3, 2, 1, seed=0), cfg, x_diffused=x_diffused)
+
+
+@pytest.mark.parametrize("precomputed", (False, True))
+def test_forward_cache_records_what_the_pass_ran_on(precomputed):
+    g = random_signed_graph(8, seed=6)
+    na = normalize(g)
+    x = np.random.default_rng(1).standard_normal((8, 3))
+    params, cfg = init_params(3, 2, 2, seed=0), zero_cfg()
+    x_diffused = diffuse_inputs(na, x, cfg) if precomputed else None
+    _, cache = model_forward(na, x, params, cfg, x_diffused=x_diffused)
+    assert cache.na is na and cache.cfg is cfg and cache.params is params
+    assert cache.x_diffused is x_diffused
+    assert np.array_equal(cache.x, x) and len(cache.layers) == 2
+
+
 def test_model_forward_deterministic_with_zero_m0():
     g = random_signed_graph(12, seed=8)
     na = normalize(g)

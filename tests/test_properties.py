@@ -1,0 +1,137 @@
+"""Property tests of the invariants the training path rests on, over small
+generated signed digraphs: deadends, isolated nodes, self-loops, one-sign
+graphs and edgeless graphs.
+
+Hypothesis runs derandomized (a fixed example sequence, no example
+database), so a failure reproduces on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgdnet.diffusion import (
+    DiffusionConfig,
+    diffuse,
+    diffuse_adjoint,
+    diffusion_steps,
+    error_bound,
+    exact_solve,
+    l1_distance,
+)
+from sgdnet.graph import build_graph, normalize
+from sgdnet.model import EdgeBatch, init_params
+
+from helpers import assert_precompute_matches_direct_path, dense_block_operator
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+@st.composite
+def signed_digraphs(draw, max_n=12):
+    """(edges, n) of a signed digraph on at most `max_n` nodes, for
+    `build_graph`, so that a falsifying example prints the edges. Some nodes
+    may be made deadends (no out-edge) or isolated (no edge at all); the
+    signs are mixed, all positive or all negative, and there may be no
+    edge."""
+    n = draw(st.integers(1, max_n))
+    signs = draw(st.sampled_from(("mixed", "positive", "negative", "edgeless")))
+    if signs == "edgeless":
+        return [], n
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=3 * n, unique=True))
+    deadends = draw(st.sets(node, max_size=n // 3))
+    isolated = draw(st.sets(node, max_size=n // 4))
+    pairs = [
+        (u, v) for u, v in pairs
+        if u not in deadends and u not in isolated and v not in isolated
+    ]
+    if signs == "mixed":
+        sign_of = draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
+                                max_size=len(pairs)))
+    else:
+        sign_of = [1 if signs == "positive" else -1] * len(pairs)
+    return [(u, v, s) for (u, v), s in zip(pairs, sign_of)], n
+
+
+restart_ratios = st.floats(0.05, 0.95)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(
+    graph=signed_digraphs(),
+    m0_mode=st.sampled_from(("zero", "uniform")),
+    n_layers=st.integers(1, 2),
+    d0=st.integers(1, 4),
+    d=st.integers(1, 3),
+    k=st.integers(1, 6),
+    c=restart_ratios,
+    seed=seeds,
+)
+def test_precomputed_first_layer_gives_the_direct_loss_and_gradients(
+    graph, m0_mode, n_layers, d0, d, k, c, seed
+):
+    g = build_graph(*graph)
+    na = normalize(g)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((g.n, d0))
+    b = int(rng.integers(1, 2 * g.n + 1))
+    batch = EdgeBatch(uv=rng.integers(0, g.n, size=(b, 2)),
+                      signs=rng.choice(np.array([-1, 1]), size=b))
+    params = init_params(d0, d, n_layers, seed=seed)
+    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode=m0_mode)
+    assert_precompute_matches_direct_path(na, x, params, cfg, batch)
+
+
+@PROPERTY
+@given(graph=signed_digraphs(), d=st.integers(1, 3), k=st.integers(1, 8), c=restart_ratios,
+       seed=seeds)
+def test_adjoint_dot_product_identity(graph, d, k, c, seed):
+    # <T_K(x), (y_p, y_m)> == <x, adjoint(y_p, y_m)> for x -> T_K with zero m0.
+    g = build_graph(*graph)
+    na = normalize(g)
+    rng = np.random.default_rng(seed)
+    x, yp, ym = (rng.standard_normal((g.n, d)) for _ in range(3))
+    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero")
+    p, m = diffuse(na, x, cfg)
+    adj = diffuse_adjoint(na, yp, ym, cfg)
+    lhs = float((p * yp).sum() + (m * ym).sum())
+    rhs = float((x * adj).sum())
+    scale = float(np.abs(p * yp).sum() + np.abs(m * ym).sum() + np.abs(x * adj).sum())
+    assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+
+@PROPERTY
+@given(graph=signed_digraphs(), m0_mode=st.sampled_from(("zero", "uniform")),
+       d=st.integers(1, 3), k=st.integers(1, 12), c=restart_ratios, seed=seeds)
+def test_iterates_keep_the_contraction_bound(graph, m0_mode, d, k, c, seed):
+    g = build_graph(*graph)
+    na = normalize(g)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((g.n, d))
+    star = exact_solve(na, h, c)
+    cfg = DiffusionConfig(c=c, k_steps=k, m0_mode=m0_mode)
+    states = list(diffusion_steps(na, h, cfg, rng=rng))
+    t0 = states[0]
+    slack = 1e-12 * max(1.0, l1_distance(star, t0))
+    for step, state in enumerate(states[1:], start=1):
+        assert l1_distance(star, state) <= error_bound(t0, star, c, step) + slack
+
+
+@PROPERTY
+@given(graph=signed_digraphs())
+def test_walk_operators_have_column_sums_at_most_one(graph):
+    g = build_graph(*graph)
+    # The forward walks multiply by S^T and D^T: each column sums in
+    # absolute value to 1 at a node with out-edges and to 0 at a deadend.
+    # (S and D themselves may not: two out-degree-1 nodes pointing at one
+    # node give that node's column of S a sum of 2.)
+    has_out = np.zeros(g.n, dtype=bool)
+    has_out[g.edges.src] = True
+    for op in normalize(g).adj:
+        sums = np.abs(op.T.toarray()).sum(axis=0)
+        np.testing.assert_allclose(sums, has_out.astype(float), rtol=1e-14, atol=0.0)
+    # The same on the per-sign 2n x 2n block operator, built from the edges.
+    block_sums = np.abs(dense_block_operator(g)).sum(axis=0)
+    assert block_sums.max(initial=0.0) <= 1.0 + 1e-14

@@ -35,7 +35,7 @@ from sgdnet.training import (
 )
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import grad_check
+from helpers import assert_precompute_matches_direct_path, grad_check
 
 
 def zero_cfg(c=0.5, k=3):
@@ -103,8 +103,7 @@ def test_backward_zero_loss_leaves_only_regularization():
     h_final, cache = model_forward(na, x, params, cfg)
     logits = edge_logits(h_final, batch, params.w_head) * 0.0
     logits[np.arange(len(batch)), (batch.signs < 0).astype(int)] = 50.0
-    grads = backward(na, cfg, params, cache, batch,
-                     loss_grad_logits(logits, batch.signs), weight_decay=lam)
+    grads = backward(cache, batch, loss_grad_logits(logits, batch.signs), weight_decay=lam)
     for name, w in params.named():
         if name == "w_head":
             # The head still sees the (tiny) softmax slack through z.
@@ -133,8 +132,9 @@ def test_backward_head_matches_concatenation_reference():
     # With no layers and identity input features, h_final is w_in and the
     # w_in gradient is d(loss)/d(h_final) itself.
     params = ModelParams(w_in=h, layers=[], w_head=w_head)
-    cache = ForwardCache(x=np.eye(n), h0=h, layers=[])
-    grads = backward(None, None, params, cache, batch, grad_logits)
+    cache = ForwardCache(na=None, cfg=None, params=params, x=np.eye(n), x_diffused=None,
+                         h0=h, layers=[])
+    grads = backward(cache, batch, grad_logits)
     for got, ref in ((grads["w_head"], ref_w_head), (grads["w_in"], ref_dh)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -150,8 +150,7 @@ def test_data_gradient_shrinks_as_correct_margins_double():
     for margin in (1.0, 2.0, 4.0, 8.0):
         _, cache = model_forward(na, x, params, cfg)  # backward spends its cache
         logits = margin * (2 * correct - 1)  # +margin for the true sign
-        grads = backward(na, cfg, params, cache, batch,
-                         loss_grad_logits(logits, batch.signs), weight_decay=0.0)
+        grads = backward(cache, batch, loss_grad_logits(logits, batch.signs), weight_decay=0.0)
         norms.append(np.sqrt(sum(float((g_ * g_).sum()) for g_ in grads.values())))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -168,7 +167,7 @@ def test_channel_mixing_gradient_equals_the_stacked_channels_bytewise():
     g_v = sgdnet.training._scatter_to_nodes(batch.uv[:, 1], grad_logits, g.n)
     dpre = (1.0 - h_next * h_next) * (g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T)
     del h_prev, pm, h_next
-    grads = backward(na, zero_cfg(), params, cache, batch, grad_logits)
+    grads = backward(cache, batch, grad_logits)
     assert grads["layers.0.w_n"].tobytes() == (np.hstack([p, m]).T @ dpre).tobytes()
 
 
@@ -186,8 +185,7 @@ def test_forward_loss_and_backward_make_no_hstack(monkeypatch, precomputed):
     monkeypatch.setattr(np, "hstack", counted)
     _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0,
                                     rng=np.random.default_rng(0), x_diffused=x_diffused)
-    backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-             x_diffused=x_diffused)
+    backward(cache, batch, loss_grad_logits(logits, batch.signs))
     assert calls == []
 
 
@@ -208,7 +206,7 @@ def test_backward_frees_each_layer_before_its_adjoint(monkeypatch):
         return adjoint(*args, **kwargs)
 
     monkeypatch.setattr(sgdnet.diffusion, "_adjoint", watched)
-    backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs))
+    backward(cache, batch, loss_grad_logits(logits, batch.signs))
     assert alive == [[False] * 2, [False] * 2]
     assert cache.layers == []
 
@@ -233,7 +231,7 @@ def test_backward_frees_dpm_before_the_adjoint_walks(monkeypatch):
 
     monkeypatch.setattr(sgdnet.diffusion, "_adjoint", watched_adjoint)
     monkeypatch.setattr(sgdnet.diffusion, "_run_walks", watched_walks)
-    backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs))
+    backward(cache, batch, loss_grad_logits(logits, batch.signs))
     assert alive == [[True, False], [True, False]]
 
 
@@ -242,9 +240,9 @@ def test_second_backward_on_a_spent_cache_raises():
     cfg = zero_cfg()
     _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
     grad_logits = loss_grad_logits(logits, batch.signs)
-    backward(na, cfg, params, cache, batch, grad_logits)
+    backward(cache, batch, grad_logits)
     with pytest.raises(ValueError, match="run forward_loss again"):
-        backward(na, cfg, params, cache, batch, grad_logits)
+        backward(cache, batch, grad_logits)
 
 
 def backward_peak_in_state_arrays(monkeypatch, cpus):
@@ -264,7 +262,7 @@ def backward_peak_in_state_arrays(monkeypatch, cpus):
         _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
         grad_logits = loss_grad_logits(logits, batch.signs)
         tracemalloc.reset_peak()
-        backward(na, cfg, params, cache, batch, grad_logits)
+        backward(cache, batch, grad_logits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,10 +317,11 @@ def test_grad_check_detects_corrupted_precomputed_gradient(monkeypatch):
     # reads its channels swapped, so only layer 1's gradients are wrong.
     real = sgdnet.training.backward
 
-    def swapped(*args, x_diffused=None, **kwargs):
-        if x_diffused is not None:
-            x_diffused = DiffusionState(x_diffused.m, x_diffused.p)
-        return real(*args, x_diffused=x_diffused, **kwargs)
+    def swapped(cache, *args, **kwargs):
+        if cache.x_diffused is not None:
+            x_p, x_m = cache.x_diffused
+            cache = cache._replace(x_diffused=DiffusionState(x_m, x_p))
+        return real(cache, *args, **kwargs)
 
     monkeypatch.setattr(sgdnet.training, "backward", swapped)
     report = grad_check(seed=0)
@@ -481,15 +480,6 @@ PRECOMPUTE_GRAPHS = {
 }
 
 
-def loss_grads_and_next_draw(na, x, params, cfg, batch, x_diffused):
-    rng = np.random.default_rng(3)
-    loss, logits, cache = forward_loss(na, x, params, cfg, batch, 1e-3, rng=rng,
-                                       x_diffused=x_diffused)
-    grads = backward(na, cfg, params, cache, batch, loss_grad_logits(logits, batch.signs),
-                     weight_decay=1e-3, x_diffused=x_diffused)
-    return loss, grads, rng.random()
-
-
 @pytest.mark.parametrize("m0_mode", ("zero", "uniform"))
 @pytest.mark.parametrize("n_layers", (1, 2))
 @pytest.mark.parametrize("graph_name", sorted(PRECOMPUTE_GRAPHS))
@@ -502,16 +492,7 @@ def test_precomputed_first_layer_matches_direct_path(graph_name, n_layers, m0_mo
                       signs=rng.choice(np.array([-1, 1]), size=40))
     params = init_params(7, 5, n_layers, seed=2)
     cfg = DiffusionConfig(c=0.4, k_steps=6, m0_mode=m0_mode)
-
-    loss, grads, draw = loss_grads_and_next_draw(na, x, params, cfg, batch, None)
-    loss_pre, grads_pre, draw_pre = loss_grads_and_next_draw(
-        na, x, params, cfg, batch, diffuse_inputs(na, x, cfg)
-    )
-    assert abs(loss_pre - loss) <= 1e-12 * abs(loss)
-    assert list(grads_pre) == list(grads)
-    for name, ref in grads.items():
-        assert np.abs(grads_pre[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
-    assert draw_pre == draw  # both paths consumed the rng alike
+    assert_precompute_matches_direct_path(na, x, params, cfg, batch)
 
 
 def count_diffusions(monkeypatch):
