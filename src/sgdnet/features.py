@@ -19,6 +19,9 @@ CholeskyQR2). The Rayleigh-Ritz step then takes the eigendecomposition of
 the small Gram of A^T Q, as SVQB does, while A^T Q has cond < 1e4. A zero,
 rank-deficient or wide-spectrum block takes a Householder QR instead, and
 the Rayleigh-Ritz step then takes the SVD of a small square matrix.
+
+`_write_artifact` and `_read_artifact` hold the binary container and its
+checks for both the feature file and `model`'s checkpoint.
 """
 
 from __future__ import annotations
@@ -188,35 +191,62 @@ def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
     return u * s
 
 
+def _write_artifact(path, kind, header, matrices) -> None:
+    """Write a binary artifact: `header`, then each matrix as row-major
+    little-endian float64. A non-finite entry is refused before the file is
+    opened, so neither `path` nor a temporary file is left behind."""
+    matrices = [np.ascontiguousarray(m, dtype="<f8") for m in matrices]
+    if not all(np.all(np.isfinite(m)) for m in matrices):
+        raise ValueError(f"{path}: {kind} not written: non-finite entries")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(header)
+        fh.writelines(memoryview(m).cast("B") for m in matrices)
+
+
+def _read_artifact(path, kind, header, magic, version, payload_size):
+    """Read a `_write_artifact` file: the header fields after the magic and
+    version, and the flat float64 payload of `payload_size(*fields)` values.
+
+    The size is checked against the file before anything is read, so a
+    corrupt header cannot ask for the memory. Every failure, including a
+    `ValueError` from `payload_size` and a non-finite value, is a
+    `ValueError` that names `path`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size)
+        if len(raw) != header.size:
+            raise ValueError(f"{path}: truncated {kind} header")
+        got_magic, got_version, *fields = header.unpack(raw)
+        if got_magic != magic:
+            raise ValueError(f"{path}: not a {kind} (magic {got_magic!r})")
+        if got_version != version:
+            raise ValueError(f"{path}: unsupported {kind} version {got_version}")
+        try:
+            count = payload_size(*fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * count > left:
+            raise ValueError(f"{path}: truncated {kind}")
+        if 8 * count < left:
+            raise ValueError(f"{path}: trailing bytes after {kind} payload")
+        payload = np.fromfile(fh, dtype="<f8", count=count)
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: {kind} contains non-finite entries")
+    return fields, payload
+
+
 def save_features(path, x: np.ndarray) -> None:
     """Write a feature matrix: magic, u32 version, u64 n, u64 d, row-major f64."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature matrix contains non-finite entries")
-    with atomic_write(path, binary=True) as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *x.shape))
-        fh.write(memoryview(x.astype("<f8", copy=False)).cast("B"))
+    header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *x.shape)
+    _write_artifact(path, "feature file", header, [x])
 
 
 def load_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated feature file header")
-        magic, version, n, d = _HEADER.unpack(header)
-        if magic != FEATURE_MAGIC:
-            raise ValueError(f"{path}: not a feature file (magic {magic!r})")
-        if version != FEATURE_VERSION:
-            raise ValueError(f"{path}: unsupported feature file version {version}")
-        # Checked first, so that a corrupt header cannot ask for the memory.
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if 8 * n * d > left:
-            raise ValueError(f"{path}: truncated feature file")
-        if 8 * n * d < left:
-            raise ValueError(f"{path}: trailing bytes after feature payload")
-        x = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: feature matrix contains non-finite entries")
-    return x
+    """Read a `save_features` file (`_read_artifact`): the n x d matrix."""
+    (n, d), x = _read_artifact(path, "feature file", _HEADER, FEATURE_MAGIC, FEATURE_VERSION,
+                               lambda n, d: n * d)
+    return x.reshape(n, d)

@@ -358,12 +358,15 @@ def load_id_map(path) -> dict[str, int]:
     """Read a `save_id_map` file; a raw id may be empty or hold a tab."""
     id_map = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            raw, dense = line.rsplit("\t", 1)
-            id_map[raw] = int(dense)
+            try:
+                raw, dense = line.rsplit("\t", 1)
+                id_map[raw] = int(dense)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: expected RAW_ID<tab>DENSE_ID") from None
     return id_map
 
 

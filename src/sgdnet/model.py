@@ -24,7 +24,6 @@ The head is linear, so it is applied per node before the endpoint gather.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -32,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diffusion
-from .atomic import atomic_write
 from .diffusion import DiffusionConfig, DiffusionState
+from .features import _read_artifact, _write_artifact
 from .graph import NormalizedAdjacency, as_edge_list
 
 CHECKPOINT_MAGIC = b"SGDN"
@@ -260,47 +259,34 @@ def loss_grad_logits(logits: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
-    """Write a model checkpoint: magic, version, dims, c, K, then the matrices."""
+    """Write a model checkpoint: magic, version, dims, c, K, then the matrices
+    in `ModelParams.named` order (`features._write_artifact`)."""
     d0, d, n_layers = params.dims
-    with atomic_write(path, binary=True) as fh:
-        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, d0, d, n_layers,
-                              cfg.c, cfg.k_steps))
-        for _, w in params.named():
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, d0, d, n_layers,
+                          cfg.c, cfg.k_steps)
+    _write_artifact(path, "checkpoint", header, [w for _, w in params.named()])
+
+
+def _payload_size(d0, d, n_layers, c, k_steps) -> int:
+    """The float64 count of a checkpoint's matrices, from its header fields."""
+    # Checked before the size: a zero dimension would zero it whatever the
+    # layer count.
+    if d0 < 1 or d < 1 or n_layers < 1:
+        raise ValueError(
+            f"checkpoint dimensions must be positive, got d0={d0}, d={d}, layers={n_layers}"
+        )
+    DiffusionConfig(c=c, k_steps=k_steps)  # raises on a bad c or K
+    return d0 * d + n_layers * 3 * d * d + 2 * d * 2
 
 
 def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated checkpoint header")
-        magic, version, d0, d, n_layers, c, k_steps = _HEADER.unpack(header)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-
-        # Checked first, so that a corrupt header cannot ask for the memory;
-        # a zero dimension would zero the size whatever the layer count.
-        if d0 < 1 or d < 1 or n_layers < 1:
-            raise ValueError(
-                f"{path}: checkpoint dimensions must be positive,"
-                f" got d0={d0}, d={d}, layers={n_layers}"
-            )
-        size = 8 * (d0 * d + n_layers * 3 * d * d + 2 * d * 2)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > left:
-            raise ValueError(f"{path}: truncated checkpoint")
-        if size < left:
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-
-        def matrix(rows, cols):
-            return np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
-
-        w_in = matrix(d0, d)
-        layers = [
-            LayerParams(w_t=matrix(d, d), w_n=matrix(2 * d, d)) for _ in range(n_layers)
-        ]
-        w_head = matrix(2 * d, 2)
-    params = ModelParams(w_in=w_in, layers=layers, w_head=w_head)
-    return params, DiffusionConfig(c=c, k_steps=k_steps)
+    """Read a `save_checkpoint` file (`features._read_artifact`). The matrices
+    are views of the one payload array, so the file is read into memory once."""
+    (d0, d, n_layers, c, k_steps), payload = _read_artifact(
+        path, "checkpoint", _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _payload_size
+    )
+    shapes = [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
+    ends = np.cumsum([rows * cols for rows, cols in shapes])
+    w_in, *ws, w_head = map(np.reshape, np.split(payload, ends[:-1]), shapes)
+    layers = [LayerParams(w_t=w_t, w_n=w_n) for w_t, w_n in zip(ws[::2], ws[1::2])]
+    return ModelParams(w_in=w_in, layers=layers, w_head=w_head), DiffusionConfig(c, k_steps)

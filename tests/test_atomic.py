@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import shutil
 
 import numpy as np
@@ -134,6 +135,29 @@ def test_saves_replace_the_previous_file(tmp_path):
     assert np.array_equal(load_features(paths["features"]), FEATURES)
     assert list(read_edge_tsv(paths["edge_list"])) == EDGES
     assert load_id_map(paths["id_map"]) == ID_MAP
+
+
+def _non_finite_params():
+    params = init_params(4, 3, 1, seed=0)
+    params.w_head[-1, -1] = np.nan
+    return params
+
+
+# The binary writers refuse a non-finite entry before they open anything.
+NON_FINITE_SAVERS = {
+    "checkpoint": lambda path: save_checkpoint(
+        path, _non_finite_params(), DiffusionConfig(c=0.5, k_steps=3)
+    ),
+    "features": lambda path: save_features(path, np.where(FEATURES == 5.0, np.inf, FEATURES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SAVERS))
+def test_non_finite_save_names_the_file_and_leaves_nothing_behind(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*non-finite"):
+        NON_FINITE_SAVERS[name](path)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------- CLI text artifacts

@@ -331,6 +331,41 @@ def test_huge_claimed_payload_exits_2(tmp_path, prep_dir, capsys, command, artif
     assert "truncated" in capsys.readouterr().err
 
 
+# A NaN in the head's last weight, the payload's last value, and an inf in
+# w_in's first, right after the 32-byte header.
+@pytest.mark.parametrize("where, value", [("last", float("nan")), ("first", float("inf"))])
+def test_eval_non_finite_checkpoint_exits_2(tmp_path, prep_dir, capsys, where, value):
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--dim", "4", "--epochs", "1", "--k", "2") == 0
+    path = run_dir / "checkpoint.sgdn"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, len(raw) - 8 if where == "last" else 32, value)
+    path.write_bytes(raw)
+    capsys.readouterr()
+    code = run_cli("eval", "--run-dir", str(run_dir),
+                   "--test-edges", str(run_dir / "test_edges.tsv"))
+    assert code == 2
+    assert "checkpoint.sgdn" in capsys.readouterr().err
+    assert not (run_dir / "predictions.csv").exists()
+
+
+# A learning rate and weight decay so large that the one Adam step overflows:
+# train refuses to save the non-finite weights.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_train_whose_last_step_overflows_exits_2_without_a_checkpoint(
+    tmp_path, prep_dir, capsys
+):
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--dim", "4", "--epochs", "1", "--k", "2",
+                   "--lr", "1e308", "--weight-decay", "1000")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.sgdn" in err and "non-finite" in err
+    assert not [f for f in os.listdir(run_dir) if "checkpoint" in f]
+
+
 # ---------------------------------------------------------------- eval
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -183,6 +184,17 @@ def test_feature_file_rejects_nan(tmp_path):
     x[0, 0] = np.inf
     with pytest.raises(ValueError):
         save_features(tmp_path / "f.sgdf", x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_file_loader_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "f.sgdf"
+    save_features(path, np.ones((4, 2)))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, len(raw) - 8, value)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*non-finite"):
+        load_features(path)
 
 
 def test_runtime_trend_roughly_linear_in_nnz():

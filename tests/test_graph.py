@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -285,6 +286,16 @@ def test_id_map_roundtrip_keeps_every_parsed_id(tmp_path, case):
     _, _, id_map = load_edge_list(path, fmt)
     save_id_map(tmp_path / "idmap.tsv", id_map)
     assert load_id_map(tmp_path / "idmap.tsv") == id_map
+
+
+# A line with no tab, and a line whose dense id is not an integer, on line 3
+# after a valid line and a blank one.
+@pytest.mark.parametrize("bad_line", ["node7", "node7\tseven", "a\tb\t"])
+def test_id_map_bad_line_names_the_file_and_line(tmp_path, bad_line):
+    path = tmp_path / "idmap.tsv"
+    path.write_text(f"node1\t0\n\n{bad_line}\nnode2\t1\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 3: "):
+        load_id_map(path)
 
 
 @pytest.mark.parametrize("fmt", ["tsv-sign", "csv-rating"])

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -420,4 +421,16 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     save_checkpoint(path, init_params(3, 2, 1, seed=0), zero_cfg())
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(path)
+
+
+# A header whose c or K the diffusion rejects: the error names the file.
+@pytest.mark.parametrize("c, k_steps", [(float("nan"), 4), (0.0, 4), (1.5, 4), (0.5, 0)])
+def test_checkpoint_rejects_a_bad_diffusion_header_naming_the_file(tmp_path, c, k_steps):
+    path = tmp_path / "model.sgdn"
+    save_checkpoint(path, init_params(3, 2, 1, seed=0), zero_cfg())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<dI", raw, 20, c, k_steps)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
         load_checkpoint(path)

@@ -1,12 +1,19 @@
 """Property tests of the invariants the training path rests on, over small
 generated signed digraphs: deadends, isolated nodes, self-loops, one-sign
-graphs and edgeless graphs.
+graphs and edgeless graphs; and of the binary readers, over mutated feature
+and checkpoint files.
 
 Hypothesis runs derandomized (a fixed example sequence, no example
 database), so a failure reproduces on every run.
 """
 
+import os
+import struct
+import tempfile
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +26,9 @@ from sgdnet.diffusion import (
     exact_solve,
     l1_distance,
 )
+from sgdnet.features import load_features, save_features
 from sgdnet.graph import build_graph, normalize
-from sgdnet.model import EdgeBatch, init_params
+from sgdnet.model import EdgeBatch, init_params, load_checkpoint, save_checkpoint
 
 from helpers import assert_precompute_matches_direct_path, dense_block_operator
 
@@ -135,3 +143,93 @@ def test_walk_operators_have_column_sums_at_most_one(graph):
     # The same on the per-sign 2n x 2n block operator, built from the edges.
     block_sums = np.abs(dense_block_operator(g)).sum(axis=0)
     assert block_sums.max(initial=0.0) <= 1.0 + 1e-14
+
+
+# ---------------------------------------------------------------- binary readers
+
+
+def _write_valid(path, artifact, dims, seed):
+    """A valid feature file (64 n x d) or checkpoint (d0, d, layers) at
+    `path`, of 6 KB to 1 MB: above about 19 KB, a second copy of the payload
+    breaks the readers' memory bound below."""
+    if artifact == "features":
+        n, d = 64 * dims[0], dims[1]
+        save_features(path, np.random.default_rng(seed).standard_normal((n, d)))
+    else:
+        save_checkpoint(path, init_params(*dims, seed=seed), DiffusionConfig(c=0.35, k_steps=4))
+
+
+def _header_shapes(artifact, raw):
+    """The matrix shapes that a file's header states, read independently of
+    the loaders: the feature header is magic, u32 version, u64 n, u64 d; the
+    checkpoint header is magic, u32 version, u32 d0, u32 d, u32 layers."""
+    if artifact == "features":
+        return [struct.unpack_from("<QQ", raw, 8)]
+    d0, d, n_layers = struct.unpack_from("<III", raw, 8)
+    return [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
+
+
+# A byte offset, taken modulo the file's length: half of them fall in the
+# first 32 bytes, which hold the header.
+offsets = st.one_of(st.integers(0, 31), st.integers(0, 2**32 - 1))
+mutations = st.one_of(
+    st.tuples(st.just("truncate"), offsets),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("xor"), offsets, st.integers(1, 255)),
+)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    """Cut the file at an offset, append bytes, or XOR one byte."""
+    kind, arg, *mask = mutation
+    if kind == "append":
+        return raw + arg
+    at = arg % len(raw)
+    if kind == "truncate":
+        return raw[:at]
+    out = bytearray(raw)
+    out[at] ^= mask[0]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("artifact", ["features", "checkpoint"])
+@PROPERTY
+@given(
+    dims=st.tuples(st.integers(1, 64), st.integers(16, 32), st.integers(1, 3)),
+    seed=seeds,
+    mutation=mutations,
+)
+def test_binary_reader_on_a_mutated_file_loads_checked_arrays_or_names_the_file(
+    artifact, dims, seed, mutation
+):
+    load = load_features if artifact == "features" else load_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact.bin")
+        _write_valid(path, artifact, dims, seed)
+        with open(path, "rb") as fh:
+            raw = _mutate(fh.read(), mutation)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+        except ValueError as exc:
+            assert path in str(exc)
+            loaded = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    # The payload, its finiteness mask (1/8 of it) and Python's own overhead.
+    assert peak <= 9 / 8 * len(raw) + 16 * 1024
+    if loaded is None:
+        return
+    if artifact == "features":
+        arrays = [loaded]
+    else:
+        params, cfg = loaded
+        arrays = [w for _, w in params.named()]
+        assert 0 < cfg.c < 1 and cfg.k_steps >= 1
+    assert [w.shape for w in arrays] == _header_shapes(artifact, raw)
+    assert all(np.all(np.isfinite(w)) for w in arrays)
