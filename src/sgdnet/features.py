@@ -20,6 +20,12 @@ the small Gram of A^T Q, as SVQB does, while A^T Q has cond < 1e4. A zero,
 rank-deficient or wide-spectrum block takes a Householder QR instead, and
 the Rayleigh-Ritz step then takes the SVD of a small square matrix.
 
+`randomized_svd` and `init_features` share one core, `_svd`, which frees
+each n x (rank + oversample) array as soon as the next one exists.
+`init_features` never forms the right factor V, so on the Gram branch it
+holds at most two such arrays at a time: the sketch and its product, or Q
+and U.
+
 `_write_artifact` and `_read_artifact` hold the binary container and its
 checks for both the feature file and `model`'s checkpoint.
 """
@@ -63,18 +69,21 @@ def _svqb(y: np.ndarray) -> np.ndarray:
     return y @ (vec / np.sqrt(np.maximum(lam, floor)))
 
 
-def _orthonormal(y: np.ndarray) -> np.ndarray:
-    """An orthonormal basis Q of range(y), with Q Q^T y = y.
+def _orthonormal(owned: list) -> np.ndarray:
+    """An orthonormal basis Q of range(y), with Q Q^T y = y, for the y
+    popped from `owned`, so that y is freed after the first SVQB pass.
 
     Two SVQB passes when cond(y) < 1e4 (see `_SVQB_MIN_RATIO`): the second
     pass restores the orthonormality the first loses to eps * cond^2. A zero,
     rank-deficient or wide-spectrum y takes a Householder QR, the only one of
     the two that is accurate there.
     """
+    y = owned.pop()
     lam, vec = np.linalg.eigh(y.T @ y)
     if lam[0] > _SVQB_MIN_RATIO * lam[-1]:
         # The first pass reuses this eigendecomposition: it is `_svqb(y)`.
-        return _svqb(y @ (vec / np.sqrt(lam)))
+        y = y @ (vec / np.sqrt(lam))
+        return _svqb(y)
     return np.linalg.qr(y)[0]
 
 
@@ -96,7 +105,8 @@ def randomized_svd(
     give U = Q W, S = sqrt(lambda) and V = B^T W / S. Otherwise (a zero or
     rank-deficient matrix, or a spectrum wide enough that the Gram would
     lose it) B^T = Q2 C by a Householder QR and the SVD of the small
-    C = Uc S Vc^T gives U = Q Vc and V = Q2 Uc.
+    C = Uc S Vc^T gives U = Q Vc and V = Q2 Uc. Each pair's sign is then
+    fixed by `_sign_flips`.
 
     Accuracy limit: the Gram branch squares cond(B^T). A singular value
     sigma_j has relative error about eps * (sigma_1 / sigma_j)^2, against
@@ -112,6 +122,21 @@ def randomized_svd(
     Returns:
         (u, s, v) with orthonormal-column u (rows x rank) and v (cols x rank),
         and non-increasing singular values s (rank,).
+    """
+    u, s, v = _svd(m, rank, oversample, power_iters, seed, right=True)
+    flip = _sign_flips(u)
+    np.negative(u, out=u, where=flip)
+    np.negative(v, out=v, where=flip)
+    return u, s, v
+
+
+def _svd(m, rank, oversample, power_iters, seed, right):
+    """`randomized_svd` before its sign fix: (u, s, v), with v None unless
+    `right`.
+
+    The sketch lives only in a list that each product pops, so that each
+    step frees the array it reads. The Rayleigh-Ritz step holds a third
+    sketch-sized array only with `right` or on the Householder branch.
     """
     n_rows, n_cols = m.shape
     min_dim = min(n_rows, n_cols)
@@ -130,65 +155,67 @@ def randomized_svd(
         raise ValueError("matrix contains non-finite entries")
 
     rng = np.random.default_rng(seed)
-    y = m @ rng.standard_normal((n_cols, rank + oversample))
+    sketch = [m @ rng.standard_normal((n_cols, rank + oversample))]
     for _ in range(power_iters):
-        y = m @ (m.T @ _svqb(y))
-    q = _orthonormal(y)
-    del y
+        sketch.append(m @ (m.T @ _svqb(sketch.pop())))
+    q = _orthonormal(sketch)
 
     # Rayleigh-Ritz on b = q^T m through its tall transpose b^T = m^T q, which
     # keeps a sparse m sparse.
     bt = m.T @ q
     lam, vec = np.linalg.eigh(bt.T @ bt)
+    v = None
     if lam[0] > _SVQB_MIN_RATIO * lam[-1]:
         # b b^T = vec diag(lam) vec^T, so u = q vec, s = sqrt(lam) and
         # v = b^T vec / s, in descending order.
         s = np.sqrt(lam[::-1][:rank])
         vec = np.ascontiguousarray(vec[:, ::-1][:, :rank])
-        u = q @ vec
-        del q
-        v = bt @ vec
+        if right:
+            v = bt @ vec
+            v /= s
         del bt
-        v /= s
+        u = q @ vec
     else:
         # A zero, rank-deficient or wide-spectrum b^T: b^T = q2 c with q2
         # from a Householder QR, and the SVD of the small c.
         q2 = np.linalg.qr(bt)[0]
         ur, s, ubt = np.linalg.svd(q2.T @ bt)
         del bt
+        if right:
+            v = q2 @ ur[:, :rank]
+        del q2
         u = q @ ubt[:rank].T
-        del q
-        v = q2 @ ur[:, :rank]
         s = s[:rank].copy()
-
-    _fix_signs(u, v)
     return u, s, v
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    """Fix the sign ambiguity of each singular vector pair in place: the
-    largest-magnitude entry of each column of u (the first, on a tie) is made
-    positive. The row of that entry is found from the column maxima and
-    minima, so that no u-sized |u| array is made."""
+def _sign_flips(u: np.ndarray) -> np.ndarray:
+    """The columns of u whose largest-magnitude entry (the first, on a tie)
+    is negative: negating them, and the matching columns of v, fixes the
+    sign ambiguity of each singular pair. The row of that entry is found
+    from the column maxima and minima, so that no u-sized |u| array is
+    made."""
     a = np.maximum(u.max(axis=0), -u.min(axis=0))
     top = np.argmax((u == a) | (u == -a), axis=0)
-    flip = u[top, np.arange(u.shape[1])] < 0
-    np.negative(u, out=u, where=flip)
-    np.negative(v, out=v, where=flip)
+    return u[top, np.arange(u.shape[1])] < 0
 
 
 def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
     """Compute the n x rank feature matrix X = U * S for the signed adjacency.
 
     The recipe is fixed: `randomized_svd` with its two power steps and
-    `OVERSAMPLE` extra sketch columns, clipped to n - rank.
+    `OVERSAMPLE` extra sketch columns, clipped to n - rank, bit for bit. V is
+    never formed, so on the Gram branch at most two n x (rank + oversample)
+    arrays are alive at a time (see `_svd`).
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > g.n:
         raise ValueError(f"rank {rank} exceeds node count {g.n}")
-    u, s, _ = randomized_svd(g.a, rank, oversample=min(OVERSAMPLE, g.n - rank), seed=seed)
-    return u * s
+    u, s, _ = _svd(g.a, rank, min(OVERSAMPLE, g.n - rank), power_iters=2, seed=seed, right=False)
+    # (-u) * s and u * (-s) agree bit for bit, signed zeros included.
+    u *= np.where(_sign_flips(u), -s, s)
+    return u
 
 
 def _write_artifact(path, kind, header, matrices) -> None:

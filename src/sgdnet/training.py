@@ -223,7 +223,8 @@ class TrainConfig(ModelConfig):
 
 
 class TrainingAbort(NumericError):
-    """Training hit a non-finite loss; carries the last good parameters."""
+    """Training hit a non-finite loss, gradient or parameter; carries the last
+    good parameters, those the last loss in `history` was computed at."""
 
     def __init__(self, message, params, history):
         super().__init__(message)
@@ -290,5 +291,11 @@ def train(
             history.append(loss)
             last_good = copy.deepcopy(params)
             optimizer.step(params, grads)
+            # Also on the last epoch, whose result no later loss would check.
+            if not all(np.all(np.isfinite(w)) for _, w in params.named()):
+                raise TrainingAbort(
+                    f"training aborted at epoch {epoch}: non-finite parameters after the"
+                    " Adam step", last_good, history,
+                )
     return params, history
 

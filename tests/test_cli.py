@@ -351,19 +351,25 @@ def test_eval_non_finite_checkpoint_exits_2(tmp_path, prep_dir, capsys, where, v
 
 
 # A learning rate and weight decay so large that the one Adam step overflows:
-# train refuses to save the non-finite weights.
+# train aborts as on any numeric failure and keeps the parameters from before
+# the step, which are those an --epochs 0 run saves.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_train_whose_last_step_overflows_exits_2_without_a_checkpoint(
+def test_train_whose_last_step_overflows_exits_3_with_the_last_good_checkpoint(
     tmp_path, prep_dir, capsys
 ):
-    run_dir = tmp_path / "run"
-    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
-                   "--dim", "4", "--epochs", "1", "--k", "2",
-                   "--lr", "1e308", "--weight-decay", "1000")
-    assert code == 2
+    run_dir, start_dir = tmp_path / "run", tmp_path / "start"
+    args = ("--prep-dir", prep_dir, "--dim", "4", "--k", "2",
+            "--lr", "1e308", "--weight-decay", "1000")
+    code = run_cli("train", *args, "--out-dir", str(run_dir), "--epochs", "1")
+    assert code == 3
     err = capsys.readouterr().err
-    assert "checkpoint.sgdn" in err and "non-finite" in err
-    assert not [f for f in os.listdir(run_dir) if "checkpoint" in f]
+    assert "epoch 0" in err and "non-finite parameters" in err
+    assert "last good checkpoint" in err
+    assert run_cli("train", *args, "--out-dir", str(start_dir), "--epochs", "0") == 0
+    ckpt = (run_dir / "checkpoint.sgdn").read_bytes()
+    assert ckpt == (start_dir / "checkpoint.sgdn").read_bytes()
+    rows = (run_dir / "loss.csv").read_text().splitlines()
+    assert rows[0] == "epoch,loss" and len(rows) == 2 and rows[1].startswith("0,")
 
 
 # ---------------------------------------------------------------- eval

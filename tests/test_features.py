@@ -1,13 +1,15 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sgdnet.features import (
-    _fix_signs,
+    OVERSAMPLE,
     _orthonormal,
+    _sign_flips,
     init_features,
     load_features,
     randomized_svd,
@@ -307,7 +309,7 @@ def _rank_deficient_block():
 )
 def test_orthonormal_basis_on_both_branches(monkeypatch, y, householder):
     calls = _spy(monkeypatch, "qr")
-    q = _orthonormal(y)
+    q = _orthonormal([y])
     assert calls == ([y.shape] if householder else [])
     assert q.shape == y.shape
     assert np.abs(q.T @ q - np.eye(y.shape[1])).max() <= 1e-12
@@ -415,7 +417,8 @@ def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, a, nam
 def test_sign_fix_pivot_is_the_first_largest_magnitude_entry():
     # Small integer entries, so that columns hold +0 and -0, entries +a and
     # -a of equal magnitude, and (in some draws) nothing but zeros. The flips
-    # must be those of the pivot np.argmax(np.abs(u), axis=0).
+    # that `randomized_svd` and `init_features` share must be those of the
+    # pivot np.argmax(np.abs(u), axis=0).
     rng = np.random.default_rng(0)
     kinds = {"signed_zero": 0, "opposite_tie": 0, "zero_column": 0}
     for _ in range(2000):
@@ -423,19 +426,54 @@ def test_sign_fix_pivot_is_the_first_largest_magnitude_entry():
         u = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
         u[rng.random(u.shape) < 0.2] = -0.0
         u[:, rng.random(cols) < 0.15] = 0.0
-        v = rng.standard_normal((3, cols))
         a = np.abs(u).max(axis=0)
         kinds["signed_zero"] += bool(np.any(np.signbit(u) & (u == 0)))
         kinds["opposite_tie"] += bool(np.any((u == a).any(axis=0) & (u == -a).any(axis=0) & (a > 0)))
         kinds["zero_column"] += bool(np.any(a == 0))
 
         top = np.argmax(np.abs(u), axis=0)
-        flip = u[top, np.arange(cols)] < 0
-        want_u, want_v = np.where(flip, -u, u), np.where(flip, -v, v)
-        _fix_signs(u, v)
-        assert np.array_equal(u, want_u) and np.array_equal(np.signbit(u), np.signbit(want_u))
-        assert np.array_equal(v, want_v)
+        assert np.array_equal(_sign_flips(u), u[top, np.arange(cols)] < 0)
     assert min(kinds.values()) > 100, kinds
+
+
+@pytest.mark.parametrize(
+    "graph, rank, householder",
+    [
+        (lambda: random_signed_graph(300, avg_out_degree=6.0, seed=4), 16, False),
+        (lambda: planted_partition_graph(120, avg_out_degree=8.0, seed=2), 8, False),
+        (lambda: build_graph([], 5), 3, True),
+        (lambda: build_graph([SignedEdge(0, 1, 1)], 2), 1, True),
+        (_isolated_nodes_graph, 6, True),
+    ],
+    ids=["random_signed", "planted_partition", "zero", "two-node", "rank-deficient"],
+)
+def test_init_features_is_u_times_s_of_randomized_svd_bit_for_bit(
+    monkeypatch, graph, rank, householder
+):
+    # init_features never forms V and flips and scales U in one pass; its
+    # values, signed zeros included, must be randomized_svd's u * s.
+    g = graph()
+    svd_calls = _spy(monkeypatch, "svd")
+    x = init_features(g, rank, seed=7)
+    assert bool(svd_calls) == householder
+    u, s, _ = randomized_svd(g.a, rank, oversample=min(OVERSAMPLE, g.n - rank), seed=7)
+    assert np.array_equal(x, u * s)
+    assert np.array_equal(np.signbit(x), np.signbit(u * s))
+
+
+def test_init_features_holds_at_most_two_sketch_arrays():
+    # The sketch, Q and U are n x (rank + OVERSAMPLE) or narrower, and each
+    # step frees the one it read. Keeping the sketch through a product or an
+    # SVQB pass, or A^T Q through U = Q W, makes three.
+    g = random_signed_graph(20000, avg_out_degree=8.0, seed=0)
+    rank = 32
+    tracemalloc.start()
+    try:
+        init_features(g, rank, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * g.n * (rank + OVERSAMPLE) * 8
 
 
 # A 150 x 100 matrix of rank 20, sketched with 12 + 8 columns, so that b^T is

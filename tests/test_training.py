@@ -425,6 +425,35 @@ def test_train_abort_keeps_the_params_of_the_last_finite_loss():
         assert np.array_equal(kept, expected)
 
 
+@pytest.mark.parametrize("epoch", (0, 3))
+def test_train_step_that_overflows_on_the_last_epoch_aborts_with_the_pre_step_params(
+    monkeypatch, epoch
+):
+    # Step `epoch`, the last, runs at a learning rate at which lr * m_hat
+    # overflows. No later loss sees the non-finite parameters, so the check
+    # after the step must catch them and keep those the step started from.
+    class Overflowing(Adam):
+        def step(self, params, grads):
+            if self.t == epoch:
+                self.lr = 1e308
+            super().step(params, grads)
+
+    monkeypatch.setattr(sgdnet.training, "Adam", Overflowing)
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 5))
+    cfg = TrainConfig(dim=3, n_layers=1, c=0.4, k_steps=3, weight_decay=1000.0,
+                      epochs=epoch, m0_mode="zero", seed=0)
+    before, history = train(g, x, cfg)
+    cfg.epochs = epoch + 1
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort) as excinfo:
+        train(g, x, cfg)
+    abort = excinfo.value
+    assert f"epoch {epoch}:" in str(abort)
+    assert len(abort.history) == epoch + 1 and abort.history[:epoch] == history
+    for (_, kept), (_, expected) in zip(abort.params.named(), before.named()):
+        assert np.array_equal(kept, expected)
+
+
 def test_train_monotone_after_transient():
     g = planted_partition_graph(n=24, seed=3)
     x = np.random.default_rng(3).standard_normal((24, 8))
