@@ -35,9 +35,9 @@ DATASETS = {
 
 def _read_config_file(path) -> dict[str, str]:
     """Flat key=value file of long flag names without their '--' ('_' reads
-    as '-'); '#' comments and blank lines are skipped."""
+    as '-'); '#' comments, blank lines and a leading UTF-8 BOM are skipped."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

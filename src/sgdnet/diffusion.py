@@ -24,8 +24,8 @@ Neither walk ever reads the other's state, so they run as two independent
 n x d walks, one sparse product per step each, with no synchronization
 between steps. The forward walks multiply by S.T and D.T, CSC views of the
 stored CSR pair `na.adj` = (S, D) that copy nothing; the adjoint walks
-multiply by S and D. When the process may run on two or more CPUs,
-`diffuse` and `diffuse_adjoint` run the difference walk on a short-lived
+multiply by S and D. When the process may run on two or more CPUs, the
+forward pass and the adjoint run the difference walk on a short-lived
 worker thread while the calling thread runs the sum walk (scipy's
 sparse-times-dense product releases the GIL). On a single usable CPU (per
 the process's CPU affinity) both walks run inline, one after the other,
@@ -47,12 +47,11 @@ mix and the backward pass reads without a copy. `exact_solve` solves the two
 channels' fixed points densely, for graphs of at most EXACT_MAX_N nodes;
 the tests check it against the per-sign block system built from the graph.
 
-`diffuse` and `diffuse_adjoint` check that their inputs are finite and raise
-ValueError; `model.diffuse_inputs` calls `diffuse`, and otherwise only the
-tests call them. The model's layers and `training.backward` call the same
-passes unchecked (`_diffuse`, and `_adjoint`, which owns its inputs): a
-layer checks its features itself and raises NumericError, and `backward`
-checks the gradients it returns.
+`diffuse` checks that its features are finite and raises ValueError;
+`model.diffuse_inputs` calls it. The model's layers call the same pass
+unchecked (`_diffuse`) and check their features themselves, raising
+NumericError. The adjoint has only the unchecked form `_adjoint`, which
+`training.backward` calls and whose returned gradients it checks.
 """
 
 from __future__ import annotations
@@ -272,12 +271,7 @@ def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> Diffu
     return _state(_readout(*map(solve, na.adj)))
 
 
-def diffuse_adjoint(
-    na: NormalizedAdjacency,
-    grad_p: np.ndarray,
-    grad_m: np.ndarray,
-    cfg: DiffusionConfig,
-) -> np.ndarray:
+def _adjoint(na, grads: list, cfg: DiffusionConfig) -> np.ndarray:
     """Reverse-mode pass through the diffusion: d(loss)/d(h_tilde).
 
     The gradient is the positive-channel part of
@@ -287,22 +281,14 @@ def diffuse_adjoint(
     a constant, so its path is dropped. Horner's rule turns the polynomial
     into the forward recurrence with g re-injected, run on the sum and
     difference channels of g with the pair `adj`, one sparse product per
-    step and channel. The checked form of `_adjoint` (see the module
-    docstring).
+    step and channel.
+
+    `grads` is a one-element list holding the pair (grad_p, grad_m) of
+    equal-shape n x d float64 gradients that the caller vouches for. The
+    adjoint pops it, so that a caller that keeps no other reference has the
+    pair freed once the two start sums exist; it writes to neither. Each
+    walk then scales its own start by c in place and injects it.
     """
-    grad_p = _check_features(na, grad_p)
-    grad_m = _check_features(na, grad_m)
-    if grad_p.shape != grad_m.shape:
-        raise ValueError(f"gradient shapes differ: {grad_p.shape} vs {grad_m.shape}")
-    return _adjoint(na, [(grad_p, grad_m)], cfg)
-
-
-def _adjoint(na, grads: list, cfg: DiffusionConfig) -> np.ndarray:
-    """`diffuse_adjoint` on a pair of equal-shape gradients that the caller
-    vouches for. `grads` is a one-element list holding the pair
-    (grad_p, grad_m); the adjoint pops it, so that a caller that keeps no
-    other reference has the pair freed once the two start sums exist. Each
-    walk then scales its own start by c in place and injects it."""
     grad_p, grad_m = grads.pop()
     start_s, start_d = [grad_p + grad_m], [grad_p - grad_m]
     del grad_p, grad_m

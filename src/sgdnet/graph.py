@@ -214,7 +214,7 @@ def _read_table(path, sep: str, width, dtype):
     others may hold no character but digits and `+-.eE`. Returns a
     (lines, width) array of `dtype`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if not text.isascii():
         return None
@@ -277,7 +277,7 @@ def _read_table(path, sep: str, width, dtype):
 def _data_lines(path):
     """(line number, stripped line) of every line that is neither blank nor
     a `#` comment."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.strip()
             if line and not line.startswith("#"):
@@ -318,7 +318,8 @@ def load_edge_list(path, fmt: str = "tsv-sign"):
     Raw node ids are remapped to a dense 0..n-1 range by first appearance;
     they are compared as strings, so "007" and "7" are two nodes. A repeated
     (src, dst) pair keeps the position of its first occurrence and the sign
-    of its last. `#`-prefixed lines and blank lines are skipped.
+    of its last. `#`-prefixed lines, blank lines and a leading UTF-8 BOM are
+    skipped.
 
     Returns:
         (edges, n, id_map): an EdgeList, the node count, and a map from raw

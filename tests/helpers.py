@@ -3,13 +3,14 @@ checkers for the paper's invariants (block column sums, finite-difference
 gradients)."""
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 import sgdnet.training as training
-from sgdnet.diffusion import DiffusionConfig
+from sgdnet.diffusion import DiffusionConfig, _adjoint
 from sgdnet.graph import DataError, ParseError, normalize
 from sgdnet.model import (
     EdgeBatch,
@@ -179,6 +180,17 @@ def reference_diffuse_adjoint(g, grad_p, grad_m, c, k_steps):
             (1 - c) * (an @ gp + ap @ gm),
         )
     return grad_h + gp
+
+
+def exactly(message):
+    """A `pytest.raises` match pattern for exactly `message`."""
+    return f"^{re.escape(message)}$"
+
+
+def adjoint(na, grad_p, grad_m, cfg):
+    """d(loss)/d(h_tilde) by the library's adjoint `_adjoint`, for the output
+    gradient pair (grad_p, grad_m); it writes to neither."""
+    return _adjoint(na, [(grad_p, grad_m)], cfg)
 
 
 # Checkers for the paper's invariants, on the library's own operators.
@@ -396,9 +408,9 @@ def stored_layout_diffuse_adjoint(g, grad_p, grad_m, c, k_steps):
 
 
 def reference_randomized_svd(m, rank, oversample=10, power_iters=2, seed=0):
-    """The randomized SVD with a Householder QR after every product and the
-    SVD of the wide B = Q^T A, sign-fixed column by column. Same Gaussian
-    sketch as `sgdnet.features.randomized_svd`, so the two agree up to the
+    """(u, s) of the randomized SVD with a Householder QR after every product
+    and the SVD of the wide B = Q^T A, u sign-fixed column by column. Same
+    Gaussian sketch as `sgdnet.features._svd`, so the two agree up to the
     normalizer's rounding; an oracle for the SVQB power steps."""
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((m.shape[1], rank + oversample))
@@ -407,16 +419,14 @@ def reference_randomized_svd(m, rank, oversample=10, power_iters=2, seed=0):
         w, _ = np.linalg.qr(m.T @ q)
         q, _ = np.linalg.qr(m @ w)
     b = (m.T @ q).T
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    ub, s = np.linalg.svd(b, full_matrices=False)[:2]
     u = np.ascontiguousarray((q @ ub)[:, :rank])
     s = s[:rank].copy()
-    v = np.ascontiguousarray(vt[:rank].T)
     for j in range(rank):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, s, v
+    return u, s
 
 
 # Literal copies of the per-line edge readers and the midrank loop that the

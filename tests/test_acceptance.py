@@ -13,7 +13,6 @@ import pytest
 from sgdnet.diffusion import (
     DiffusionConfig,
     diffuse,
-    diffuse_adjoint,
     diffusion_steps,
     error_bound,
     exact_solve,
@@ -27,7 +26,7 @@ from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 from sgdnet.training import TrainConfig, train
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import bitcoin_alpha_path, bitcoin_otc_path, column_sums_of_b, grad_check
+from helpers import adjoint, bitcoin_alpha_path, bitcoin_otc_path, column_sums_of_b, grad_check
 
 NO_ALPHA = "Bitcoin-Alpha dataset not present (place soc-sign-bitcoinalpha.csv in ./data)"
 NO_OTC = "Bitcoin-OTC dataset not present (place soc-sign-bitcoinotc.csv in ./data)"
@@ -185,7 +184,7 @@ def test_criterion_5_gradient_suite():
         ym = rng.standard_normal((n, d))
         p, m = diffuse(na, x, cfg)
         lhs = float((p * yp).sum() + (m * ym).sum())
-        rhs = float((x * diffuse_adjoint(na, yp, ym, cfg)).sum())
+        rhs = float((x * adjoint(na, yp, ym, cfg)).sum())
         worst_dot = max(worst_dot, abs(lhs - rhs) / max(1.0, abs(lhs)))
     dot_ok = worst_dot < 1e-10
 

@@ -7,7 +7,7 @@ import pytest
 
 import sgdnet.diffusion
 import sgdnet.evaluation
-from sgdnet.cli import _THREAD_ENV_VARS, main
+from sgdnet.cli import _THREAD_ENV_VARS, _read_config_file, main
 from sgdnet.graph import save_edge_list
 from sgdnet.synthetic import planted_partition_graph
 
@@ -145,6 +145,17 @@ def test_train_and_eval_roundtrip(tmp_path, prep_dir):
 
 def test_train_invalid_c_exits_2(prep_dir):
     assert run_cli("train", "--prep-dir", prep_dir, "--c", "1.5", "--epochs", "1") == 2
+
+
+@pytest.mark.parametrize("ratio", ["1", "-0.5"])
+def test_train_split_ratio_outside_its_range_exits_2(tmp_path, prep_dir, capsys, ratio):
+    run_dir = tmp_path / "run"
+    code = run_cli("train", "--prep-dir", prep_dir, "--out-dir", str(run_dir),
+                   "--split-ratio", ratio)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --split-ratio must lie in [0, 1), got {float(ratio)}\n"
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--weight-decay", "inf")])
@@ -524,6 +535,20 @@ def test_config_file_flag_overrides(tmp_path, dataset):
     from sgdnet.features import load_features
 
     assert load_features(os.path.join(out, "features.sgdf")).shape == (40, 4)
+
+
+@pytest.mark.parametrize("text", ["# run\nsvd-rank=8\nseed=5\n", "svd-rank=8\nseed=5\n"],
+                         ids=["comment-first", "key-first"])
+def test_config_file_with_a_byte_order_mark_reads_like_one_without(tmp_path, dataset, text):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text)
+    marked.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert _read_config_file(marked) == _read_config_file(plain) == {"svd-rank": "8", "seed": "5"}
+    out = str(tmp_path / "prep-bom")
+    assert run_cli("prep", "--input", dataset, "--out-dir", out, "--config", str(marked)) == 0
+    from sgdnet.features import load_features
+
+    assert load_features(os.path.join(out, "features.sgdf")).shape == (40, 8)
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, dataset):

@@ -12,7 +12,6 @@ from sgdnet.diffusion import (
     DiffusionConfig,
     DiffusionState,
     diffuse,
-    diffuse_adjoint,
     diffusion_steps,
     error_bound,
     exact_solve,
@@ -22,8 +21,10 @@ from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.synthetic import random_signed_graph
 
 from helpers import (
+    adjoint,
     block_exact_solve,
     dense_block_operator,
+    exactly,
     per_sign_operators,
     reference_diffuse_adjoint,
     reference_diffusion_states,
@@ -102,6 +103,21 @@ def test_config_validation():
         DiffusionConfig(c=0.5, k_steps=0)
     with pytest.raises(ValueError):
         DiffusionConfig(c=0.5, k_steps=1, m0_mode="sideways")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_solve(toy_na(+1), H_TOY, 1.0),
+     "local injection ratio c must lie in (0, 1), got 1.0"),
+    (lambda: exact_solve(toy_na(+1), H_TOY, 0.0),
+     "local injection ratio c must lie in (0, 1), got 0.0"),
+    (lambda: error_bound(DiffusionState(H_TOY, H_TOY), DiffusionState(H_TOY[:1], H_TOY), 0.5, 1),
+     "state shapes do not match"),
+    (lambda: error_bound(DiffusionState(H_TOY, H_TOY), DiffusionState(H_TOY, H_TOY.T), 0.5, 1),
+     "state shapes do not match"),
+], ids=["exact-c-1", "exact-c-0", "bound-p-shape", "bound-m-shape"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        call()
 
 
 def test_uniform_m0_needs_rng():
@@ -244,7 +260,7 @@ def test_adjoint_dot_product_identity():
         ym = rng.standard_normal((n, d))
         p, m = diffuse(na, x, cfg)
         lhs = float((p * yp).sum() + (m * ym).sum())
-        rhs = float((x * diffuse_adjoint(na, yp, ym, cfg)).sum())
+        rhs = float((x * adjoint(na, yp, ym, cfg)).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -253,7 +269,7 @@ def test_adjoint_empty_graph_k1():
     cfg = zero_cfg(0.35, 1)
     gp = np.arange(8, dtype=np.float64).reshape(4, 2)
     gm = np.ones((4, 2))
-    grad = diffuse_adjoint(na, gp, gm, cfg)
+    grad = adjoint(na, gp, gm, cfg)
     assert np.allclose(grad, cfg.c * gp)
 
 
@@ -270,7 +286,7 @@ def test_adjoint_finite_differences():
         p, m = diffuse(na, features, cfg)
         return float((weights * p).sum() + (weights * m).sum())
 
-    analytic = diffuse_adjoint(na, weights, weights, cfg)
+    analytic = adjoint(na, weights, weights, cfg)
     step = 1e-6
     worst = 0.0
     for i in range(n):
@@ -284,12 +300,6 @@ def test_adjoint_finite_differences():
             a = analytic[i, j]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     assert worst < 1e-6
-
-
-def test_adjoint_shape_validation():
-    na = toy_na(+1)
-    with pytest.raises(ValueError):
-        diffuse_adjoint(na, np.zeros((2, 1)), np.zeros((2, 2)), zero_cfg(0.5, 1))
 
 
 # ---------------------------------------------------------------- bounds
@@ -398,7 +408,7 @@ def test_fused_diffusion_matches_per_sign_recurrence(graph, m0_mode, k, c):
     gp = rng.standard_normal(h.shape)
     gm = rng.standard_normal(h.shape)
     assert_rel_close(
-        diffuse_adjoint(na, gp, gm, cfg), reference_diffuse_adjoint(g, gp, gm, c, k)
+        adjoint(na, gp, gm, cfg), reference_diffuse_adjoint(g, gp, gm, c, k)
     )
 
 
@@ -444,7 +454,7 @@ def test_difference_walk_runs_on_a_worker_only_with_two_cpus(monkeypatch, cpus, 
     monkeypatch.setattr(diffusion_module, "_last", recording_last)
     na = toy_na(-1)
     diffuse(na, H_TOY, zero_cfg(0.5, 3))
-    diffuse_adjoint(na, H_TOY, H_TOY, zero_cfg(0.5, 3))
+    adjoint(na, H_TOY, H_TOY, zero_cfg(0.5, 3))
     caller = threading.get_ident()
     # One walk of each call runs here; the other runs here only on one CPU.
     assert sorted(t != caller for t in threads) == sorted([False, on_worker] * 2)
@@ -463,7 +473,7 @@ def test_threaded_and_inline_walks_are_bitwise_equal(monkeypatch, graph, m0_mode
     def outputs(cpus):
         use_cpus(monkeypatch, cpus)
         p, m = diffuse(na, h, cfg, rng=start_rng(m0_mode, h.shape))
-        return p, m, diffuse_adjoint(na, gp, gm, cfg)
+        return p, m, adjoint(na, gp, gm, cfg)
 
     for threaded, inline in zip(outputs(2), outputs(1)):
         assert np.array_equal(threaded, inline)
@@ -522,7 +532,7 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     for state, (p, m) in zip(steps, reference):
         assert state.p.tobytes() == p.tobytes() and state.m.tobytes() == m.tobytes()
     assert np.array_equal(
-        diffuse_adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(g, gp, gm, c, k)
+        adjoint(na, gp, gm, cfg), stored_layout_diffuse_adjoint(g, gp, gm, c, k)
     )
 
 
@@ -550,7 +560,7 @@ def test_concurrent_callers_get_identical_results(monkeypatch):
     h = np.random.default_rng(0).standard_normal((na.n, 6))
     cfg = zero_cfg(0.4, 12)
     expected_p, expected_m = diffuse(na, h, cfg)
-    expected_g = diffuse_adjoint(na, h, 2.0 * h, cfg)
+    expected_g = adjoint(na, h, 2.0 * h, cfg)
     callers = 3  # each with its own channel worker: more threads than cores
     barrier = threading.Barrier(callers)
     results = [[] for _ in range(callers)]
@@ -558,7 +568,7 @@ def test_concurrent_callers_get_identical_results(monkeypatch):
     def caller(slot):
         barrier.wait()
         for _ in range(10):
-            results[slot].append((*diffuse(na, h, cfg), diffuse_adjoint(na, h, 2.0 * h, cfg)))
+            results[slot].append((*diffuse(na, h, cfg), adjoint(na, h, 2.0 * h, cfg)))
 
     threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(callers)]
     interval = sys.getswitchinterval()
@@ -600,7 +610,7 @@ def test_worker_walk_exception_reraises_in_caller(monkeypatch):
     na = toy_na(+1)
     for run in (
         lambda ops: diffuse(ops, H_TOY, zero_cfg(0.5, 2)),
-        lambda ops: diffuse_adjoint(ops, H_TOY, H_TOY, zero_cfg(0.5, 2)),
+        lambda ops: adjoint(ops, H_TOY, H_TOY, zero_cfg(0.5, 2)),
     ):
         failing = _FailingOperator()
         with pytest.raises(RuntimeError, match="walk failed"):
@@ -610,7 +620,7 @@ def test_worker_walk_exception_reraises_in_caller(monkeypatch):
 
 def _diffuse_in_child(conn, na, h, cfg):
     p, m = diffuse(na, h, cfg)
-    conn.send((p, m, diffuse_adjoint(na, p, m, cfg)))
+    conn.send((p, m, adjoint(na, p, m, cfg)))
     conn.close()
 
 
@@ -623,7 +633,7 @@ def test_forked_child_can_diffuse_after_parent(monkeypatch):
     h = np.random.default_rng(1).standard_normal((na.n, 3))
     cfg = zero_cfg(0.35, 10)
     p, m = diffuse(na, h, cfg)  # the parent has run a worker thread before the fork
-    expected = (p, m, diffuse_adjoint(na, p, m, cfg))
+    expected = (p, m, adjoint(na, p, m, cfg))
 
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)

@@ -23,9 +23,9 @@ from sgdnet.evaluation import (
 from sgdnet.graph import SignedEdge, normalize
 from sgdnet.model import EdgeBatch, edge_logits, model_forward
 from sgdnet.synthetic import planted_partition_graph
-from sgdnet.training import TrainConfig, train
+from sgdnet.training import ModelConfig, TrainConfig, train
 
-from helpers import brute_force_auc, reference_midranks, reference_softmax
+from helpers import brute_force_auc, exactly, reference_midranks, reference_softmax
 
 
 def make_edges(m):
@@ -61,6 +61,17 @@ def test_experiment_config_validates_the_training_fields():
         ExperimentConfig(c=1.5)
     with pytest.raises(ValueError):
         ExperimentConfig(m0_mode="gaussian")
+
+
+@pytest.mark.parametrize("config, field, value, message", [
+    (ModelConfig, "dim", 0, "dim and n_layers must be positive, got 0, 1"),
+    (ExperimentConfig, "svd_rank", 0, "svd_rank must be positive, got 0"),
+    (ExperimentConfig, "ratio", 0.0, "split ratio must lie in (0, 1), got 0.0"),
+    (ExperimentConfig, "ratio", 1.0, "split ratio must lie in (0, 1), got 1.0"),
+])
+def test_configs_reject_an_out_of_range_field(config, field, value, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        config(**{field: value})
 
 
 @pytest.mark.parametrize("config", [TrainConfig, ExperimentConfig])

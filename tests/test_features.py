@@ -10,26 +10,26 @@ from sgdnet.features import (
     OVERSAMPLE,
     _orthonormal,
     _sign_flips,
+    _svd,
     init_features,
     load_features,
-    randomized_svd,
     save_features,
 )
 from sgdnet.graph import SignedEdge, build_graph
 from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 
-from helpers import jacobi_svd, reference_randomized_svd
+from helpers import exactly, jacobi_svd, reference_randomized_svd
 
 
 def test_identity_singular_values():
-    u, s, v = randomized_svd(np.eye(20), rank=5, seed=1)
+    u, s = _svd(np.eye(20), 5, OVERSAMPLE, 2, 1)
     assert np.allclose(s, 1.0, atol=1e-10)
 
 
 def test_rank_one_matrix():
     rng = np.random.default_rng(3)
     a = np.outer(rng.standard_normal(30), rng.standard_normal(25))
-    u, s, v = randomized_svd(a, rank=3, seed=0)
+    u, s = _svd(a, 3, OVERSAMPLE, 2, 0)
     top = np.sqrt((a * a).sum())  # ||u|| * ||v|| for a rank-1 outer product
     assert abs(s[0] - top) < 1e-8 * top
     assert abs(s[1]) < 1e-8 * top
@@ -40,8 +40,9 @@ def test_dense_error_close_to_optimal():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((50, 50))
     rank = 10
-    u, s, v = randomized_svd(a, rank=rank, oversample=10, power_iters=2, seed=11)
-    err = np.linalg.norm(a - (u * s) @ v.T)
+    u, s = _svd(a, rank, 10, 2, 11)
+    # U U^T A is the rank-`rank` truncation U S V^T of the Rayleigh-Ritz step.
+    err = np.linalg.norm(a - u @ (u.T @ a))
     sigma = jacobi_svd(a)
     optimal = np.sqrt((sigma[rank:] ** 2).sum())
     assert err <= 1.10 * optimal
@@ -54,28 +55,10 @@ def test_orthonormal_and_ordered_on_random_sparse(seed):
     m = int(rng.integers(10, 200))
     rank = int(rng.integers(1, min(n, m, 9)))
     a = sp.random(n, m, density=0.05, random_state=np.random.RandomState(seed), format="csr")
-    u, s, v = randomized_svd(a, rank=rank, oversample=min(5, min(n, m) - rank), seed=seed)
+    u, s = _svd(a, rank, min(5, min(n, m) - rank), 2, seed)
     assert np.abs(u.T @ u - np.eye(rank)).max() < 1e-8
-    assert np.abs(v.T @ v - np.eye(rank)).max() < 1e-8
     assert np.all(s >= 0)
     assert np.all(np.diff(s) <= 1e-12)
-
-
-def test_rank_validation():
-    a = np.eye(6)
-    with pytest.raises(ValueError):
-        randomized_svd(a, rank=7)
-    with pytest.raises(ValueError):
-        randomized_svd(a, rank=0)
-    with pytest.raises(ValueError):
-        randomized_svd(a, rank=4, oversample=5)
-
-
-def test_non_finite_rejected():
-    a = np.eye(4)
-    a[2, 2] = np.nan
-    with pytest.raises(ValueError):
-        randomized_svd(a, rank=2, oversample=1)
 
 
 def test_determinism_bitwise():
@@ -181,6 +164,26 @@ def test_feature_file_rejects_trailing_bytes(tmp_path):
         load_features(path)
 
 
+def _load_with_version(path, version):
+    save_features(path, np.ones((4, 2)))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 4, version)
+    path.write_bytes(raw)
+    return load_features(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: _load_with_version(path, 2), "{path}: unsupported feature file version 2"),
+    (lambda path: save_features(path, np.ones(3)), "feature matrix must be 2-D, got shape (3,)"),
+    (lambda path: save_features(path, np.ones((2, 2, 2))),
+     "feature matrix must be 2-D, got shape (2, 2, 2)"),
+], ids=["version", "save-1d", "save-3d"])
+def test_feature_file_argument_checks(tmp_path, call, message):
+    path = tmp_path / "f.sgdf"
+    with pytest.raises(ValueError, match=exactly(message.format(path=path))):
+        call(path)
+
+
 def test_feature_file_rejects_nan(tmp_path):
     x = np.ones((2, 2))
     x[0, 0] = np.inf
@@ -223,15 +226,15 @@ def test_runtime_trend_roughly_linear_in_nnz():
 
 
 def _assert_matches_reference(a, rank, oversample, power_iters, seed):
-    u, s, v = randomized_svd(a, rank, oversample=oversample, power_iters=power_iters, seed=seed)
-    ur, sr, vr = reference_randomized_svd(
+    u, s = _svd(a, rank, oversample, power_iters, seed)
+    ur, sr = reference_randomized_svd(
         a, rank, oversample=oversample, power_iters=power_iters, seed=seed
     )
     tol = 1e-10 * sr[0]
     assert np.abs(s - sr).max() <= tol
-    # Per feature column of X = U S, and of V S for the right factor.
-    assert np.abs(u * s - ur * sr).max(axis=0).max() <= tol
-    assert np.abs(v * s - vr * sr).max(axis=0).max() <= tol
+    # Per feature column of X = U S, with the sign fix of `init_features`.
+    x = u * np.where(_sign_flips(u), -s, s)
+    assert np.abs(x - ur * sr).max(axis=0).max() <= tol
 
 
 @pytest.mark.parametrize("power_iters", [0, 1, 2, 5])
@@ -316,11 +319,10 @@ def test_orthonormal_basis_on_both_branches(monkeypatch, y, householder):
     assert np.abs(q @ (q.T @ y) - y).max() <= 1e-12
 
 
-def _assert_valid_factors(u, s, v, rank):
-    for x in (u, s, v):
+def _assert_valid_factors(u, s, rank):
+    for x in (u, s):
         assert np.all(np.isfinite(x))
     assert np.abs(u.T @ u - np.eye(rank)).max() < 1e-10
-    assert np.abs(v.T @ v - np.eye(rank)).max() < 1e-10
     assert np.all(s >= 0)
     assert np.all(np.diff(s) <= 0)
 
@@ -344,11 +346,12 @@ def _isolated_nodes_graph():
 )
 @pytest.mark.parametrize("power_iters", [0, 2, 5])
 def test_degenerate_inputs_give_valid_factors(a, rank, oversample, power_iters):
-    u, s, v = randomized_svd(a, rank, oversample=oversample, power_iters=power_iters, seed=0)
-    _assert_valid_factors(u, s, v, rank)
+    u, s = _svd(a, rank, oversample, power_iters, 0)
+    _assert_valid_factors(u, s, rank)
     dense = a.toarray() if sp.issparse(a) else a
-    # Every matrix here has rank <= `rank`, so the factors reproduce it.
-    assert np.abs(dense - (u * s) @ v.T).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+    # Every matrix here has rank <= `rank`, so its projection onto U
+    # reproduces it.
+    assert np.abs(dense - u @ (u.T @ dense)).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
 def test_accuracy_limit_on_a_wide_spectrum():
@@ -361,9 +364,9 @@ def test_accuracy_limit_on_a_wide_spectrum():
     right, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sigma = np.concatenate([np.logspace(0, -13, 50), np.logspace(-14, -16, n - 50)])
     a = (left * sigma) @ right.T
-    u, s, v = randomized_svd(a, rank, oversample=oversample, power_iters=2, seed=1)
-    _assert_valid_factors(u, s, v, rank)
-    err = np.linalg.norm(a - (u * s) @ v.T, 2)
+    u, s = _svd(a, rank, oversample, 2, 1)
+    _assert_valid_factors(u, s, rank)
+    err = np.linalg.norm(a - u @ (u.T @ a), 2)
     assert err <= 1.1 * sigma[rank] + 1e-8 * sigma[0]
 
 
@@ -380,14 +383,14 @@ def _negate_eigenvectors(eigh):
 # eigendecomposition of the Gram of a well-conditioned b^T, and the SVD of the
 # small matrix of the Householder branch.
 @pytest.mark.parametrize(
-    "a, name, negate",
+    "g, name, negate",
     [
-        (random_signed_graph(80, seed=3).a, "eigh", _negate_eigenvectors),
-        (_matrix_with_spectrum(np.logspace(0, -12, 20)), "svd", _negate_pair),
+        (random_signed_graph(80, seed=3), "eigh", _negate_eigenvectors),
+        (_isolated_nodes_graph(), "svd", _negate_pair),
     ],
     ids=["gram", "householder"],
 )
-def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, a, name, negate):
+def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, g, name, negate):
     # Negate what the Rayleigh-Ritz step gets from LAPACK: every eigenvector
     # of the Gram, or the first singular pair of the small SVD. In one of the
     # two runs each such column's largest-magnitude entry is negative and gets
@@ -403,22 +406,22 @@ def test_sign_fix_does_not_depend_on_the_sign_lapack_returns(monkeypatch, a, nam
         return out
 
     monkeypatch.setattr(np.linalg, name, counted)
-    u0, s0, v0 = randomized_svd(a, rank=6, oversample=4, seed=2)
+    x0 = init_features(g, rank=6, seed=2)
     assert calls
     negate_at.append(2 * len(calls))
-    u1, s1, v1 = randomized_svd(a, rank=6, oversample=4, seed=2)
+    x1 = init_features(g, rank=6, seed=2)
     assert len(calls) == negate_at[0]
-    for x0, x1 in ((u0, u1), (s0, s1), (v0, v1)):
-        assert np.array_equal(x0, x1)
-    top = np.argmax(np.abs(u1), axis=0)
-    assert np.all(u1[top, np.arange(6)] > 0)
+    assert np.array_equal(x0, x1)
+    # A zero column (a zero singular value) has no sign to fix.
+    top = np.argmax(np.abs(x1), axis=0)
+    assert np.all(x1[top, np.arange(6)] >= 0)
 
 
 def test_sign_fix_pivot_is_the_first_largest_magnitude_entry():
     # Small integer entries, so that columns hold +0 and -0, entries +a and
     # -a of equal magnitude, and (in some draws) nothing but zeros. The flips
-    # that `randomized_svd` and `init_features` share must be those of the
-    # pivot np.argmax(np.abs(u), axis=0).
+    # that `init_features` makes must be those of the pivot
+    # np.argmax(np.abs(u), axis=0).
     rng = np.random.default_rng(0)
     kinds = {"signed_zero": 0, "opposite_tie": 0, "zero_column": 0}
     for _ in range(2000):
@@ -447,16 +450,17 @@ def test_sign_fix_pivot_is_the_first_largest_magnitude_entry():
     ],
     ids=["random_signed", "planted_partition", "zero", "two-node", "rank-deficient"],
 )
-def test_init_features_is_u_times_s_of_randomized_svd_bit_for_bit(
-    monkeypatch, graph, rank, householder
-):
-    # init_features never forms V and flips and scales U in one pass; its
-    # values, signed zeros included, must be randomized_svd's u * s.
+def test_init_features_is_u_times_s_of_svd_bit_for_bit(monkeypatch, graph, rank, householder):
+    # init_features flips and scales U in one pass; its values, signed zeros
+    # included, must be u * s of `_svd` with u's columns negated where the
+    # pivot np.argmax(np.abs(u), axis=0) is negative.
     g = graph()
     svd_calls = _spy(monkeypatch, "svd")
     x = init_features(g, rank, seed=7)
     assert bool(svd_calls) == householder
-    u, s, _ = randomized_svd(g.a, rank, oversample=min(OVERSAMPLE, g.n - rank), seed=7)
+    u, s = _svd(g.a, rank, min(OVERSAMPLE, g.n - rank), 2, 7)
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(rank)] < 0
+    np.negative(u, out=u, where=flip)
     assert np.array_equal(x, u * s)
     assert np.array_equal(np.signbit(x), np.signbit(u * s))
 
@@ -484,10 +488,10 @@ def test_init_features_holds_at_most_two_sketch_arrays():
 def test_rayleigh_ritz_branch(monkeypatch, decades, gram):
     a = _matrix_with_spectrum(np.logspace(0, -decades, 20))
     qr_calls, svd_calls = _spy(monkeypatch, "qr"), _spy(monkeypatch, "svd")
-    u, s, v = randomized_svd(a, rank=12, oversample=8, seed=3)
+    u, s = _svd(a, 12, 8, 2, 3)
     assert qr_calls.count((100, 20)) == (0 if gram else 1)
     assert svd_calls == ([] if gram else [(20, 20)])
-    _assert_valid_factors(u, s, v, 12)
+    _assert_valid_factors(u, s, 12)
     monkeypatch.undo()
     _assert_matches_reference(a, rank=12, oversample=8, power_iters=2, seed=3)
 
@@ -498,16 +502,13 @@ def test_rayleigh_ritz_branch(monkeypatch, decades, gram):
 @pytest.mark.parametrize("decades, gram", [(3.9, True), (4.1, False)], ids=["inside", "outside"])
 def test_singular_value_accuracy_at_the_gram_switch(monkeypatch, decades, gram):
     # sqrt of the Gram's eigenvalues: sigma_j has relative error about
-    # eps (sigma_1 / sigma_j)^2 and V is orthonormal to about eps cond(b^T)^2.
-    # The Householder branch keeps eps sigma_1 / sigma_j.
+    # eps (sigma_1 / sigma_j)^2. The Householder branch keeps
+    # eps sigma_1 / sigma_j.
     sigma = np.logspace(0, -decades, 20)
     svd_calls = _spy(monkeypatch, "svd")
-    u, s, v = randomized_svd(_matrix_with_spectrum(sigma), rank=20, oversample=0, seed=0)
+    u, s = _svd(_matrix_with_spectrum(sigma), 20, 0, 2, 0)
     assert len(svd_calls) == (0 if gram else 1)
     eps = np.finfo(np.float64).eps
     growth = (sigma[0] / sigma) ** (2 if gram else 1)
     assert np.all(np.abs(s - sigma) <= 8 * eps * growth * sigma)
     assert np.abs(u.T @ u - np.eye(20)).max() <= 1e-12
-    # eps cond(b^T)^2 is 1.4e-8 inside; V still meets the 1e-8 of the
-    # random-matrix test above.
-    assert np.abs(v.T @ v - np.eye(20)).max() <= 1e-8

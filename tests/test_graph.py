@@ -20,13 +20,14 @@ from sgdnet.graph import (
     save_edge_list,
     save_id_map,
 )
-from sgdnet.synthetic import random_signed_graph
+from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 
 from helpers import (
     bitcoin_alpha_path,
     bitcoin_otc_path,
     column_sums_of_b,
     dense_block_operator,
+    exactly,
     per_sign_adjacency,
     per_sign_operators,
     reference_load_edge_list,
@@ -76,6 +77,51 @@ def test_load_skips_comments_and_blanks(tmp_path):
     path = write(tmp_path, "e.tsv", "# header\n\n0\t1\t1\n")
     edges, n, _ = load_edge_list(path, "tsv-sign")
     assert len(edges) == 1 and n == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EdgeList([0, 1], [1], [1, -1]), "edge columns must be 1-d and of one length"),
+    (lambda: EdgeList([[0]], [[1]], [[1]]), "edge columns must be 1-d and of one length"),
+    (lambda: load_edge_list("unread.tsv", "xml"),
+     "unknown edge format 'xml'; expected one of ['csv-rating', 'tsv-sign']"),
+    (lambda: random_signed_graph(1), "need at least 2 nodes, got 1"),
+    (lambda: planted_partition_graph(4), "need a node count divisible by 4 and at least 8, got 4"),
+    (lambda: planted_partition_graph(10),
+     "need a node count divisible by 4 and at least 8, got 10"),
+], ids=["ragged-columns", "2-d-columns", "unknown-format", "random-one-node",
+        "planted-too-small", "planted-not-divisible"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        call()
+
+
+BOM = "\ufeff"
+
+
+# The edges 1->2 +, 2->1 -, 1->3 +. With a space before the first id the
+# whole-file parse declines the text and the per-line reader takes it.
+@pytest.mark.parametrize("per_line", [False, True], ids=["whole-file", "per-line"])
+@pytest.mark.parametrize("read, text", [
+    (lambda p: load_edge_list(p, "tsv-sign"), "1\t2\t1\n2\t1\t-1\n1\t3\t1\n"),
+    (lambda p: load_edge_list(p, "csv-rating"), "1,2,5,0\n2,1,-3,0\n1,3,2,0\n"),
+    (read_edge_tsv, "1\t2\t1\n2\t1\t-1\n1\t3\t1\n"),
+], ids=["tsv-sign", "csv-rating", "dense-tsv"])
+def test_a_leading_byte_order_mark_is_dropped(monkeypatch, tmp_path, read, text, per_line):
+    text = " " + text if per_line else text
+    plain = write(tmp_path, "plain", text)
+    marked = tmp_path / "marked"
+    marked.write_bytes((BOM + text).encode("utf-8"))
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    per_line_reads = []
+    data_lines = sgdnet.graph._data_lines
+    monkeypatch.setattr(sgdnet.graph, "_data_lines",
+                        lambda path: per_line_reads.append(path) or data_lines(path))
+    got = read(str(marked))
+    assert got == read(plain)
+    assert len(per_line_reads) == (2 if per_line else 0)
+    if read is not read_edge_tsv:
+        _, n, id_map = got
+        assert n == 3 and set(id_map) == {"1", "2", "3"}
 
 
 def test_load_zero_rating_rejected(tmp_path):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from sgdnet.diffusion import (
     DiffusionConfig,
     diffuse,
-    diffuse_adjoint,
     diffusion_steps,
     error_bound,
     exact_solve,
@@ -30,7 +29,7 @@ from sgdnet.features import load_features, save_features
 from sgdnet.graph import build_graph, normalize
 from sgdnet.model import EdgeBatch, init_params, load_checkpoint, save_checkpoint
 
-from helpers import assert_precompute_matches_direct_path, dense_block_operator
+from helpers import adjoint, assert_precompute_matches_direct_path, dense_block_operator
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -103,7 +102,7 @@ def test_adjoint_dot_product_identity(graph, d, k, c, seed):
     x, yp, ym = (rng.standard_normal((g.n, d)) for _ in range(3))
     cfg = DiffusionConfig(c=c, k_steps=k, m0_mode="zero")
     p, m = diffuse(na, x, cfg)
-    adj = diffuse_adjoint(na, yp, ym, cfg)
+    adj = adjoint(na, yp, ym, cfg)
     lhs = float((p * yp).sum() + (m * ym).sum())
     rhs = float((x * adj).sum())
     scale = float(np.abs(p * yp).sum() + np.abs(m * ym).sum() + np.abs(x * adj).sum())

@@ -35,7 +35,7 @@ from sgdnet.training import (
 )
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import assert_precompute_matches_direct_path, grad_check
+from helpers import assert_precompute_matches_direct_path, exactly, grad_check
 
 
 def zero_cfg(c=0.5, k=3):
@@ -110,6 +110,15 @@ def test_backward_zero_loss_leaves_only_regularization():
             assert np.abs(grads[name] - 2 * lam * w).max() < 1e-8
         elif name == "w_in" or "w_t" in name or "w_n" in name:
             assert np.abs(grads[name] - 2 * lam * w).max() < 1e-8
+
+
+def test_backward_rejects_a_non_finite_gradient():
+    g, na, x, params, batch = toy_setup(seed=3)
+    _, cache = model_forward(na, x, params, zero_cfg())
+    grad_logits = np.zeros((len(batch), 2))
+    grad_logits[0, 0] = np.nan
+    with pytest.raises(NumericError, match=exactly("non-finite gradient for w_head")):
+        backward(cache, batch, grad_logits, weight_decay=0.0)
 
 
 def test_backward_head_matches_concatenation_reference():
