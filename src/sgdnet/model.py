@@ -5,17 +5,22 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 
     h_next = tanh([p || m] @ w_n + h_prev)
 
-[p || m] is the diffusion's n x 2d block (see `diffusion`), kept as `LayerCache.pm`.
+[p || m] is the diffusion's n x 2d block (see `diffusion`), kept as
+`LayerCache.pm`; tanh is written into the buffer of the pre-activation.
 
 The diffusion is linear in the features it carries. Layer 1 diffuses
 h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
 W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
-features can be run once per training graph (`diffuse_inputs`). Given it,
+features can be run once per training graph (`diffuse_inputs`, in column
+blocks, so that only one block's walks are live at once). Given it,
 layer 1 computes p = x_p @ W and m = x_m @ W, into the halves of a block,
 with no sparse work. In uniform mode it adds the parameter-free pair
-diffuse(0, m0), the "noise" (`diffusion._noise_state`). `training.train`
-decides when the precompute pays and schedules the noise (see there).
-Layers 2 and up always diffuse directly.
+diffuse(0, m0), the "noise" (`diffusion._noise_state`), handed over in a
+one-element list that layer 1 pops, so the pair is freed once added. On
+this path no cache keeps layer 1's input h0 = x @ w_in, which the backward
+pass reads only when layer 1 diffuses directly. `training.train` decides
+when the precompute pays and schedules the noise (see there). Layers 2
+and up always diffuse directly.
 
 The prediction head scores an edge (u, v) from the concatenated endpoint
 embeddings, with class 0 meaning a positive sign and class 1 a negative sign.
@@ -34,6 +39,9 @@ from . import diffusion
 from .diffusion import DiffusionConfig, DiffusionState
 from .features import _read_artifact, _write_artifact
 from .graph import NormalizedAdjacency, as_edge_list
+
+# Columns of x per `diffuse_inputs` block.
+_INPUT_BLOCK = 32
 
 CHECKPOINT_MAGIC = b"SGDN"
 CHECKPOINT_VERSION = 1
@@ -91,7 +99,7 @@ def init_params(d0: int, d: int, n_layers: int, seed: int = 0) -> ModelParams:
 
 
 class LayerCache(NamedTuple):
-    h_prev: np.ndarray
+    h_prev: np.ndarray | None  # None for layer 1 on the precompute path
     pm: np.ndarray  # the diffused channels as one n x 2d block [p || m]
     h_next: np.ndarray
 
@@ -105,7 +113,7 @@ class ForwardCache(NamedTuple):
     params: ModelParams
     x: np.ndarray
     x_diffused: DiffusionState | None
-    h0: np.ndarray
+    h0: np.ndarray | None  # x @ w_in; None on the precompute path
     layers: list[LayerCache]
 
 
@@ -128,37 +136,55 @@ def _first_layer_forward(
     x_diffused: DiffusionState,
     w_in: np.ndarray,
     params: LayerParams,
-    noise: DiffusionState | None,
+    noise: list | None,
 ) -> tuple[np.ndarray, LayerCache]:
     """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t),
-    plus `noise`, the diffusion of (0, m0), if given."""
+    plus the diffusion of (0, m0) if `noise` holds one. `noise` is a
+    one-element list that this pops, so that a caller that keeps no other
+    reference has the pair freed once it is added. The cache keeps no h0:
+    `training.backward` reads layer 1's input only on the direct path."""
     w = w_in @ params.w_t
     d = w.shape[1]
     pm = np.empty((h0.shape[0], 2 * d))
     p = np.matmul(x_diffused.p, w, out=pm[:, :d])
     m = np.matmul(x_diffused.m, w, out=pm[:, d:])
-    if noise is not None:
-        p += noise.p
-        m += noise.m
-    return _mix(h0, pm, params)
+    if noise:
+        pair = noise.pop()
+        p += pair.p
+        m += pair.m
+        del pair
+    h_next, cache = _mix(h0, pm, params)
+    return h_next, cache._replace(h_prev=None)
 
 
 def _mix(h_prev, pm, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
     """Mix the diffusion channels, held as one n x 2d block [p || m], add
-    the skip connection, apply tanh."""
+    the skip connection, apply tanh in place."""
     pre = pm @ params.w_n
     pre += h_prev
     if not np.all(np.isfinite(pre)):
         raise NumericError("non-finite activations in diffusion layer")
-    h_next = np.tanh(pre)
+    h_next = np.tanh(pre, out=pre)
     return h_next, LayerCache(h_prev=h_prev, pm=pm, h_next=h_next)
 
 
 def diffuse_inputs(
     na: NormalizedAdjacency, x: np.ndarray, cfg: DiffusionConfig
 ) -> DiffusionState:
-    """The zero-start diffusion of the input features that layer 1 reuses."""
-    return diffusion.diffuse(na, x, replace(cfg, m0_mode="zero"))
+    """The zero-start diffusion of the input features that layer 1 reuses.
+
+    Runs `diffusion.diffuse` on _INPUT_BLOCK columns of x at a time and
+    writes each block's p and m into one n x 2d0 block [x_p || x_m], so
+    only one block's walks are live at once. Each output column takes the
+    same sparse products in the same order as in one whole diffusion, so
+    the result is bitwise the same."""
+    x = diffusion._check_features(na, x)  # so that an error names x's own shape
+    zero = replace(cfg, m0_mode="zero")
+    out = diffusion._state(np.empty((na.n, 2 * x.shape[1])))
+    for j in range(0, x.shape[1], _INPUT_BLOCK):
+        cols = slice(j, j + _INPUT_BLOCK)
+        out.p[:, cols], out.m[:, cols] = diffusion.diffuse(na, x[:, cols], zero)
+    return out
 
 
 def model_forward(
@@ -168,26 +194,30 @@ def model_forward(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
     x_diffused: DiffusionState | None = None,
-    noise: DiffusionState | None = None,
+    noise: list | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Project the input features and apply every diffusion layer in order.
 
     With `x_diffused` (from `diffuse_inputs` on the same na, x and cfg),
-    layer 1 runs without a diffusion of its own and adds `noise`, the
-    diffusion of (0, m0) (`diffusion._noise_state`), if given; in uniform
-    mode without it, layer 1 draws that pair from `rng`.
+    layer 1 runs without a diffusion of its own and adds the diffusion of
+    (0, m0) (`diffusion._noise_state`) that `noise` hands over: a
+    one-element list, which layer 1 pops, so that the pair is freed once it
+    is added. In uniform mode without it, layer 1 draws that pair from
+    `rng`. On this path the returned cache keeps no h0 = x @ w_in, which
+    `training.backward` reads only on the direct path.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (na.n, params.w_in.shape[0]):
         raise ValueError(
             f"input features must be {na.n} x {params.w_in.shape[0]}, got shape {x.shape}"
         )
-    h0 = h = x @ params.w_in
+    h = x @ params.w_in
+    h0 = h if x_diffused is None else None
     caches = []
     for i, layer in enumerate(params.layers):
         if i == 0 and x_diffused is not None:
             if noise is None and cfg.m0_mode == "uniform":
-                noise = diffusion._noise_state(na, h.shape, cfg, rng)
+                noise = [diffusion._noise_state(na, h.shape, cfg, rng)]
             h, cache = _first_layer_forward(h, x_diffused, params.w_in, layer, noise)
         else:
             h, cache = layer_forward(na, h, layer, cfg, rng=rng)

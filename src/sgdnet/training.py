@@ -25,7 +25,10 @@ with one layer the next draw is submitted as soon as this epoch's pair is
 taken, with more only after the forward pass, whose layers 2..L draw inside
 it. On one usable CPU `model_forward` draws the pair inline. Either way the
 losses and parameters are bitwise the same. The pool's thread is joined
-when `train` returns or raises.
+when `train` returns or raises. The loop hands each pair to the forward
+pass in a list that layer 1 empties, and drops each epoch's spent forward
+cache and logits once `backward` returns, so that neither the pair nor
+the last epoch's arrays are alive when the next epoch's arrays are made.
 
 `backward` reads the operator, config, parameters and inputs from the
 `ForwardCache` of the pass it differentiates, and spends it: it pops each
@@ -179,9 +182,10 @@ def forward_loss(
     weight_decay: float,
     rng: np.random.Generator | None = None,
     x_diffused: DiffusionState | None = None,
-    noise: DiffusionState | None = None,
+    noise: list | None = None,
 ):
-    """One forward pass through model, head, and loss."""
+    """One forward pass through model, head, and loss; `x_diffused` and
+    `noise` as in `model_forward`."""
     h_final, cache = model_forward(
         na, x, params, cfg, rng=rng, x_diffused=x_diffused, noise=noise
     )
@@ -269,14 +273,14 @@ def train(
         for epoch in range(cfg.epochs):
             draw_next = worker and epoch + 1 < cfg.epochs  # order: module docstring
             try:
-                noise, pending = pending and pending.result(), None
+                # Layer 1 pops the pair from the list (see `model_forward`).
+                noise, pending = pending and [pending.result()], None
                 if draw_next and cfg.n_layers == 1:
                     pending = worker.submit(draw)
                 loss, logits, cache = forward_loss(
                     na, x, params, dcfg, batch, cfg.weight_decay, rng=rng,
                     x_diffused=x_diffused, noise=noise,
                 )
-                del noise  # spent: layer 1 added it into its block
                 if draw_next and cfg.n_layers > 1:
                     pending = worker.submit(draw)
                 if not np.isfinite(loss):
@@ -284,6 +288,7 @@ def train(
                 grads = backward(
                     cache, batch, loss_grad_logits(logits, batch.signs), cfg.weight_decay
                 )
+                del cache, logits  # spent; not alive through the next forward
             except NumericError as exc:
                 raise TrainingAbort(
                     f"training aborted at epoch {epoch}: {exc}", last_good, history

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import sgdnet.training as training
 from sgdnet.diffusion import DiffusionConfig, _adjoint
+from sgdnet.features import save_features
 from sgdnet.graph import DataError, ParseError, normalize
 from sgdnet.model import (
     EdgeBatch,
@@ -18,6 +20,7 @@ from sgdnet.model import (
     init_params,
     loss_grad_logits,
     params_sq_norm,
+    save_checkpoint,
 )
 from sgdnet.seeding import spawn_seeds
 from sgdnet.synthetic import random_signed_graph
@@ -529,3 +532,42 @@ def reference_midranks(values):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# Mutated binary artifacts, for the readers' property and memory tests.
+
+# (rows / 64 or d0, d, layers) of a valid feature file or checkpoint.
+ARTIFACT_DIMS = st.tuples(st.integers(1, 64), st.integers(16, 32), st.integers(1, 3))
+# A byte offset, taken modulo the file's length: half of them fall in the
+# first 32 bytes, which hold the header.
+_OFFSETS = st.one_of(st.integers(0, 31), st.integers(0, 2**32 - 1))
+BYTE_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), _OFFSETS),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("xor"), _OFFSETS, st.integers(1, 255)),
+)
+
+
+def write_mutated_artifact(path, artifact, dims, seed, mutation) -> bytes:
+    """Write a valid feature file (64 n x d) or checkpoint (d0, d, layers) of
+    6 KB to 1 MB at `path`, then cut it at an offset, append bytes, or XOR
+    one byte, per `mutation`. Returns the bytes left in the file."""
+    if artifact == "features":
+        n, d = 64 * dims[0], dims[1]
+        save_features(path, np.random.default_rng(seed).standard_normal((n, d)))
+    else:
+        save_checkpoint(path, init_params(*dims, seed=seed), DiffusionConfig(c=0.35, k_steps=4))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    kind, arg, *mask = mutation
+    if kind == "append":
+        raw += arg
+    elif kind == "truncate":
+        raw = raw[:arg % len(raw)]
+    else:
+        out = bytearray(raw)
+        out[arg % len(raw)] ^= mask[0]
+        raw = bytes(out)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return raw

@@ -1,6 +1,5 @@
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,21 +462,6 @@ def test_init_features_is_u_times_s_of_svd_bit_for_bit(monkeypatch, graph, rank,
     np.negative(u, out=u, where=flip)
     assert np.array_equal(x, u * s)
     assert np.array_equal(np.signbit(x), np.signbit(u * s))
-
-
-def test_init_features_holds_at_most_two_sketch_arrays():
-    # The sketch, Q and U are n x (rank + OVERSAMPLE) or narrower, and each
-    # step frees the one it read. Keeping the sketch through a product or an
-    # SVQB pass, or A^T Q through U = Q W, makes three.
-    g = random_signed_graph(20000, avg_out_degree=8.0, seed=0)
-    rank = 32
-    tracemalloc.start()
-    try:
-        init_features(g, rank, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * g.n * (rank + OVERSAMPLE) * 8
 
 
 # A 150 x 100 matrix of rank 20, sketched with 12 + 8 columns, so that b^T is

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,23 +216,6 @@ def test_saved_edge_list_bytes_do_not_follow_the_platform_newline(tmp_path, monk
     path = tmp_path / "edges.tsv"
     save_edge_list(path, EdgeList([7, 0], [0, 12], [-1, 1]))
     assert path.read_bytes() == b"7\t0\t-1\n0\t12\t1\n"
-
-
-def test_save_edge_list_peak_memory_stays_per_block(tmp_path):
-    # Each block's rows go through one tuple of Python ints (about 2.4 MiB
-    # at 12-digit ids); formatting the four blocks at once would take ~9 MiB.
-    rows = 4 * sgdnet.graph._ROW_BLOCK
-    rng = np.random.default_rng(5)
-    ids = rng.integers(0, 10**12, size=(2, rows))
-    edges = EdgeList(ids[0], ids[1], np.where(rng.random(rows) < 0.8, 1, -1))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        save_edge_list(tmp_path / "edges.tsv", edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 4 * 2**20
 
 
 # ---------------------------------------------------------------- parsers against the per-line reference

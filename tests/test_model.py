@@ -1,9 +1,13 @@
 import re
 import struct
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sgdnet.diffusion
+import sgdnet.model
 from sgdnet.diffusion import DiffusionConfig, _noise_state, diffuse
 from sgdnet.graph import SignedEdge, build_graph, normalize
 from sgdnet.model import (
@@ -124,6 +128,91 @@ def test_precomputed_first_layer_block_equals_the_stacked_channels_bytewise():
     assert cache.layers[0].pm.tobytes() == pm.tobytes()
     expected = np.tanh(pm @ layer.w_n + x @ params.w_in)
     assert h_final.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("d0", (1, 31, 32, 33, 128))
+def test_diffuse_inputs_in_column_blocks_equals_one_whole_diffusion(monkeypatch, d0, cpus):
+    # Each output column takes the same sparse products in the same order
+    # whichever block it is diffused in.
+    monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: cpus)
+    g = random_signed_graph(150, avg_out_degree=4.0, neg_fraction=0.4, deadend_fraction=0.3,
+                            seed=11)
+    na = normalize(g)
+    x = np.random.default_rng(d0).standard_normal((na.n, d0))
+    cfg = DiffusionConfig(c=0.35, k_steps=6, m0_mode="uniform")
+    whole = diffuse(na, x, replace(cfg, m0_mode="zero"))
+    real, blocks = sgdnet.diffusion.diffuse, []
+
+    def counted(na, h, cfg, rng=None):
+        blocks.append(h.shape[1])
+        return real(na, h, cfg, rng)
+
+    monkeypatch.setattr(sgdnet.diffusion, "diffuse", counted)
+    got = diffuse_inputs(na, x, cfg)
+    assert np.array_equal(got.p, whole.p) and np.array_equal(got.m, whole.m)
+    assert sum(blocks) == d0 and max(blocks) <= 32 and len(blocks) == -(-d0 // 32)
+
+
+@pytest.mark.parametrize("n_layers", (1, 2))
+@pytest.mark.parametrize("source", ("handed over", "drawn inline"))
+def test_layer_1_frees_the_noise_pair_before_it_mixes(monkeypatch, source, n_layers):
+    g = random_signed_graph(40, seed=12)
+    na = normalize(g)
+    x = np.random.default_rng(3).standard_normal((na.n, 6))
+    params = init_params(6, 4, n_layers, seed=1)
+    cfg = DiffusionConfig(c=0.4, k_steps=3, m0_mode="uniform")
+    refs, alive = [], []  # alive: per _mix call, is either half of the pair alive?
+    real_noise, real_mix = sgdnet.diffusion._noise_state, sgdnet.model._mix
+
+    def noise_state(*args):
+        pair = real_noise(*args)
+        refs.extend([weakref.ref(pair.p), weakref.ref(pair.m)])
+        return pair
+
+    def mix(*args):
+        alive.append(any(ref() is not None for ref in refs))
+        return real_mix(*args)
+
+    monkeypatch.setattr(sgdnet.diffusion, "_noise_state", noise_state)
+    monkeypatch.setattr(sgdnet.model, "_mix", mix)
+    noise = None
+    if source == "handed over":
+        noise = [sgdnet.diffusion._noise_state(na, (na.n, 4), cfg, np.random.default_rng(5))]
+    model_forward(na, x, params, cfg, rng=np.random.default_rng(5),
+                  x_diffused=diffuse_inputs(na, x, cfg), noise=noise)
+    assert len(refs) == 2 and alive == [False] * n_layers
+    assert noise in (None, [])
+
+
+@pytest.mark.parametrize("precomputed", (False, True))
+def test_only_the_direct_path_keeps_h0(monkeypatch, precomputed):
+    # backward reads h0 = x @ w_in only on the direct path, as layer 1's input.
+    g = random_signed_graph(40, seed=13)
+    na = normalize(g)
+    x = np.random.default_rng(4).standard_normal((na.n, 6))
+    params, cfg = init_params(6, 4, 2, seed=2), zero_cfg()
+    refs = []
+    real_first, real_layer = sgdnet.model._first_layer_forward, sgdnet.model.layer_forward
+
+    def first_layer_forward(h0, *args):
+        refs.append(weakref.ref(h0))
+        return real_first(h0, *args)
+
+    def layer_forward(na, h_prev, *args, **kwargs):
+        if not refs:
+            refs.append(weakref.ref(h_prev))
+        return real_layer(na, h_prev, *args, **kwargs)
+
+    monkeypatch.setattr(sgdnet.model, "_first_layer_forward", first_layer_forward)
+    monkeypatch.setattr(sgdnet.model, "layer_forward", layer_forward)
+    x_diffused = diffuse_inputs(na, x, cfg) if precomputed else None
+    h_final, cache = model_forward(na, x, params, cfg, x_diffused=x_diffused)
+    assert len(refs) == 1
+    if precomputed:
+        assert refs[0]() is None and cache.h0 is None and cache.layers[0].h_prev is None
+    else:
+        assert cache.h0 is refs[0]() is cache.layers[0].h_prev is not None
 
 
 def test_layer_output_in_open_unit_interval():

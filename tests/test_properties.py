@@ -10,7 +10,6 @@ database), so a failure reproduces on every run.
 import os
 import struct
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +24,18 @@ from sgdnet.diffusion import (
     exact_solve,
     l1_distance,
 )
-from sgdnet.features import load_features, save_features
+from sgdnet.features import load_features
 from sgdnet.graph import build_graph, normalize
-from sgdnet.model import EdgeBatch, init_params, load_checkpoint, save_checkpoint
+from sgdnet.model import EdgeBatch, init_params, load_checkpoint
 
-from helpers import adjoint, assert_precompute_matches_direct_path, dense_block_operator
+from helpers import (
+    ARTIFACT_DIMS,
+    BYTE_MUTATIONS,
+    adjoint,
+    assert_precompute_matches_direct_path,
+    dense_block_operator,
+    write_mutated_artifact,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -147,17 +153,6 @@ def test_walk_operators_have_column_sums_at_most_one(graph):
 # ---------------------------------------------------------------- binary readers
 
 
-def _write_valid(path, artifact, dims, seed):
-    """A valid feature file (64 n x d) or checkpoint (d0, d, layers) at
-    `path`, of 6 KB to 1 MB: above about 19 KB, a second copy of the payload
-    breaks the readers' memory bound below."""
-    if artifact == "features":
-        n, d = 64 * dims[0], dims[1]
-        save_features(path, np.random.default_rng(seed).standard_normal((n, d)))
-    else:
-        save_checkpoint(path, init_params(*dims, seed=seed), DiffusionConfig(c=0.35, k_steps=4))
-
-
 def _header_shapes(artifact, raw):
     """The matrix shapes that a file's header states, read independently of
     the loaders: the feature header is magic, u32 version, u64 n, u64 d; the
@@ -168,62 +163,22 @@ def _header_shapes(artifact, raw):
     return [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
 
 
-# A byte offset, taken modulo the file's length: half of them fall in the
-# first 32 bytes, which hold the header.
-offsets = st.one_of(st.integers(0, 31), st.integers(0, 2**32 - 1))
-mutations = st.one_of(
-    st.tuples(st.just("truncate"), offsets),
-    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
-    st.tuples(st.just("xor"), offsets, st.integers(1, 255)),
-)
-
-
-def _mutate(raw: bytes, mutation) -> bytes:
-    """Cut the file at an offset, append bytes, or XOR one byte."""
-    kind, arg, *mask = mutation
-    if kind == "append":
-        return raw + arg
-    at = arg % len(raw)
-    if kind == "truncate":
-        return raw[:at]
-    out = bytearray(raw)
-    out[at] ^= mask[0]
-    return bytes(out)
-
-
 @pytest.mark.parametrize("artifact", ["features", "checkpoint"])
 @PROPERTY
-@given(
-    dims=st.tuples(st.integers(1, 64), st.integers(16, 32), st.integers(1, 3)),
-    seed=seeds,
-    mutation=mutations,
-)
+@given(dims=ARTIFACT_DIMS, seed=seeds, mutation=BYTE_MUTATIONS)
 def test_binary_reader_on_a_mutated_file_loads_checked_arrays_or_names_the_file(
     artifact, dims, seed, mutation
 ):
+    # Its memory bound is a row of tests/test_memory.py.
     load = load_features if artifact == "features" else load_checkpoint
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artifact.bin")
-        _write_valid(path, artifact, dims, seed)
-        with open(path, "rb") as fh:
-            raw = _mutate(fh.read(), mutation)
-        with open(path, "wb") as fh:
-            fh.write(raw)
-
-        tracemalloc.start()
+        raw = write_mutated_artifact(path, artifact, dims, seed, mutation)
         try:
             loaded = load(path)
         except ValueError as exc:
             assert path in str(exc)
-            loaded = None
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-
-    # The payload, its finiteness mask (1/8 of it) and Python's own overhead.
-    assert peak <= 9 / 8 * len(raw) + 16 * 1024
-    if loaded is None:
-        return
+            return
     if artifact == "features":
         arrays = [loaded]
     else:

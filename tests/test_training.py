@@ -3,13 +3,13 @@ import inspect
 import sys
 import threading
 import types
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import sgdnet.diffusion
+import sgdnet.model
 import sgdnet.training
 from sgdnet.diffusion import DiffusionConfig, DiffusionState
 from sgdnet.graph import build_graph, normalize
@@ -252,48 +252,6 @@ def test_second_backward_on_a_spent_cache_raises():
     backward(cache, batch, grad_logits)
     with pytest.raises(ValueError, match="run forward_loss again"):
         backward(cache, batch, grad_logits)
-
-
-def backward_peak_in_state_arrays(monkeypatch, cpus):
-    """Traced peak of one L = 2 `backward` above what was live before the
-    forward pass, in n x d float64 arrays."""
-    monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: cpus)
-    n, d = 3000, 32
-    g = random_signed_graph(n, avg_out_degree=4.0, neg_fraction=0.3, seed=1)
-    na = normalize(g)
-    x = np.random.default_rng(2).standard_normal((n, 8))
-    params = init_params(8, d, 2, seed=3)
-    batch = EdgeBatch.from_edges(g.edges)
-    cfg = DiffusionConfig(c=0.5, k_steps=4, m0_mode="zero")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
-        grad_logits = loss_grad_logits(logits, batch.signs)
-        tracemalloc.reset_peak()
-        backward(cache, batch, grad_logits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - before) / (n * d * 8)
-
-
-def test_backward_peak_memory_stays_under_12_25_state_arrays(monkeypatch):
-    # The peak falls inside the top layer's adjoint. Live there: what the
-    # layer below still needs (h0, its channel block and its h_next, 4 n x d
-    # arrays), dpre, the two walks' start states, which are their injects,
-    # and each walk's current and next state while a product runs: about 11
-    # arrays when the two walks' products overlap. Keeping dpm through the
-    # walks adds 2 more.
-    assert backward_peak_in_state_arrays(monkeypatch, cpus=2) < 12.25
-
-
-def test_backward_peak_memory_on_one_cpu_stays_under_10_25_state_arrays(monkeypatch):
-    # Inline, the difference walk starts after the sum walk has ended: its
-    # start state waits while the sum walk holds its inject and two states,
-    # about 9 arrays in all. Separate c * start inject copies beside the
-    # start states measured 10.7 here; keeping dpm through the walks, 11.7.
-    assert backward_peak_in_state_arrays(monkeypatch, cpus=1) < 10.25
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -819,3 +777,33 @@ def test_train_frees_each_noise_pair_before_backward(monkeypatch, n_layers):
     monkeypatch.setattr(sgdnet.training, "backward", backward)
     train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", 4))
     assert alive == [False] * 4
+
+
+class WatchedCache:
+    """A `ForwardCache` with the same fields that a weakref can watch (a
+    NamedTuple cannot be weakly referenced)."""
+
+    def __init__(self, *fields):
+        vars(self).update(zip(ForwardCache._fields, fields))
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("epochs", (3, 6))  # below and above the precompute rule
+@pytest.mark.parametrize("n_layers", (1, 2))
+def test_train_frees_each_forward_cache_before_the_next_forward(
+    monkeypatch, n_layers, epochs, cpus
+):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(sgdnet.model, "ForwardCache", WatchedCache)
+    real_forward = sgdnet.training.forward_loss
+    refs, alive = [], []  # alive: at each forward_loss, is any earlier cache alive?
+
+    def forward_loss(*args, **kwargs):
+        alive.append(any(ref() is not None for ref in refs))
+        out = real_forward(*args, **kwargs)
+        refs.append(weakref.ref(out[2]))
+        return out
+
+    monkeypatch.setattr(sgdnet.training, "forward_loss", forward_loss)
+    train(PRECOMPUTE_GRAPHS["deadends"](), FEED_X, feed_cfg(n_layers, "uniform", epochs))
+    assert alive == [False] * epochs
