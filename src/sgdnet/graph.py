@@ -3,7 +3,10 @@
 Edges carry a +1 (trust) or -1 (distrust) label. They travel from parse to
 save as an `EdgeList`: three int64 columns `src`, `dst`, `sign`. Edge files
 are parsed whole with numpy; a file that this parse does not accept is read
-line by line, which names the first bad line. The graph is stored as one
+line by line, which names the first bad line. Each stage of the parse frees
+its temporaries before it allocates what it returns: glibc's heap shrinks
+only from its top, so an output allocated above freed temporaries would
+keep their pages resident. The graph is stored as one
 signed CSR adjacency A = A+ - A-, and `normalize` divides its rows by the
 out-degree into the operators that drive the random-walk diffusion.
 """
@@ -43,7 +46,17 @@ class EdgeList:
     __slots__ = ("src", "dst", "sign")
 
     def __init__(self, src, dst, sign):
-        cols = [np.array(c, dtype=np.int64) for c in (src, dst, sign)]
+        self._freeze(*(np.array(c, dtype=np.int64) for c in (src, dst, sign)))
+
+    @classmethod
+    def _own(cls, src, dst, sign):
+        """An EdgeList over three int64 columns that nothing else holds,
+        frozen in place instead of copied."""
+        edges = cls.__new__(cls)
+        edges._freeze(src, dst, sign)
+        return edges
+
+    def _freeze(self, *cols):
         if any(c.shape != cols[0].shape or c.ndim != 1 for c in cols):
             raise ValueError("edge columns must be 1-d and of one length")
         for c in cols:
@@ -59,7 +72,12 @@ class EdgeList:
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return SignedEdge(int(self.src[index]), int(self.dst[index]), int(self.sign[index]))
-        return EdgeList(self.src[index], self.dst[index], self.sign[index])
+        cols = [c[index] for c in (self.src, self.dst, self.sign)]
+        # An index array selects copies, which become the columns; a slice
+        # selects views, which are copied.
+        if any(c.base is not None for c in cols):
+            return EdgeList(*cols)
+        return EdgeList._own(*cols)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeList):
@@ -177,8 +195,13 @@ def _parse_csv_rating(line: str, lineno: int) -> tuple[str, str, int]:
     return src, dst, (1 if rating > 0 else -1)
 
 
+def _is_sign(column) -> bool:
+    return bool(np.all((column == 1) | (column == -1)))
+
+
 def _tsv_signs(column):
-    return column if np.all((column == 1) | (column == -1)) else None
+    # A copy, so that the table can be freed.
+    return column.copy() if _is_sign(column) else None
 
 
 def _rating_signs(column):
@@ -214,17 +237,19 @@ def _read_table(path, sep: str, width, dtype):
     others may hold no character but digits and `+-.eE`. Returns a
     (lines, width) array of `dtype`.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
     if not text.isascii():
         return None
     buf = np.frombuffer((text + "\n").encode("ascii"), dtype=np.uint8)
+    del text
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.r_[0, ends[:-1] + 1]
     skip = (starts == ends) | (buf[starts] == ord("#"))
     if skip.any():
         buf = buf[np.repeat(~skip, ends - starts + 1)]
     n_lines = len(ends) - int(np.count_nonzero(skip))
+    del ends, starts, skip
     if not n_lines:
         return None
 
@@ -276,40 +301,54 @@ def _read_table(path, sep: str, width, dtype):
 
 def _data_lines(path):
     """(line number, stripped line) of every line that is neither blank nor
-    a `#` comment."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    a `#` comment. A line that is not valid UTF-8 raises ParseError."""
+    # Undecodable bytes become lone surrogates, which no valid UTF-8 text
+    # holds and which cannot be encoded back.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
+            if not raw_line.isascii():
+                try:
+                    raw_line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"line {lineno}: not valid UTF-8") from None
             line = raw_line.strip()
             if line and not line.startswith("#"):
                 yield lineno, line
 
 
-def _first_ids(raw_ids: np.ndarray):
-    """Dense ids by first appearance in row-major order, and the id map."""
-    flat = raw_ids.ravel()
-    keys, inverse = np.unique(flat, return_inverse=True)
-    first = np.full(len(keys), len(flat))
-    np.minimum.at(first, inverse.ravel(), np.arange(len(flat)))
+def _first_ids(keys, inverse):
+    """Dense ids by first appearance in row-major order, as (src, dst), and
+    the id map, from the sorted distinct raw ids `keys` and the (m, 2)
+    index `inverse` of each raw id among them."""
+    first = np.full(len(keys), inverse.size)
+    np.minimum.at(first, inverse.ravel(), np.arange(inverse.size))
     order = np.argsort(first)
+    del first
+    id_map = dict(zip(map(str, keys[order].astype(np.int64).tolist()), range(len(keys))))
     dense = np.empty(len(keys), dtype=np.int64)
     dense[order] = np.arange(len(keys))
-    id_map = dict(zip(map(str, keys[order].tolist()), range(len(keys))))
-    return dense[inverse].reshape(raw_ids.shape), id_map
+    del order
+    ids = dense[inverse.reshape(-1, 2).T]
+    return ids[0], ids[1], id_map
 
 
-def _collapse_repeats(edges: EdgeList, n: int) -> EdgeList:
+def _collapse_repeats(src, dst, sign, n: int) -> EdgeList:
     """Keep one edge per (src, dst): at the position of its first occurrence,
     with the sign of its last."""
-    key = edges.src * n + edges.dst
+    key = src * n + dst
     # A stable sort keeps each key's occurrences in file order.
     perm = np.argsort(key, kind="stable")
     sorted_key = key[perm]
+    del key
     head = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
+    del sorted_key
     first = perm[head]
     last = perm[np.r_[head[1:], True]]
+    del perm, head
     order = np.argsort(first)
-    keep = first[order]
-    return EdgeList(edges.src[keep], edges.dst[keep], edges.sign[last[order]])
+    keep, last = first[order], last[order]
+    del first, order
+    return EdgeList._own(src[keep], dst[keep], sign[last])
 
 
 def load_edge_list(path, fmt: str = "tsv-sign"):
@@ -332,8 +371,12 @@ def load_edge_list(path, fmt: str = "tsv-sign"):
     table = _read_table(path, sep, width, dtype)
     signs = None if table is None else to_signs(table[:, 2])
     if signs is not None:
-        ids, id_map = _first_ids(table[:, :2].astype(np.int64))
-        edges = EdgeList(ids[:, 0], ids[:, 1], signs)
+        # `_read_table` takes ids of at most 15 digits, which float64 holds
+        # exactly, so a float table's ids sort as their integers do.
+        keys, inverse = np.unique(table[:, :2], return_inverse=True)
+        del table
+        src, dst, id_map = _first_ids(keys, inverse)
+        del keys, inverse
     else:
         id_map = {}
         rows = []
@@ -342,11 +385,12 @@ def load_edge_list(path, fmt: str = "tsv-sign"):
             src = id_map.setdefault(src_raw, len(id_map))
             dst = id_map.setdefault(dst_raw, len(id_map))
             rows.append((src, dst, sign))
-        edges = as_edge_list(rows)
+        src, dst, signs = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        del rows
 
-    if not len(edges):
+    if not len(src):
         raise DataError(f"{path}: no edges found")
-    return _collapse_repeats(edges, len(id_map)), len(id_map), id_map
+    return _collapse_repeats(src, dst, signs, len(id_map)), len(id_map), id_map
 
 
 def save_id_map(path, id_map) -> None:
@@ -394,7 +438,7 @@ def save_edge_list(path, edges) -> None:
 def read_edge_tsv(path) -> EdgeList:
     """Read a dense-id TSV edge file without remapping the ids."""
     table = _read_table(path, "\t", 3, np.int64)
-    if table is None or _tsv_signs(table[:, 2]) is None:
+    if table is None or not _is_sign(table[:, 2]):
         rows = []
         for lineno, line in _data_lines(path):
             src_raw, dst_raw, sign = _parse_tsv_sign(line, lineno)
@@ -429,18 +473,25 @@ def build_graph(edges, n: int) -> SignedDigraph:
         raise ValueError(f"edge ({e.src}->{e.dst}) has invalid sign {e.sign}")
 
     # Sorting the row-major keys puts the edges in CSR order, with the copies
-    # of one (src, dst) in a run; every run must hold a single sign.
+    # of one (src, dst) in a run; every run must hold a single sign. Each
+    # array is dropped as soon as the next step holds what it needs.
     key = edges.src * n + edges.dst
     order = np.argsort(key)
     key, sign = key[order], edges.sign[order]
+    del order
     head = np.diff(key, prepend=-1) != 0
     if np.any(~head & (np.diff(sign, prepend=0) != 0)):
         raise ValueError("an edge carries both signs; deduplicate the edge list first")
-    rows, cols = np.divmod(key[head], n)
+    key = key[head]
+    sign = sign[head]
+    del head
 
-    itype = np.int32 if max(n, len(cols)) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(itype)
-    a = sp.csr_array((sign[head].astype(np.float64), cols.astype(itype), indptr), shape=(n, n))
+    itype = np.int32 if max(n, len(key)) <= np.iinfo(np.int32).max else np.int64
+    # Row r's entries are the keys in [r * n, (r + 1) * n).
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(itype)
+    cols = (key % n).astype(itype)
+    del key
+    a = sp.csr_array((sign.astype(np.float64), cols, indptr), shape=(n, n))
     return SignedDigraph(n, edges, a, np.diff(indptr).astype(np.int64))
 
 
@@ -454,7 +505,10 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     if g._normalized is not None:
         return g._normalized
     a = g.a
-    rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
-    d = sp.csr_array((a.data / g.out_degree[rows], a.indices, a.indptr), shape=a.shape)
+    # Each entry over its row's degree, repeated along the row; no array of
+    # row indices is formed. The degrees are exact in float64, which spares
+    # the division a cast buffer.
+    data = a.data / np.repeat(g.out_degree.astype(np.float64), np.diff(a.indptr))
+    d = sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
     g._normalized = NormalizedAdjacency(g.n, d)
     return g._normalized

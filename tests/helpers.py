@@ -518,6 +518,36 @@ def reference_read_edge_tsv(path):
     return edges
 
 
+def write_edge_file(path, fmt, lines, seed) -> int:
+    """Write a generated edge file of `lines` edges over lines // 6 nodes,
+    about 85% positive, in which one line in 20 repeats an earlier edge (its
+    sign drawn anew); return its size in bytes. In "tsv-sign" (with a `#`
+    header) and "csv-rating" (SOURCE,TARGET,RATING,TIME) the raw ids are
+    distinct numbers below 10**7; "dense-tsv" holds the dense ids, as
+    `read_edge_tsv` reads them."""
+    rng = np.random.default_rng(seed)
+    n = max(lines // 6, 2)
+    src, dst = rng.integers(0, n, size=(2, lines))
+    again = np.flatnonzero(rng.random(lines) < 0.05)[1:]
+    earlier = (rng.random(len(again)) * again).astype(np.int64)
+    src[again], dst[again] = src[earlier], dst[earlier]
+    sign = np.where(rng.random(lines) < 0.85, 1, -1)
+    if fmt != "dense-tsv":
+        raw = rng.choice(10**7, size=n, replace=False)
+        src, dst = raw[src], raw[dst]
+    cols = zip(src.tolist(), dst.tolist(), sign.tolist())
+    if fmt == "csv-rating":
+        rating = (sign * rng.integers(1, 11, size=lines)).tolist()
+        text = "".join(f"{u},{v},{r},{1289000000 + i}\n"
+                       for i, ((u, v, _), r) in enumerate(zip(cols, rating)))
+    else:
+        header = "# FromNodeId\tToNodeId\tSign\n" if fmt == "tsv-sign" else ""
+        text = header + "".join(f"{u}\t{v}\t{x}\n" for u, v, x in cols)
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(text)
+    return len(text)
+
+
 def reference_midranks(values):
     """Ranks from 1 with tied values sharing their mean rank, one tie group
     at a time."""

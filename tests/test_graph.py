@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_a_leading_byte_order_mark_is_dropped(monkeypatch, tmp_path, read, text,
     if read is not read_edge_tsv:
         _, n, id_map = got
         assert n == 3 and set(id_map) == {"1", "2", "3"}
+
+
+@pytest.mark.parametrize("read, sep", [
+    (lambda p: load_edge_list(p, "tsv-sign"), b"\t"),
+    (lambda p: load_edge_list(p, "csv-rating"), b","),
+    (read_edge_tsv, b"\t"),
+], ids=["tsv-sign", "csv-rating", "dense-tsv"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"], ids=["ff", "cut", "surrogate"])
+def test_a_line_that_is_not_utf8_is_named(tmp_path, read, sep, bad):
+    path = tmp_path / "e.txt"
+    path.write_bytes(sep.join([b"1", b"2", b"1\r\n# note\n2", bad + b"3", b"1\n"]))
+    with pytest.raises(ParseError, match=exactly("line 3: not valid UTF-8")):
+        read(path)
 
 
 def test_load_zero_rating_rejected(tmp_path):
@@ -467,6 +481,26 @@ def test_edge_list_is_a_sequence_of_signed_edges():
     assert len(as_edge_list([])) == 0
     with pytest.raises(ValueError):
         edges.src[0] = 5
+
+
+def test_selected_edges_are_frozen_and_copied_once():
+    m = 100_000
+    edges = EdgeList(np.arange(m), np.arange(m)[::-1], np.ones(m, dtype=np.int64))
+    order = np.random.default_rng(0).permutation(m)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        picked = edges[order]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    sliced = edges[10:]
+    assert list(picked[:2]) == [(order[0], m - 1 - order[0], 1), (order[1], m - 1 - order[1], 1)]
+    assert list(sliced[:1]) == [(10, m - 11, 1)]
+    # The three selected columns; a second copy of them would make six.
+    assert peak < 3.5 * m * 8
+    for col in (picked.src, picked.dst, picked.sign, sliced.src):
+        assert not col.flags.writeable and col.flags.owndata
 
 
 def test_graph_edges_keep_input_order_and_repeats():

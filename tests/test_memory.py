@@ -15,11 +15,20 @@ catches.
 The training rows run on one generated graph shaped like Bitcoin-Alpha
 (4,000 nodes, about 6 out-edges per node) with d0 = 128 input features
 and d = 32. Their unit is one n x d float64 array (1 MB); x itself is
-4 of them and the precomputed input diffusion 8.
+4 of them and the precomputed input diffusion 8. The parse rows read
+generated edge files of 50,000 lines (0.6 to 1.5 MB) and count bytes per
+byte of the file; `build_graph` and `normalize` run on the graph parsed
+from the `tsv-sign` one.
+
+Traced peaks do not show the heap that glibc keeps after a free, so one
+test below also bounds the resident growth across a parse.
 """
 
 import functools
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from typing import Callable, NamedTuple
@@ -29,13 +38,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdnet
 import sgdnet.diffusion
 import sgdnet.graph
 import sgdnet.model
 import sgdnet.training
 from sgdnet.diffusion import DiffusionConfig
 from sgdnet.features import OVERSAMPLE, init_features, load_features
-from sgdnet.graph import EdgeList, normalize, save_edge_list
+from sgdnet.graph import (
+    EdgeList,
+    build_graph,
+    load_edge_list,
+    normalize,
+    read_edge_tsv,
+    save_edge_list,
+)
 from sgdnet.model import (
     EdgeBatch,
     diffuse_inputs,
@@ -46,9 +63,10 @@ from sgdnet.model import (
 from sgdnet.synthetic import random_signed_graph
 from sgdnet.training import TrainConfig, backward, forward_loss, train
 
-from helpers import ARTIFACT_DIMS, BYTE_MUTATIONS, write_mutated_artifact
+from helpers import ARTIFACT_DIMS, BYTE_MUTATIONS, write_edge_file, write_mutated_artifact
 
 N, D0, D = 4000, 128, 32
+PARSE_LINES = 50_000
 
 
 def traced_peak(run) -> int:
@@ -170,6 +188,39 @@ def save_edge_list_peak() -> float:
         return traced_peak(lambda: save_edge_list(os.path.join(tmp, "edges.tsv"), edges)) / 2**20
 
 
+def parse_peak(fmt) -> float:
+    """Peak of one parse of a generated edge file, in bytes per file byte;
+    fmt "dense-tsv" reads through `read_edge_tsv`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        size = write_edge_file(path, fmt, PARSE_LINES, seed=7)
+        if fmt == "dense-tsv":
+            return traced_peak(lambda: read_edge_tsv(path)) / size
+        return traced_peak(lambda: load_edge_list(path, fmt)) / size
+
+
+@functools.lru_cache(maxsize=None)
+def parsed_edges():
+    """The parse rows' `tsv-sign` graph: (edges, n)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.tsv")
+        write_edge_file(path, "tsv-sign", PARSE_LINES, seed=7)
+        edges, n, _ = load_edge_list(path, "tsv-sign")
+    return edges, n
+
+
+def build_graph_peak() -> float:
+    """Peak of `build_graph`, in bytes per edge."""
+    edges, n = parsed_edges()
+    return traced_peak(lambda: build_graph(edges, n)) / len(edges)
+
+
+def normalize_peak() -> float:
+    """Peak of a first `normalize`, in bytes per stored entry."""
+    g = build_graph(*parsed_edges())
+    return traced_peak(lambda: normalize(g)) / g.a.nnz
+
+
 class Row(NamedTuple):
     measure: Callable[[], float]
     unit: str
@@ -221,6 +272,29 @@ MEMORY_TABLE = {
     # at 12-digit ids); formatting the four blocks at once would take ~9 MiB.
     # Measures 2.43.
     "save_edge_list": Row(save_edge_list_peak, "MiB", 4.0, 4.0),
+    # The whole-file parse holds the text, its bytes and masks (about 3
+    # bytes per byte), the field bounds and the table; each stage frees the
+    # arrays it read before the next allocates, and the line index and the
+    # text go before the fields are cut. Measured 8.24 (tsv-sign, 0.90 MB),
+    # 7.42 (csv-rating, 1.45 MB) and 10.35 (read_edge_tsv, 0.59 MB), margin
+    # 0.5 to 0.65; with the text and the line index held to the end and the
+    # ids copied out of the table, 10.29, 9.01 and 12.78.
+    "load_edge_list, tsv-sign": Row(functools.partial(parse_peak, "tsv-sign"),
+                                    "bytes per file byte", 8.75, 8.75),
+    "load_edge_list, csv-rating": Row(functools.partial(parse_peak, "csv-rating"),
+                                      "bytes per file byte", 8.0, 8.0),
+    "read_edge_tsv": Row(functools.partial(parse_peak, "dense-tsv"),
+                         "bytes per file byte", 11.0, 11.0),
+    # The sorted keys and signs, and the argsort or the run-head diffs: about
+    # 4 int64 arrays of the edges. Measured 35.04, margin 1.96; holding the
+    # sort order to the end and dividing out the rows and columns measured
+    # 58.73.
+    "build_graph": Row(build_graph_peak, "bytes per edge", 37.0, 37.0),
+    # Two arrays of one float64 per entry: each entry's row degree and S's
+    # values, then S's and D's values. Measured 16.06, margin 0.94;
+    # gathering the degrees through an index of each entry's row measured
+    # 25.41.
+    "normalize": Row(normalize_peak, "bytes per entry", 17.0, 17.0),
 }
 
 
@@ -232,3 +306,61 @@ def test_traced_peak_stays_under_its_bound(monkeypatch, stage, cpus):
     peak = row.measure()
     bound = row.one_cpu if cpus == 1 else row.two_cpus
     assert peak < bound, f"{stage}: {peak:.3f} {row.unit}, bound {bound}"
+
+
+# Run in a fresh interpreter, so that no earlier test has shaped its heap:
+# the resident growth in bytes after one `load_edge_list`, and after a
+# second one whose result replaces the first.
+RSS_GROWTH_SCRIPT = """
+import gc
+import os
+import sys
+from sgdnet.graph import load_edge_list
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = resident()
+parsed = load_edge_list(sys.argv[1], "tsv-sign")
+print(resident() - before)
+del parsed
+gc.collect()
+parsed = load_edge_list(sys.argv[1], "tsv-sign")
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm") or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc/self/statm; the bound is glibc's heap")
+def test_parse_leaves_little_freed_heap_resident(tmp_path):
+    # glibc places the arrays below its dynamic mmap threshold (raised by
+    # each large free) in one heap, which shrinks only from its top. An
+    # output allocated while the stage's temporaries live sits above them
+    # and keeps their freed pages resident. On a 2.15 MB tsv-sign file with
+    # 4.94 MB held after the parse, the growth measured 12.45 MB after one
+    # parse and 12.5 MB after two (CPython 3.11, glibc 2.36). Holding each
+    # stage's temporaries until its outputs exist made it 25.36 MB; holding
+    # only the table through the ids, 19.9 MB after one parse; holding the
+    # ids' sorted keys and index through the collapse, 16.1 MB after two.
+    # Bound: what one parse holds plus 4.5 bytes per file byte.
+    path = tmp_path / "edges.tsv"
+    size = write_edge_file(path, "tsv-sign", 120_000, seed=11)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = load_edge_list(path, "tsv-sign")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parsed[0]) > 100_000
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(sgdnet.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", RSS_GROWTH_SCRIPT, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    bound = held + 4.5 * size
+    for parses, growth in enumerate(map(int, out.stdout.split()), start=1):
+        assert growth < bound, (
+            f"resident growth after parse {parses}: {growth / 1e6:.2f} MB, "
+            f"bound {bound / 1e6:.2f} MB")

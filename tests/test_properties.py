@@ -1,13 +1,14 @@
 """Property tests of the invariants the training path rests on, over small
 generated signed digraphs: deadends, isolated nodes, self-loops, one-sign
-graphs and edgeless graphs; and of the binary readers, over mutated feature
-and checkpoint files.
+graphs and edgeless graphs; of the binary readers, over mutated feature and
+checkpoint files; and of the edge-file readers, over mutated edge files.
 
 Hypothesis runs derandomized (a fixed example sequence, no example
 database), so a failure reproduces on every run.
 """
 
 import os
+import re
 import struct
 import tempfile
 
@@ -25,7 +26,7 @@ from sgdnet.diffusion import (
     l1_distance,
 )
 from sgdnet.features import load_features
-from sgdnet.graph import build_graph, normalize
+from sgdnet.graph import DataError, build_graph, load_edge_list, normalize, read_edge_tsv
 from sgdnet.model import EdgeBatch, init_params, load_checkpoint
 
 from helpers import (
@@ -34,6 +35,8 @@ from helpers import (
     adjoint,
     assert_precompute_matches_direct_path,
     dense_block_operator,
+    reference_load_edge_list,
+    reference_read_edge_tsv,
     write_mutated_artifact,
 )
 
@@ -187,3 +190,158 @@ def test_binary_reader_on_a_mutated_file_loads_checked_arrays_or_names_the_file(
         assert 0 < cfg.c < 1 and cfg.k_steps >= 1
     assert [w.shape for w in arrays] == _header_shapes(artifact, raw)
     assert all(np.all(np.isfinite(w)) for w in arrays)
+
+
+# ---------------------------------------------------------------- edge-file readers
+
+BOM = b"\xef\xbb\xbf"
+
+# Raw ids: the decimals that the whole-file parse takes, and others that send
+# a file to the per-line reader: leading zeros, more than 15 digits, words,
+# non-ASCII words.
+DECIMAL_IDS = st.integers(0, 10**6).map(str)
+WORDS = st.text(alphabet="az\u00e9\u4e2d\U0001f642", min_size=1, max_size=3)
+RAW_IDS = st.one_of(
+    DECIMAL_IDS,
+    st.integers(0, 10**20).map(str),
+    st.integers(0, 99).map(lambda i: f"{i:04d}"),
+    WORDS,
+    WORDS,
+)
+RATINGS = st.sampled_from(
+    [str(r) for r in range(-10, 11) if r] + ["0.5", "-2.5e0", "+3", "1E1"]
+)
+# Mutations of a valid file, applied in order. The number mutations put a
+# token in place of one field of one line; the others act on the bytes. A
+# byte to drop, repeat or swap is taken among the non-ASCII bytes when the
+# flag is set and the file has some, so that cut characters are common.
+TEXT_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("drop", "repeat", "swap")), st.integers(0, 2**16),
+                  st.booleans()),
+        st.tuples(
+            st.just("number"), st.integers(0, 2**16), st.integers(0, 3),
+            st.sampled_from(("nan", "NaN", "inf", "-inf", "1e999", "1e308", "-0",
+                             "99999999999999999999", "9223372036854775808")),
+        ),
+        st.tuples(st.just("line"), st.integers(0, 2**16),
+                  st.sampled_from(("", "  ", "#", "# a\tb\tc", "#1,2,3"))),
+        st.tuples(st.just("crlf")),
+        st.tuples(st.just("bom")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def edge_files(draw, fmt):
+    """The lines of a valid edge file of `fmt` ("tsv-sign", "csv-rating", or
+    "dense-tsv" for `read_edge_tsv`), with repeated edges, and blank and `#`
+    lines among them. Half of the files hold only decimal ids."""
+    id_lists = st.lists(DECIMAL_IDS, min_size=1, max_size=6)
+    if fmt != "dense-tsv":
+        id_lists = st.one_of(id_lists, st.lists(RAW_IDS, min_size=1, max_size=6))
+    node = st.sampled_from(draw(id_lists))
+    if fmt == "csv-rating":
+        time = draw(st.sampled_from(("", ",1400000000", ",0.5")))
+        row = st.tuples(node, node, RATINGS).map(lambda r: ",".join(r) + time)
+    else:
+        row = st.tuples(node, node, st.sampled_from(("1", "-1"))).map("\t".join)
+    lines = draw(st.lists(row, min_size=1, max_size=10))
+    for at, extra in draw(st.lists(st.tuples(st.integers(0, 10), st.sampled_from(("", "# c"))),
+                                   max_size=2)):
+        lines.insert(at % (len(lines) + 1), extra)
+    return lines
+
+
+def mutate_edge_file(lines, sep, mutations) -> bytes:
+    """The file's bytes after `mutations`; `sep` splits a line's fields."""
+    lines = list(lines)
+    for mutation in mutations:
+        if mutation[0] == "number" and lines:
+            i = mutation[1] % len(lines)
+            fields = lines[i].split(sep)
+            fields[mutation[2] % len(fields)] = mutation[3]
+            lines[i] = sep.join(fields)
+        elif mutation[0] == "line":
+            lines.insert(mutation[1] % (len(lines) + 1), mutation[2])
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    for kind, *args in mutations:
+        at = args[0] % len(raw) if args and raw else 0
+        if kind in ("drop", "repeat", "swap") and args[1]:
+            non_ascii = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) >= 0x80)
+            at = int(non_ascii[args[0] % len(non_ascii)]) if len(non_ascii) else at
+        if kind == "drop":
+            raw = raw[:at] + raw[at + 1:]
+        elif kind == "repeat":
+            raw = raw[:at + 1] + raw[at:]
+        elif kind == "swap":
+            raw = raw[:at] + raw[at + 1:at + 2] + raw[at:at + 1] + raw[at + 2:]
+        elif kind == "crlf":
+            raw = raw.replace(b"\n", b"\r\n")
+        elif kind == "bom":
+            raw = BOM + raw
+    return raw
+
+
+TEXT_READERS = {
+    "tsv-sign": (lambda p: load_edge_list(p, "tsv-sign"),
+                 lambda p: reference_load_edge_list(p, "tsv-sign")),
+    "csv-rating": (lambda p: load_edge_list(p, "csv-rating"),
+                   lambda p: reference_load_edge_list(p, "csv-rating")),
+    "dense-tsv": (read_edge_tsv, reference_read_edge_tsv),
+}
+
+
+def as_plain(result):
+    """A reader's result as the reference states it: edges as tuples, and for
+    `load_edge_list` n and the id map's items in insertion order."""
+    if isinstance(result, tuple):
+        edges, n, id_map = result
+        return [tuple(e) for e in edges], n, list(id_map.items())
+    return [tuple(e) for e in result]
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_READERS))
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data(), mutations=TEXT_MUTATIONS)
+def test_text_reader_on_a_mutated_file_returns_the_reference_parse_or_names_a_line(
+    fmt, data, mutations
+):
+    read, reference = TEXT_READERS[fmt]
+    sep = "," if fmt == "csv-rating" else "\t"
+    raw = mutate_edge_file(data.draw(edge_files(fmt), label="lines"), sep, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        # The readers drop one leading byte-order mark; the reference reads
+        # the file without it.
+        ref_path = os.path.join(tmp, "reference.txt")
+        for p, b in ((path, raw), (ref_path, raw[3:] if raw.startswith(BOM) else raw)):
+            with open(p, "wb") as fh:
+                fh.write(b)
+        try:
+            want = as_plain(reference(ref_path))
+        except (DataError, UnicodeDecodeError) as exc:
+            want = exc
+        try:
+            got = as_plain(read(path))
+        except DataError as exc:
+            got = exc
+    if not isinstance(got, DataError):
+        assert got == want
+        return
+    if isinstance(want, DataError) and str(want).replace(ref_path, path) == str(got):
+        assert type(got) is type(want)
+        return
+    # Else the error names a line of the file. Where the reference could
+    # decode the file, it is one of the checks that the reference lacks (dense
+    # ids past 64 bits), at or before the line of the reference's own error.
+    named = re.match(r"line ([1-9][0-9]*): ", str(got))
+    assert named, str(got)
+    line = int(named.group(1))
+    assert line <= raw.count(b"\n") + raw.count(b"\r") + 1
+    if not isinstance(want, UnicodeDecodeError):
+        assert str(got).endswith(": dense ids must fit in 64 bits"), str(got)
+    if isinstance(want, DataError):
+        assert line <= int(re.match(r"line ([0-9]+): ", str(want)).group(1))
