@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .atomic import atomic_write
@@ -37,8 +38,10 @@ def _read_config_file(path) -> dict[str, str]:
     """Flat key=value file of long flag names without their '--' ('_' reads
     as '-'); '#' comments, blank lines and a leading UTF-8 BOM are skipped."""
     values = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if re.search("[\udc80-\udcff]", raw):  # as `graph._UNDECODABLE`
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -330,7 +333,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .evaluation import ExperimentConfig, mean_std, run_experiment
+    from .evaluation import ExperimentConfig, mean_std, run_seed
     from .graph import load_edge_list
 
     fmt, layers, c = DATASETS[args.dataset]
@@ -345,9 +348,9 @@ def cmd_experiment(args) -> int:
     )
 
     rows = []
-    for row in run_experiment(edges, n, config, range(args.seeds)):
-        rows.append(row)
-        print(f"seed {row.seed}: auc {row.auc:.4f}  f1_macro {row.f1_macro:.4f}")
+    for seed in range(args.seeds):
+        rows.append(run_seed(edges, n, config, seed))
+        print(f"seed {seed}: auc {rows[-1].auc:.4f}  f1_macro {rows[-1].f1_macro:.4f}")
 
     auc_mean, auc_std = mean_std([row.auc for row in rows])
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])

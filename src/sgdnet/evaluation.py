@@ -3,15 +3,14 @@
 The protocol per seed: split the edges 8:2, rebuild the diffusion graph from
 the training edges only, compute SVD features on that training graph, train,
 then score the held-out edges. AUC uses the positive-class softmax
-probability; F1-macro uses the argmax sign. `run_experiment` yields each
-seed's `SeedResult` as its run ends, and `mean_std` aggregates one metric
-over the seeds as its mean and sample standard deviation.
+probability; F1-macro uses the argmax sign. `run_seed` runs the protocol
+for one seed, and `mean_std` aggregates one metric over the seeds as its
+mean and sample standard deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -186,13 +185,6 @@ def run_seed(edges, n: int, config: ExperimentConfig, seed: int) -> SeedResult:
         auc=auc(p_plus, test_batch.signs),
         f1_macro=f1_macro(preds, test_batch.signs),
     )
-
-
-def run_experiment(edges, n: int, config: ExperimentConfig, seeds) -> Iterator[SeedResult]:
-    """Repeat the protocol across seeds, yielding each seed's result as soon
-    as its run ends."""
-    for seed in seeds:
-        yield run_seed(edges, n, config, seed)
 
 
 def mean_std(values) -> tuple[float, float]:

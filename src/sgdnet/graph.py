@@ -13,6 +13,7 @@ out-degree into the operators that drive the random-walk diffusion.
 
 from __future__ import annotations
 
+import re
 import warnings
 from typing import NamedTuple
 
@@ -222,6 +223,9 @@ _FORMATS = {
 # float64, and none overflows int64.
 _MAX_ID_DIGITS = 15
 _INT64_MAX = np.iinfo(np.int64).max
+# errors="surrogateescape" reads each byte that is not valid UTF-8 as one of
+# these lone surrogates, which no valid UTF-8 text holds.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 # The bytes other than digits that a field after the ids may hold.
 _NUMBER_MARKS = np.frombuffer(b"+-.eE", dtype=np.uint8)
 
@@ -302,15 +306,10 @@ def _read_table(path, sep: str, width, dtype):
 def _data_lines(path):
     """(line number, stripped line) of every line that is neither blank nor
     a `#` comment. A line that is not valid UTF-8 raises ParseError."""
-    # Undecodable bytes become lone surrogates, which no valid UTF-8 text
-    # holds and which cannot be encoded back.
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
-            if not raw_line.isascii():
-                try:
-                    raw_line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(f"line {lineno}: not valid UTF-8") from None
+            if not raw_line.isascii() and _UNDECODABLE.search(raw_line):
+                raise ParseError(f"line {lineno}: not valid UTF-8")
             line = raw_line.strip()
             if line and not line.startswith("#"):
                 yield lineno, line
@@ -402,11 +401,13 @@ def save_id_map(path, id_map) -> None:
 def load_id_map(path) -> dict[str, int]:
     """Read a `save_id_map` file; a raw id may be empty or hold a tab."""
     id_map = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if _UNDECODABLE.search(line):
+                raise DataError(f"{path}: line {lineno}: not valid UTF-8")
             try:
                 raw, dense = line.rsplit("\t", 1)
                 id_map[raw] = int(dense)

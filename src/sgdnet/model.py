@@ -11,10 +11,10 @@ signed graph, mixes the two diffusion channels, and adds a skip connection:
 The diffusion is linear in the features it carries. Layer 1 diffuses
 h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
 W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
-features can be run once per training graph (`diffuse_inputs`, in column
-blocks, so that only one block's walks are live at once). Given it,
-layer 1 computes p = x_p @ W and m = x_m @ W, into the halves of a block,
-with no sparse work. In uniform mode it adds the parameter-free pair
+features can be run once per training graph (`diffuse_inputs`), as 2n x d0
+rows: row 2i is node i's x_p and row 2i + 1 its x_m. Given them, layer 1
+forms [p || m] as one product, rows @ W read as n x 2d, with no sparse
+work. In uniform mode it adds the parameter-free pair
 diffuse(0, m0), the "noise" (`diffusion._noise_state`), handed over in a
 one-element list that layer 1 pops, so the pair is freed once added. On
 this path no cache keeps layer 1's input h0 = x @ w_in, which the backward
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diffusion
-from .diffusion import DiffusionConfig, DiffusionState
+from .diffusion import DiffusionConfig
 from .features import _read_artifact, _write_artifact
 from .graph import NormalizedAdjacency, as_edge_list
 
@@ -112,7 +112,7 @@ class ForwardCache(NamedTuple):
     cfg: DiffusionConfig
     params: ModelParams
     x: np.ndarray
-    x_diffused: DiffusionState | None
+    x_diffused: np.ndarray | None  # the rows of `diffuse_inputs`
     h0: np.ndarray | None  # x @ w_in; None on the precompute path
     layers: list[LayerCache]
 
@@ -133,7 +133,7 @@ def layer_forward(
 
 def _first_layer_forward(
     h0: np.ndarray,
-    x_diffused: DiffusionState,
+    x_diffused: np.ndarray,
     w_in: np.ndarray,
     params: LayerParams,
     noise: list | None,
@@ -145,13 +145,12 @@ def _first_layer_forward(
     `training.backward` reads layer 1's input only on the direct path."""
     w = w_in @ params.w_t
     d = w.shape[1]
-    pm = np.empty((h0.shape[0], 2 * d))
-    p = np.matmul(x_diffused.p, w, out=pm[:, :d])
-    m = np.matmul(x_diffused.m, w, out=pm[:, d:])
+    # Row 2i of the product is node i's p and row 2i + 1 its m.
+    pm = (x_diffused @ w).reshape(h0.shape[0], 2 * d)
     if noise:
         pair = noise.pop()
-        p += pair.p
-        m += pair.m
+        pm[:, :d] += pair.p
+        pm[:, d:] += pair.m
         del pair
     h_next, cache = _mix(h0, pm, params)
     return h_next, cache._replace(h_prev=None)
@@ -170,21 +169,22 @@ def _mix(h_prev, pm, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
 
 def diffuse_inputs(
     na: NormalizedAdjacency, x: np.ndarray, cfg: DiffusionConfig
-) -> DiffusionState:
-    """The zero-start diffusion of the input features that layer 1 reuses.
+) -> np.ndarray:
+    """The zero-start diffusion of the input features that layer 1 reuses,
+    as 2n x d0 rows: row 2i is node i's x_p and row 2i + 1 its x_m.
 
     Runs `diffusion.diffuse` on _INPUT_BLOCK columns of x at a time and
-    writes each block's p and m into one n x 2d0 block [x_p || x_m], so
-    only one block's walks are live at once. Each output column takes the
-    same sparse products in the same order as in one whole diffusion, so
-    the result is bitwise the same."""
+    writes each block's p and m into one n x 2 x d0 array, so only one
+    block's walks are live at once. Each output column takes the same
+    sparse products in the same order as in one whole diffusion, so the
+    result is bitwise the same."""
     x = diffusion._check_features(na, x)  # so that an error names x's own shape
     zero = replace(cfg, m0_mode="zero")
-    out = diffusion._state(np.empty((na.n, 2 * x.shape[1])))
+    out = np.empty((na.n, 2, x.shape[1]))
     for j in range(0, x.shape[1], _INPUT_BLOCK):
         cols = slice(j, j + _INPUT_BLOCK)
-        out.p[:, cols], out.m[:, cols] = diffusion.diffuse(na, x[:, cols], zero)
-    return out
+        out[:, 0, cols], out[:, 1, cols] = diffusion.diffuse(na, x[:, cols], zero)
+    return out.reshape(2 * na.n, x.shape[1])
 
 
 def model_forward(
@@ -193,7 +193,7 @@ def model_forward(
     params: ModelParams,
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
-    x_diffused: DiffusionState | None = None,
+    x_diffused: np.ndarray | None = None,
     noise: list | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Project the input features and apply every diffusion layer in order.

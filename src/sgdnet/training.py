@@ -2,10 +2,11 @@
 full-batch epoch loop.
 
 Layer 1 can read the input features' diffusion, computed once per training
-graph (see `model.diffuse_inputs`), instead of diffusing x @ w_in @ w_t in
-every epoch. Its backward pass then needs no adjoint: with W = w_in @ w_t and
-G = x_p^T dp + x_m^T dm, the gradients are w_t: w_in^T G and
-w_in: x^T dpre + G w_t^T.
+graph as interleaved x_p/x_m rows (see `model.diffuse_inputs`), instead of
+diffusing x @ w_in @ w_t in every epoch. Its backward pass then needs no
+adjoint: with W = w_in @ w_t and G = x_p^T dp + x_m^T dm, one product of
+those rows with [dp || dm] read as 2n x d, the gradients are w_t: w_in^T G
+and w_in: x^T dpre + G w_t^T.
 
 `train` precomputes when it pays: the precompute diffuses d0 columns once,
 and each epoch then runs d fewer diffusion columns in uniform mode (the
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffusion as _diffusion
-from .diffusion import DiffusionConfig, DiffusionState
+from .diffusion import DiffusionConfig
 from .graph import SignedDigraph, normalize
 from .model import (
     EdgeBatch,
@@ -116,7 +117,7 @@ def backward(
         del pm
         dpm = dpre @ layer.w_n.T
         if i == 0 and x_diffused is not None:
-            dw = x_diffused.p.T @ dpm[:, :d] + x_diffused.m.T @ dpm[:, d:]
+            dw = x_diffused.T @ dpm.reshape(-1, d)  # x_p^T dp + x_m^T dm
             grads[f"layers.{i}.w_t"] = params.w_in.T @ dw
             dw_in = dw @ layer.w_t.T
         else:
@@ -181,7 +182,7 @@ def forward_loss(
     batch: EdgeBatch,
     weight_decay: float,
     rng: np.random.Generator | None = None,
-    x_diffused: DiffusionState | None = None,
+    x_diffused: np.ndarray | None = None,
     noise: list | None = None,
 ):
     """One forward pass through model, head, and loss; `x_diffused` and

@@ -518,6 +518,58 @@ def reference_read_edge_tsv(path):
     return edges
 
 
+def _reference_text_lines(path, encoding):
+    """(line number, text) of each line of a file, split on the bytes as
+    text mode splits them (at LF, CR and CRLF) and decoded line by line;
+    text is None for a line that is not valid UTF-8. With "utf-8-sig", one
+    leading byte-order mark is dropped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if encoding == "utf-8-sig" and data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    for lineno, raw_line in enumerate(data.splitlines(), start=1):
+        try:
+            yield lineno, raw_line.decode("utf-8")
+        except UnicodeDecodeError:
+            yield lineno, None
+
+
+def reference_load_id_map(path):
+    """`load_id_map`'s parse: the id map, or DataError naming the first bad
+    line."""
+    id_map = {}
+    for lineno, line in _reference_text_lines(path, "utf-8"):
+        if line is None:
+            raise DataError(f"{path}: line {lineno}: not valid UTF-8")
+        if not line:
+            continue
+        raw, tab, dense = line.rpartition("\t")
+        try:
+            if not tab:
+                raise ValueError("no tab")
+            id_map[raw] = int(dense)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: expected RAW_ID<tab>DENSE_ID") from None
+    return id_map
+
+
+def reference_read_config_file(path):
+    """`cli._read_config_file`'s parse: the key/value dict, or ValueError
+    naming the first bad line."""
+    values = {}
+    for lineno, line in _reference_text_lines(path, "utf-8-sig"):
+        if line is None:
+            raise ValueError(f"{path}:{lineno}: not valid UTF-8")
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        values[key.strip().replace("_", "-")] = value.strip()
+    return values
+
+
 def write_edge_file(path, fmt, lines, seed) -> int:
     """Write a generated edge file of `lines` edges over lines // 6 nodes,
     about 85% positive, in which one line in 20 repeats an earlier edge (its

@@ -18,7 +18,7 @@ from sgdnet.diffusion import (
     exact_solve,
     l1_distance,
 )
-from sgdnet.evaluation import ExperimentConfig, mean_std, run_experiment
+from sgdnet.evaluation import ExperimentConfig, mean_std, run_seed
 from sgdnet.features import init_features
 from sgdnet.graph import build_graph, load_edge_list, normalize
 from sgdnet.model import EdgeBatch
@@ -66,7 +66,7 @@ def test_criterion_1_bitcoin_alpha_reproduction():
         svd_rank=128, dim=32, n_layers=1, c=0.35, k_steps=10,
         lr=0.01, weight_decay=1e-3, epochs=100, ratio=0.2,
     )
-    rows = list(run_experiment(edges, n, config, seeds=range(10)))
+    rows = [run_seed(edges, n, config, seed) for seed in range(10)]
     auc_mean, auc_std = mean_std([row.auc for row in rows])
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
     ok = abs(auc_mean - 0.911) <= 0.02 and abs(f1_mean - 0.757) <= 0.03
@@ -87,7 +87,7 @@ def test_criterion_2_bitcoin_otc_reproduction():
         svd_rank=128, dim=32, n_layers=2, c=0.25, k_steps=10,
         lr=0.01, weight_decay=1e-3, epochs=100, ratio=0.2,
     )
-    rows = list(run_experiment(edges, n, config, seeds=range(10)))
+    rows = [run_seed(edges, n, config, seed) for seed in range(10)]
     auc_mean, auc_std = mean_std([row.auc for row in rows])
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
     ok = abs(auc_mean - 0.921) <= 0.02 and abs(f1_mean - 0.799) <= 0.03
@@ -208,7 +208,7 @@ def test_criterion_6_diffusion_depth_trend():
             svd_rank=128, dim=32, n_layers=1, c=0.15, k_steps=k_steps,
             lr=0.01, weight_decay=1e-3, epochs=100, ratio=0.2,
         )
-        rows = list(run_experiment(edges, n, config, seeds=range(5)))
+        rows = [run_seed(edges, n, config, seed) for seed in range(5)]
         means[k_steps], _ = mean_std([row.f1_macro for row in rows])
     ok = means[10] > means[1]
     assert _verdict(
@@ -229,7 +229,7 @@ def test_criterion_7_injection_ratio_trend():
             svd_rank=128, dim=32, n_layers=1, c=c, k_steps=10,
             lr=0.01, weight_decay=1e-3, epochs=100, ratio=0.2,
         )
-        rows = list(run_experiment(edges, n, config, seeds=range(5)))
+        rows = [run_seed(edges, n, config, seed) for seed in range(5)]
         means[c], _ = mean_std([row.f1_macro for row in rows])
     ok = means[0.35] > means[0.95]
     assert _verdict(

@@ -495,6 +495,26 @@ def test_experiment_out_dir_that_is_a_file_exits_2_before_any_seed(
     assert not [line for line in captured.out.splitlines() if line.startswith("seed")]
 
 
+def test_experiment_prints_each_seed_before_the_next_seed_runs(
+    tmp_path, dataset, capsys, monkeypatch
+):
+    printed = []  # per run_seed call: the seed lines printed since the last call
+
+    def counted_run_seed(edges, n, config, seed):
+        out = capsys.readouterr().out
+        printed.append([line for line in out.splitlines() if line.startswith("seed")])
+        return sgdnet.evaluation.SeedResult(seed=seed, auc=0.5, f1_macro=0.5)
+
+    monkeypatch.setattr(sgdnet.evaluation, "run_seed", counted_run_seed)
+    code = run_cli(
+        "experiment", "--dataset", "generic-tsv", "--input", dataset,
+        "--seeds", "3", "--out-dir", str(tmp_path / "exp"),
+    )
+    assert code == 0
+    assert printed == [[], ["seed 0: auc 0.5000  f1_macro 0.5000"],
+                       ["seed 1: auc 0.5000  f1_macro 0.5000"]]
+
+
 @pytest.mark.parametrize("flags, expected", [
     ([], "layers=2 c=0.25"),
     (["--c", "0.4"], "layers=2 c=0.4"),
@@ -565,12 +585,18 @@ def test_config_file_missing_exits_2(tmp_path, dataset, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
-def test_config_file_line_without_equals_exits_2(tmp_path, dataset, capsys):
+@pytest.mark.parametrize("bad_line, message", [
+    (b"svd-rank 8", "expected key=value"),
+    (b"\xffsvd-rank=8", "not valid UTF-8"),
+], ids=["no-equals", "not-utf-8"])
+def test_config_file_bad_line_exits_2_and_names_it(tmp_path, dataset, capsys, bad_line, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nseed=1\nsvd-rank 8\n")
-    assert run_cli("prep", "--input", dataset, "--out-dir", str(tmp_path / "o"),
+    cfg.write_bytes(b"# comment\nseed=1\n" + bad_line + b"\n")
+    out = tmp_path / "o"
+    assert run_cli("prep", "--input", dataset, "--out-dir", str(out),
                    "--config", str(cfg)) == 2
-    assert f"{cfg}:3:" in capsys.readouterr().err
+    assert f"{cfg}:3: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_bad_choice_exits_2_before_writing(tmp_path, prep_dir, capsys):

@@ -8,14 +8,12 @@ import sgdnet.graph
 from sgdnet.evaluation import (
     ExperimentConfig,
     MetricError,
-    SeedResult,
     _midranks,
     auc,
     class_metrics,
     f1_macro,
     mean_std,
     predict_edges,
-    run_experiment,
     run_seed,
     score_report,
     split_edges,
@@ -238,13 +236,13 @@ def test_score_report_single_class_auc_is_none():
 # ---------------------------------------------------------------- experiments
 
 
-def test_run_experiment_on_planted_graph():
+def test_run_seed_on_planted_graph():
     g = planted_partition_graph(n=40, avg_out_degree=8.0, seed=0)
     config = ExperimentConfig(
         svd_rank=16, dim=16, n_layers=1, c=0.35, k_steps=5,
         lr=0.01, weight_decay=1e-3, epochs=60, ratio=0.2,
     )
-    rows = list(run_experiment(list(g.edges), g.n, config, seeds=[0, 1]))
+    rows = [run_seed(list(g.edges), g.n, config, seed) for seed in (0, 1)]
     assert [row.seed for row in rows] == [0, 1]
     auc_mean, auc_std = mean_std([row.auc for row in rows])
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
@@ -253,13 +251,13 @@ def test_run_experiment_on_planted_graph():
     assert auc_std >= 0.0 and f1_std >= 0.0
 
 
-def test_run_experiment_single_seed_has_zero_std():
+def test_run_seed_single_seed_has_zero_std():
     g = planted_partition_graph(n=24, avg_out_degree=8.0, seed=1)
     config = ExperimentConfig(
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=10, ratio=0.2,
     )
-    rows = list(run_experiment(list(g.edges), g.n, config, seeds=[7]))
+    rows = [run_seed(list(g.edges), g.n, config, seed=7)]
     _, auc_std = mean_std([row.auc for row in rows])
     _, f1_std = mean_std([row.f1_macro for row in rows])
     assert auc_std == 0.0 and f1_std == 0.0
@@ -283,32 +281,16 @@ def test_run_seed_normalizes_the_training_graph_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_run_experiment_deterministic():
+def test_run_seed_deterministic():
     g = planted_partition_graph(n=24, avg_out_degree=8.0, seed=2)
     config = ExperimentConfig(
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=5, ratio=0.2,
     )
-    (a,) = run_experiment(list(g.edges), g.n, config, seeds=[0])
-    (b,) = run_experiment(list(g.edges), g.n, config, seeds=[0])
+    a = run_seed(list(g.edges), g.n, config, seed=0)
+    b = run_seed(list(g.edges), g.n, config, seed=0)
     assert a.auc == b.auc
     assert a.f1_macro == b.f1_macro
-
-
-def test_run_experiment_runs_a_seed_only_when_its_result_is_taken(monkeypatch):
-    ran = []
-
-    def counted_run_seed(edges, n, config, seed):
-        ran.append(seed)
-        return SeedResult(seed=seed, auc=0.5, f1_macro=0.5)
-
-    monkeypatch.setattr(sgdnet.evaluation, "run_seed", counted_run_seed)
-    results = run_experiment([], 0, ExperimentConfig(), seeds=[3, 4, 5])
-    assert ran == []
-    assert next(results).seed == 3
-    assert ran == [3]
-    assert [row.seed for row in results] == [4, 5]
-    assert ran == [3, 4, 5]
 
 
 def test_mean_std_of_one_value_has_zero_std():

@@ -330,12 +330,12 @@ def test_id_map_roundtrip_keeps_every_parsed_id(tmp_path, case):
     assert load_id_map(tmp_path / "idmap.tsv") == id_map
 
 
-# A line with no tab, and a line whose dense id is not an integer, on line 3
-# after a valid line and a blank one.
-@pytest.mark.parametrize("bad_line", ["node7", "node7\tseven", "a\tb\t"])
+# A line with no tab, a line whose dense id is not an integer, and a line
+# that is not valid UTF-8, on line 3 after a valid line and a blank one.
+@pytest.mark.parametrize("bad_line", [b"node7", b"node7\tseven", b"a\tb\t", b"\xffnode7\t2"])
 def test_id_map_bad_line_names_the_file_and_line(tmp_path, bad_line):
     path = tmp_path / "idmap.tsv"
-    path.write_text(f"node1\t0\n\n{bad_line}\nnode2\t1\n")
+    path.write_bytes(b"node1\t0\n\n" + bad_line + b"\nnode2\t1\n")
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 3: "):
         load_id_map(path)
 

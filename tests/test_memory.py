@@ -18,7 +18,8 @@ and d = 32. Their unit is one n x d float64 array (1 MB); x itself is
 4 of them and the precomputed input diffusion 8. The parse rows read
 generated edge files of 50,000 lines (0.6 to 1.5 MB) and count bytes per
 byte of the file; `build_graph` and `normalize` run on the graph parsed
-from the `tsv-sign` one.
+from the `tsv-sign` one. The writer rows count bytes per byte of the
+payload they write.
 
 Traced peaks do not show the heap that glibc keeps after a free, so one
 test below also bounds the resident growth across a parse.
@@ -44,7 +45,8 @@ import sgdnet.graph
 import sgdnet.model
 import sgdnet.training
 from sgdnet.diffusion import DiffusionConfig
-from sgdnet.features import OVERSAMPLE, init_features, load_features
+from sgdnet.evaluation import predict_edges
+from sgdnet.features import OVERSAMPLE, init_features, load_features, save_features
 from sgdnet.graph import (
     EdgeList,
     build_graph,
@@ -59,6 +61,7 @@ from sgdnet.model import (
     init_params,
     load_checkpoint,
     loss_grad_logits,
+    save_checkpoint,
 )
 from sgdnet.synthetic import random_signed_graph
 from sgdnet.training import TrainConfig, backward, forward_loss, train
@@ -118,6 +121,29 @@ def epoch_loop_peak(n_layers: int) -> float:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgdnet.training, "diffuse_inputs", diffuse_then_reset)
         return traced_peak(lambda: train(g, x, cfg)) / (N * D * 8)
+
+
+def direct_epoch_peak(n_layers: int) -> float:
+    """Peak of one epoch on the direct path (`forward_loss`, then
+    `backward`), uniform mode, with no precomputed input diffusion."""
+    g, x = alpha_inputs()
+    na, batch = normalize(g), EdgeBatch.from_edges(g.edges)
+    params, cfg = init_params(D0, D, n_layers, seed=3), TrainConfig(dim=D).diffusion()
+    rng = np.random.default_rng(3)
+
+    def epoch():
+        _, logits, cache = forward_loss(na, x, params, cfg, batch, 1e-3, rng=rng)
+        backward(cache, batch, loss_grad_logits(logits, batch.signs), 1e-3)
+
+    return traced_peak(epoch) / (N * D * 8)
+
+
+def predict_edges_peak() -> float:
+    """Peak of `predict_edges` with one layer on every edge of the graph."""
+    g, x = alpha_inputs()
+    batch = EdgeBatch.from_edges(g.edges)
+    params, cfg = init_params(D0, D, 1, seed=3), TrainConfig(dim=D).diffusion()
+    return traced_peak(lambda: predict_edges(g, x, params, cfg, batch)) / (N * D * 8)
 
 
 def backward_peak() -> float:
@@ -186,6 +212,24 @@ def save_edge_list_peak() -> float:
     edges = EdgeList(ids[0], ids[1], np.where(rng.random(rows) < 0.8, 1, -1))
     with tempfile.TemporaryDirectory() as tmp:
         return traced_peak(lambda: save_edge_list(os.path.join(tmp, "edges.tsv"), edges)) / 2**20
+
+
+def save_features_peak() -> float:
+    """Peak of `save_features` on x, in bytes per payload byte."""
+    _, x = alpha_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        return traced_peak(lambda: save_features(os.path.join(tmp, "x.sgdf"), x)) / x.nbytes
+
+
+def save_checkpoint_peak() -> float:
+    """Peak of `save_checkpoint` on two layers at d0 = 512, d = 64 (a
+    0.46 MB payload), in bytes per payload byte."""
+    params = init_params(512, 64, 2, seed=3)
+    payload = sum(w.nbytes for _, w in params.named())
+    cfg = DiffusionConfig(c=0.35, k_steps=10)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.sgdn")
+        return traced_peak(lambda: save_checkpoint(path, params, cfg)) / payload
 
 
 def parse_peak(fmt) -> float:
@@ -260,6 +304,23 @@ MEMORY_TABLE = {
     # on one CPU; keeping dpm through the walks adds 2 more (11.7 there).
     # Measures 9.77 / 9.84.
     "backward, L = 2": Row(backward_peak, "n x d", 10.25, 12.25),
+    # One epoch on the direct path, counted from before its forward pass, so
+    # the cache is in it. The layer-1 adjoint sets the peak, beside the
+    # cache that backward has not yet spent (h0, the logits and the lower
+    # layers' blocks); on two CPUs both adjoint walks run at once. Measured
+    # 6.99 / 9.16 at L = 1 and 9.99 / 12.16 at L = 2; margin 0.26 / 0.34.
+    "direct epoch, L = 1": Row(functools.partial(direct_epoch_peak, 1), "n x d", 7.25, 9.5),
+    "direct epoch, L = 2": Row(functools.partial(direct_epoch_peak, 2), "n x d", 10.25, 12.5),
+    # One zero-mode forward pass, the node scores and the edge softmax; the
+    # diffusion's walks set the peak, on two CPUs both at once. Measured
+    # 6.17 / 7.35, margin 0.33 / 0.4.
+    "predict_edges": Row(predict_edges_peak, "n x d", 6.5, 7.75),
+    # The writers write the arrays' own buffers; only one finiteness mask
+    # (1/8 of a matrix) is made at a time. A copy of the payload would add
+    # 1. Measured 0.125 (x) and 0.075 (the checkpoint, whose largest
+    # matrix w_in is 0.57 of it); margin 0.125 and 0.05.
+    "save_features": Row(save_features_peak, "bytes per payload byte", 0.25, 0.25),
+    "save_checkpoint": Row(save_checkpoint_peak, "bytes per payload byte", 0.125, 0.125),
     # The sketch, Q and U are n x (rank + OVERSAMPLE) or narrower, and each
     # step frees the one it read. Keeping the sketch through a product or an
     # SVQB pass, or A^T Q through U = Q W, makes three. Measures 2.01.

@@ -1,16 +1,20 @@
 """Property tests of the invariants the training path rests on, over small
 generated signed digraphs: deadends, isolated nodes, self-loops, one-sign
 graphs and edgeless graphs; of the binary readers, over mutated feature and
-checkpoint files; and of the edge-file readers, over mutated edge files.
+checkpoint files; and of the text readers, over mutated edge files, id maps
+and `--config` files.
 
 Hypothesis runs derandomized (a fixed example sequence, no example
 database), so a failure reproduces on every run.
 """
 
+import contextlib
+import io
 import os
 import re
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +29,17 @@ from sgdnet.diffusion import (
     exact_solve,
     l1_distance,
 )
+from sgdnet.cli import _read_config_file, main
 from sgdnet.features import load_features
-from sgdnet.graph import DataError, build_graph, load_edge_list, normalize, read_edge_tsv
+from sgdnet.graph import (
+    DataError,
+    build_graph,
+    load_edge_list,
+    load_id_map,
+    normalize,
+    read_edge_tsv,
+    save_id_map,
+)
 from sgdnet.model import EdgeBatch, init_params, load_checkpoint
 
 from helpers import (
@@ -36,6 +49,8 @@ from helpers import (
     assert_precompute_matches_direct_path,
     dense_block_operator,
     reference_load_edge_list,
+    reference_load_id_map,
+    reference_read_config_file,
     reference_read_edge_tsv,
     write_mutated_artifact,
 )
@@ -192,7 +207,7 @@ def test_binary_reader_on_a_mutated_file_loads_checked_arrays_or_names_the_file(
     assert all(np.all(np.isfinite(w)) for w in arrays)
 
 
-# ---------------------------------------------------------------- edge-file readers
+# ---------------------------------------------------------------- text readers
 
 BOM = b"\xef\xbb\xbf"
 
@@ -255,7 +270,7 @@ def edge_files(draw, fmt):
     return lines
 
 
-def mutate_edge_file(lines, sep, mutations) -> bytes:
+def mutate_text_file(lines, sep, mutations) -> bytes:
     """The file's bytes after `mutations`; `sep` splits a line's fields."""
     lines = list(lines)
     for mutation in mutations:
@@ -311,7 +326,7 @@ def test_text_reader_on_a_mutated_file_returns_the_reference_parse_or_names_a_li
 ):
     read, reference = TEXT_READERS[fmt]
     sep = "," if fmt == "csv-rating" else "\t"
-    raw = mutate_edge_file(data.draw(edge_files(fmt), label="lines"), sep, mutations)
+    raw = mutate_text_file(data.draw(edge_files(fmt), label="lines"), sep, mutations)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "edges.txt")
         # The readers drop one leading byte-order mark; the reference reads
@@ -345,3 +360,78 @@ def test_text_reader_on_a_mutated_file_returns_the_reference_parse_or_names_a_li
         assert str(got).endswith(": dense ids must fit in 64 bits"), str(got)
     if isinstance(want, DataError):
         assert line <= int(re.match(r"line ([0-9]+): ", str(want)).group(1))
+
+
+def _outcome(read, path):
+    """What `read(path)` returns, or the ValueError it raises."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    """Equal parses, or errors of one type and message (which names the line)."""
+    if isinstance(want, ValueError):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, ValueError) and list(got.items()) == list(want.items())
+
+
+@settings(PROPERTY, max_examples=100)
+@given(raw_ids=st.lists(st.one_of(RAW_IDS, st.just(""), st.just("a\tb")), min_size=1,
+                        max_size=6, unique=True),
+       mutations=TEXT_MUTATIONS)
+def test_load_id_map_on_a_mutated_file_returns_the_reference_parse_or_names_the_line(
+    raw_ids, mutations
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "idmap.tsv")
+        save_id_map(path, dict(zip(raw_ids, range(len(raw_ids)))))
+        with open(path, "rb") as fh:
+            lines = fh.read().decode("utf-8").splitlines()
+        with open(path, "wb") as fh:
+            fh.write(mutate_text_file(lines, "\t", mutations))
+        got = _outcome(load_id_map, path)
+        want = _outcome(reference_load_id_map, path)
+    assert _same_outcome(got, want), (got, want)
+
+
+# Lines of a valid `train` config: flags with values of their type, in either
+# spelling, and comments that hold non-ASCII characters for the byte
+# mutations to cut.
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(("dim", "epochs", "layers", "k", "seed", "svd-rank", "svd_rank")),
+              st.integers(1, 64).map(str)),
+    st.tuples(st.sampled_from(("c", "lr", "weight-decay", "weight_decay", "split-ratio")),
+              st.sampled_from(("0.35", "0.01", "1e-3", "0.2"))),
+    st.tuples(st.just("m0"), st.sampled_from(("uniform", "zero"))),
+    st.tuples(st.just("#"), WORDS),
+).map(lambda kv: f"# {kv[1]}" if kv[0] == "#" else f"{kv[0]} = {kv[1]}")
+
+
+@settings(PROPERTY, max_examples=100)
+@given(lines=st.lists(CONFIG_LINES, min_size=1, max_size=6), mutations=TEXT_MUTATIONS)
+def test_config_file_on_a_mutated_file_returns_the_reference_parse_or_names_the_line(
+    lines, mutations
+):
+    # Through `main`, with no prep directory to read: whatever the file
+    # holds, `train` exits 2 and creates no out-dir, and an unreadable file
+    # is named with its line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+        with open(path, "wb") as fh:
+            fh.write(mutate_text_file(lines, "=", mutations))
+        got = _outcome(_read_config_file, path)
+        want = _outcome(reference_read_config_file, path)
+        err = io.StringIO()
+        # The thread pin writes os.environ; patch.dict restores it.
+        with mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+            try:
+                code = main(["train", "--prep-dir", os.path.join(tmp, "no-prep"),
+                             "--out-dir", out, "--config", path])
+            except SystemExit as exc:  # argparse rejects a flag or value
+                code = exc.code
+        assert code == 2 and not os.path.exists(out)
+    assert _same_outcome(got, want), (got, want)
+    if isinstance(want, ValueError):
+        assert f"error: {want}" in err.getvalue()

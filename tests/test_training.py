@@ -11,7 +11,7 @@ import pytest
 import sgdnet.diffusion
 import sgdnet.model
 import sgdnet.training
-from sgdnet.diffusion import DiffusionConfig, DiffusionState
+from sgdnet.diffusion import DiffusionConfig
 from sgdnet.graph import build_graph, normalize
 from sgdnet.model import (
     EdgeBatch,
@@ -281,13 +281,13 @@ def test_grad_check_detects_corrupted_adjoint(monkeypatch):
 
 def test_grad_check_detects_corrupted_precomputed_gradient(monkeypatch):
     # The forward pass keeps the true precomputed state; the backward pass
-    # reads its channels swapped, so only layer 1's gradients are wrong.
+    # reads its p and m rows swapped, so only layer 1's gradients are wrong.
     real = sgdnet.training.backward
 
     def swapped(cache, *args, **kwargs):
         if cache.x_diffused is not None:
-            x_p, x_m = cache.x_diffused
-            cache = cache._replace(x_diffused=DiffusionState(x_m, x_p))
+            rows = cache.x_diffused.reshape(-1, 2, cache.x_diffused.shape[1])
+            cache = cache._replace(x_diffused=rows[:, ::-1].reshape(cache.x_diffused.shape))
         return real(cache, *args, **kwargs)
 
     monkeypatch.setattr(sgdnet.training, "backward", swapped)
