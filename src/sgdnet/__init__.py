@@ -7,7 +7,6 @@ Submodules:
     model       diffusion layers, forward pass, edge scoring, loss
     training    reverse-mode gradients, Adam, epoch loop
     evaluation  edge splits, AUC, F1-macro, multi-seed experiments
-    synthetic   random and planted signed graph generators
     seeding     derived seed sub-streams of one run seed
     cli         command-line entry points
     atomic      all-or-nothing writes of saved artifacts

@@ -40,8 +40,8 @@ class SignedEdge(NamedTuple):
 class EdgeList:
     """Signed edges as three read-only int64 columns: `src`, `dst`, `sign`.
 
-    A sequence of SignedEdge: `len`, iteration and an integer index give
-    SignedEdge values, while a slice or an index array selects an EdgeList.
+    `len` counts the edges, and a slice or an index array selects an
+    EdgeList. The edges are read as columns; there is no per-edge access.
     """
 
     __slots__ = ("src", "dst", "sign")
@@ -67,26 +67,17 @@ class EdgeList:
     def __len__(self) -> int:
         return len(self.src)
 
-    def __iter__(self):
-        return map(SignedEdge._make, zip(self.src.tolist(), self.dst.tolist(), self.sign.tolist()))
+    # iter() raises TypeError, instead of falling back to `__getitem__`
+    # with integer indices.
+    __iter__ = None
 
     def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return SignedEdge(int(self.src[index]), int(self.dst[index]), int(self.sign[index]))
         cols = [c[index] for c in (self.src, self.dst, self.sign)]
         # An index array selects copies, which become the columns; a slice
         # selects views, which are copied.
         if any(c.base is not None for c in cols):
             return EdgeList(*cols)
         return EdgeList._own(*cols)
-
-    def __eq__(self, other):
-        if not isinstance(other, EdgeList):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip((self.src, self.dst, self.sign), (other.src, other.dst, other.sign))
-        )
 
 
 def as_edge_list(edges) -> EdgeList:
@@ -399,9 +390,10 @@ def save_id_map(path, id_map) -> None:
 
 
 def load_id_map(path) -> dict[str, int]:
-    """Read a `save_id_map` file; a raw id may be empty or hold a tab."""
+    """Read a `save_id_map` file; a raw id may be empty or hold a tab. A
+    leading UTF-8 BOM is skipped."""
     id_map = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -468,10 +460,11 @@ def build_graph(edges, n: int) -> SignedDigraph:
     in_range = (edges.src >= 0) & (edges.src < n) & (edges.dst >= 0) & (edges.dst < n)
     bad = np.flatnonzero(~in_range | ((edges.sign != 1) & (edges.sign != -1)))
     if bad.size:
-        e = edges[bad[0]]
-        if not in_range[bad[0]]:
-            raise ValueError(f"edge ({e.src}->{e.dst}) out of range for n={n}")
-        raise ValueError(f"edge ({e.src}->{e.dst}) has invalid sign {e.sign}")
+        i = bad[0]
+        edge = f"edge ({edges.src[i]}->{edges.dst[i]})"
+        if not in_range[i]:
+            raise ValueError(f"{edge} out of range for n={n}")
+        raise ValueError(f"{edge} has invalid sign {edges.sign[i]}")
 
     # Sorting the row-major keys puts the edges in CSR order, with the copies
     # of one (src, dst) in a run; every run must hold a single sign. Each

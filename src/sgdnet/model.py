@@ -113,7 +113,6 @@ class ForwardCache(NamedTuple):
     params: ModelParams
     x: np.ndarray
     x_diffused: np.ndarray | None  # the rows of `diffuse_inputs`
-    h0: np.ndarray | None  # x @ w_in; None on the precompute path
     layers: list[LayerCache]
 
 
@@ -212,7 +211,6 @@ def model_forward(
             f"input features must be {na.n} x {params.w_in.shape[0]}, got shape {x.shape}"
         )
     h = x @ params.w_in
-    h0 = h if x_diffused is None else None
     caches = []
     for i, layer in enumerate(params.layers):
         if i == 0 and x_diffused is not None:
@@ -222,7 +220,7 @@ def model_forward(
         else:
             h, cache = layer_forward(na, h, layer, cfg, rng=rng)
         caches.append(cache)
-    return h, ForwardCache(na, cfg, params, x, x_diffused, h0, caches)
+    return h, ForwardCache(na, cfg, params, x, x_diffused, caches)
 
 
 class EdgeBatch(NamedTuple):

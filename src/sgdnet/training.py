@@ -95,7 +95,7 @@ def backward(
             " backward spends its cache, so run forward_loss again"
         )
     d = params.w_in.shape[1]
-    h_final = layers[-1].h_next if layers else cache.h0
+    h_final = layers[-1].h_next
     g_u = _scatter_to_nodes(batch.uv[:, 0], grad_logits, h_final.shape[0])
     g_v = _scatter_to_nodes(batch.uv[:, 1], grad_logits, h_final.shape[0])
 

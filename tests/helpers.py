@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import sgdnet.training as training
 from sgdnet.diffusion import DiffusionConfig, _adjoint
 from sgdnet.features import save_features
-from sgdnet.graph import DataError, ParseError, normalize
+from sgdnet.graph import DataError, EdgeList, ParseError, SignedEdge, normalize
 from sgdnet.model import (
     EdgeBatch,
     diffuse_inputs,
@@ -23,7 +23,8 @@ from sgdnet.model import (
     save_checkpoint,
 )
 from sgdnet.seeding import spawn_seeds
-from sgdnet.synthetic import random_signed_graph
+
+from synthetic import random_signed_graph
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 DATA_DIR = os.environ.get("SGDNET_DATA", os.path.join(_HERE, "..", "data"))
@@ -36,6 +37,14 @@ def dataset_path(*names):
         if os.path.exists(path):
             return path
     return None
+
+
+def edge_rows(edges) -> list[SignedEdge]:
+    """Edges, an EdgeList or any (src, dst, sign) triples, as SignedEdge
+    values in order."""
+    if isinstance(edges, EdgeList):
+        edges = zip(edges.src.tolist(), edges.dst.tolist(), edges.sign.tolist())
+    return list(map(SignedEdge._make, edges))
 
 
 def bitcoin_alpha_path():
@@ -518,14 +527,14 @@ def reference_read_edge_tsv(path):
     return edges
 
 
-def _reference_text_lines(path, encoding):
+def _reference_text_lines(path):
     """(line number, text) of each line of a file, split on the bytes as
-    text mode splits them (at LF, CR and CRLF) and decoded line by line;
-    text is None for a line that is not valid UTF-8. With "utf-8-sig", one
-    leading byte-order mark is dropped."""
+    text mode splits them (at LF, CR and CRLF) and decoded line by line as
+    "utf-8-sig" reads them; text is None for a line that is not valid
+    UTF-8. One leading byte-order mark is dropped."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if encoding == "utf-8-sig" and data.startswith(b"\xef\xbb\xbf"):
+    if data.startswith(b"\xef\xbb\xbf"):
         data = data[3:]
     for lineno, raw_line in enumerate(data.splitlines(), start=1):
         try:
@@ -538,7 +547,7 @@ def reference_load_id_map(path):
     """`load_id_map`'s parse: the id map, or DataError naming the first bad
     line."""
     id_map = {}
-    for lineno, line in _reference_text_lines(path, "utf-8"):
+    for lineno, line in _reference_text_lines(path):
         if line is None:
             raise DataError(f"{path}: line {lineno}: not valid UTF-8")
         if not line:
@@ -557,7 +566,7 @@ def reference_read_config_file(path):
     """`cli._read_config_file`'s parse: the key/value dict, or ValueError
     naming the first bad line."""
     values = {}
-    for lineno, line in _reference_text_lines(path, "utf-8-sig"):
+    for lineno, line in _reference_text_lines(path):
         if line is None:
             raise ValueError(f"{path}:{lineno}: not valid UTF-8")
         line = line.strip()

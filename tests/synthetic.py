@@ -1,10 +1,10 @@
-"""Synthetic signed graph generators for tests, benchmarks, and sanity checks."""
+"""Synthetic signed graph generators for the tests and the CI toy graph."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import SignedDigraph, SignedEdge, build_graph
+from sgdnet.graph import SignedDigraph, SignedEdge, build_graph
 
 
 def random_signed_graph(

@@ -22,11 +22,18 @@ from sgdnet.evaluation import ExperimentConfig, mean_std, run_seed
 from sgdnet.features import init_features
 from sgdnet.graph import build_graph, load_edge_list, normalize
 from sgdnet.model import EdgeBatch
-from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 from sgdnet.training import TrainConfig, train
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import adjoint, bitcoin_alpha_path, bitcoin_otc_path, column_sums_of_b, grad_check
+from helpers import (
+    adjoint,
+    bitcoin_alpha_path,
+    bitcoin_otc_path,
+    column_sums_of_b,
+    edge_rows,
+    grad_check,
+)
+from synthetic import planted_partition_graph, random_signed_graph
 
 NO_ALPHA = "Bitcoin-Alpha dataset not present (place soc-sign-bitcoinalpha.csv in ./data)"
 NO_OTC = "Bitcoin-OTC dataset not present (place soc-sign-bitcoinotc.csv in ./data)"
@@ -284,9 +291,8 @@ def test_criterion_8_complexity_scaling():
     k_ok = r_squared >= 0.98
 
     # Duplicate the graph: two disjoint copies double both nodes and edges.
-    doubled_edges = list(g.edges) + [
-        type(e)(e.src + g.n, e.dst + g.n, e.sign) for e in g.edges
-    ]
+    rows = edge_rows(g.edges)
+    doubled_edges = rows + [type(e)(e.src + g.n, e.dst + g.n, e.sign) for e in rows]
     g2 = build_graph(doubled_edges, 2 * g.n)
     na2 = normalize(g2)
     h2 = np.vstack([h, h])

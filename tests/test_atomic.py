@@ -21,7 +21,9 @@ from sgdnet.graph import (
     save_id_map,
 )
 from sgdnet.model import init_params, load_checkpoint, save_checkpoint
-from sgdnet.synthetic import planted_partition_graph
+
+from helpers import edge_rows
+from synthetic import planted_partition_graph
 
 PARAMS = init_params(4, 3, 1, seed=0)
 FEATURES = np.arange(24.0).reshape(6, 4)
@@ -98,7 +100,7 @@ def test_edge_list_interrupted_midway_keeps_the_previous_file(tmp_path, monkeypa
     # that lets the first block through and interrupts the second.
     i = np.arange(3 * sgdnet.graph._ROW_BLOCK)
     edges = EdgeList(i, i + 1, np.where(i % 3, 1, -1))
-    first_block = "".join("%d\t%d\t%d\n" % e for e in edges[: sgdnet.graph._ROW_BLOCK])
+    first_block = "".join("%d\t%d\t%d\n" % e for e in edge_rows(edges[: sgdnet.graph._ROW_BLOCK]))
     path = tmp_path / "edges.tsv"
     path.write_bytes(PREVIOUS)
     opened = []
@@ -133,7 +135,7 @@ def test_saves_replace_the_previous_file(tmp_path):
         assert np.array_equal(got, want)
     assert (cfg.c, cfg.k_steps) == (0.5, 3)
     assert np.array_equal(load_features(paths["features"]), FEATURES)
-    assert list(read_edge_tsv(paths["edge_list"])) == EDGES
+    assert edge_rows(read_edge_tsv(paths["edge_list"])) == EDGES
     assert load_id_map(paths["id_map"]) == ID_MAP
 
 

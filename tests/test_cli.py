@@ -9,7 +9,8 @@ import sgdnet.diffusion
 import sgdnet.evaluation
 from sgdnet.cli import _THREAD_ENV_VARS, _read_config_file, main
 from sgdnet.graph import save_edge_list
-from sgdnet.synthetic import planted_partition_graph
+
+from synthetic import planted_partition_graph
 
 
 def run_cli(*args):

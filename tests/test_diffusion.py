@@ -18,7 +18,6 @@ from sgdnet.diffusion import (
     l1_distance,
 )
 from sgdnet.graph import SignedEdge, build_graph, normalize
-from sgdnet.synthetic import random_signed_graph
 
 from helpers import (
     adjoint,
@@ -31,6 +30,7 @@ from helpers import (
     stored_layout_diffuse_adjoint,
     stored_layout_diffusion_states,
 )
+from synthetic import random_signed_graph
 
 
 def toy_na(sign=1):

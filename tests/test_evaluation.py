@@ -20,10 +20,10 @@ from sgdnet.evaluation import (
 )
 from sgdnet.graph import SignedEdge, normalize
 from sgdnet.model import EdgeBatch, edge_logits, model_forward
-from sgdnet.synthetic import planted_partition_graph
 from sgdnet.training import ModelConfig, TrainConfig, train
 
-from helpers import brute_force_auc, exactly, reference_midranks, reference_softmax
+from helpers import brute_force_auc, edge_rows, exactly, reference_midranks, reference_softmax
+from synthetic import planted_partition_graph
 
 
 def make_edges(m):
@@ -99,19 +99,20 @@ def test_split_deterministic_and_disjoint():
     edges = make_edges(50)
     a = split_edges(edges, 0.2, seed=3)
     b = split_edges(edges, 0.2, seed=3)
-    assert a.test == b.test and a.train == b.train
-    assert set(a.test).isdisjoint(a.train)
-    assert sorted([*a.test, *a.train]) == sorted(edges)
+    a_test, a_train = edge_rows(a.test), edge_rows(a.train)
+    assert a_test == edge_rows(b.test) and a_train == edge_rows(b.train)
+    assert set(a_test).isdisjoint(a_train)
+    assert sorted([*a_test, *a_train]) == sorted(edges)
     c = split_edges(edges, 0.2, seed=4)
-    assert c.test != a.test
+    assert edge_rows(c.test) != a_test
 
 
 def test_split_takes_the_test_edges_first_in_permutation_order():
     edges = make_edges(20)
     order = np.random.default_rng(7).permutation(20)
     split = split_edges(edges, 0.25, seed=7)
-    assert list(split.test) == [edges[i] for i in order[:5]]
-    assert list(split.train) == [edges[i] for i in order[5:]]
+    assert edge_rows(split.test) == [edges[i] for i in order[:5]]
+    assert edge_rows(split.train) == [edges[i] for i in order[5:]]
 
 
 def test_split_ratio_validation():
@@ -242,7 +243,7 @@ def test_run_seed_on_planted_graph():
         svd_rank=16, dim=16, n_layers=1, c=0.35, k_steps=5,
         lr=0.01, weight_decay=1e-3, epochs=60, ratio=0.2,
     )
-    rows = [run_seed(list(g.edges), g.n, config, seed) for seed in (0, 1)]
+    rows = [run_seed(edge_rows(g.edges), g.n, config, seed) for seed in (0, 1)]
     assert [row.seed for row in rows] == [0, 1]
     auc_mean, auc_std = mean_std([row.auc for row in rows])
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
@@ -257,7 +258,7 @@ def test_run_seed_single_seed_has_zero_std():
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=10, ratio=0.2,
     )
-    rows = [run_seed(list(g.edges), g.n, config, seed=7)]
+    rows = [run_seed(edge_rows(g.edges), g.n, config, seed=7)]
     _, auc_std = mean_std([row.auc for row in rows])
     _, f1_std = mean_std([row.f1_macro for row in rows])
     assert auc_std == 0.0 and f1_std == 0.0
@@ -277,7 +278,7 @@ def test_run_seed_normalizes_the_training_graph_once(monkeypatch):
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=5, ratio=0.2,
     )
-    run_seed(list(g.edges), g.n, config, seed=0)
+    run_seed(edge_rows(g.edges), g.n, config, seed=0)
     assert len(built) == 1
 
 
@@ -287,8 +288,8 @@ def test_run_seed_deterministic():
         svd_rank=8, dim=8, n_layers=1, c=0.35, k_steps=3,
         lr=0.01, epochs=5, ratio=0.2,
     )
-    a = run_seed(list(g.edges), g.n, config, seed=0)
-    b = run_seed(list(g.edges), g.n, config, seed=0)
+    a = run_seed(edge_rows(g.edges), g.n, config, seed=0)
+    b = run_seed(edge_rows(g.edges), g.n, config, seed=0)
     assert a.auc == b.auc
     assert a.f1_macro == b.f1_macro
 
@@ -312,9 +313,9 @@ def test_mean_std_of_no_values_raises():
 
 def test_test_edges_never_in_training_graph():
     g = planted_partition_graph(n=40, avg_out_degree=8.0, seed=3)
-    split = split_edges(list(g.edges), 0.2, seed=5)
-    train_pairs = {(e.src, e.dst) for e in split.train}
-    test_pairs = {(e.src, e.dst) for e in split.test}
+    split = split_edges(edge_rows(g.edges), 0.2, seed=5)
+    train_pairs = {(e.src, e.dst) for e in edge_rows(split.train)}
+    test_pairs = {(e.src, e.dst) for e in edge_rows(split.test)}
     assert train_pairs.isdisjoint(test_pairs)
 
 

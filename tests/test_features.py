@@ -15,9 +15,9 @@ from sgdnet.features import (
     save_features,
 )
 from sgdnet.graph import SignedEdge, build_graph
-from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 
 from helpers import exactly, jacobi_svd, reference_randomized_svd
+from synthetic import planted_partition_graph, random_signed_graph
 
 
 def test_identity_singular_values():

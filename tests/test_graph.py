@@ -20,19 +20,20 @@ from sgdnet.graph import (
     save_edge_list,
     save_id_map,
 )
-from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 
 from helpers import (
     bitcoin_alpha_path,
     bitcoin_otc_path,
     column_sums_of_b,
     dense_block_operator,
+    edge_rows,
     exactly,
     per_sign_adjacency,
     per_sign_operators,
     reference_load_edge_list,
     reference_read_edge_tsv,
 )
+from synthetic import planted_partition_graph, random_signed_graph
 
 
 def write(tmp_path, name, text):
@@ -47,7 +48,7 @@ def write(tmp_path, name, text):
 def test_load_tsv_single_edge(tmp_path):
     path = write(tmp_path, "e.tsv", "0\t1\t-1\n")
     edges, n, id_map = load_edge_list(path, "tsv-sign")
-    assert list(edges) == [SignedEdge(0, 1, -1)]
+    assert edge_rows(edges) == [SignedEdge(0, 1, -1)]
     assert n == 2
     assert id_map == {"0": 0, "1": 1}
 
@@ -55,7 +56,7 @@ def test_load_tsv_single_edge(tmp_path):
 def test_load_csv_rating_sign_and_remap(tmp_path):
     path = write(tmp_path, "e.csv", "7,12,-10,1400000000\n")
     edges, n, _ = load_edge_list(path, "csv-rating")
-    assert list(edges) == [SignedEdge(0, 1, -1)]
+    assert edge_rows(edges) == [SignedEdge(0, 1, -1)]
     assert n == 2
 
 
@@ -63,14 +64,14 @@ def test_load_remaps_by_first_appearance(tmp_path):
     path = write(tmp_path, "e.tsv", "5\t3\t1\n3\t9\t-1\n")
     edges, n, id_map = load_edge_list(path, "tsv-sign")
     assert id_map == {"5": 0, "3": 1, "9": 2}
-    assert list(edges) == [SignedEdge(0, 1, 1), SignedEdge(1, 2, -1)]
+    assert edge_rows(edges) == [SignedEdge(0, 1, 1), SignedEdge(1, 2, -1)]
     assert n == 3
 
 
 def test_load_duplicate_keeps_last(tmp_path):
     path = write(tmp_path, "e.tsv", "0\t1\t1\n0\t1\t-1\n")
     edges, _, _ = load_edge_list(path, "tsv-sign")
-    assert list(edges) == [SignedEdge(0, 1, -1)]
+    assert edge_rows(edges) == [SignedEdge(0, 1, -1)]
 
 
 def test_load_skips_comments_and_blanks(tmp_path):
@@ -116,12 +117,12 @@ def test_a_leading_byte_order_mark_is_dropped(monkeypatch, tmp_path, read, text,
     data_lines = sgdnet.graph._data_lines
     monkeypatch.setattr(sgdnet.graph, "_data_lines",
                         lambda path: per_line_reads.append(path) or data_lines(path))
-    got = read(str(marked))
-    assert got == read(plain)
+    got = outcome(read, str(marked))
+    assert got == outcome(read, plain)
     assert len(per_line_reads) == (2 if per_line else 0)
     if read is not read_edge_tsv:
         _, n, id_map = got
-        assert n == 3 and set(id_map) == {"1", "2", "3"}
+        assert n == 3 and set(dict(id_map)) == {"1", "2", "3"}
 
 
 @pytest.mark.parametrize("read, sep", [
@@ -165,7 +166,8 @@ def test_load_dedup_idempotent(tmp_path):
     text = "4\t2\t1\n2\t4\t-1\n4\t2\t-1\n4\t4\t1\n"
     p1 = write(tmp_path, "a.tsv", text)
     p2 = write(tmp_path, "b.tsv", text)
-    assert load_edge_list(p1, "tsv-sign") == load_edge_list(p2, "tsv-sign")
+    (e1, n1, m1), (e2, n2, m2) = (load_edge_list(p, "tsv-sign") for p in (p1, p2))
+    assert (edge_rows(e1), n1, m1) == (edge_rows(e2), n2, m2)
 
 
 def test_id_map_roundtrip(tmp_path):
@@ -180,7 +182,7 @@ def test_edge_tsv_roundtrip(tmp_path):
     edges = [SignedEdge(0, 1, 1), SignedEdge(2, 0, -1)]
     path = tmp_path / "edges.tsv"
     save_edge_list(path, edges)
-    assert list(read_edge_tsv(path)) == edges
+    assert edge_rows(read_edge_tsv(path)) == edges
 
 
 # 0, 9, 10, ..., 10^k - 1, 10^k, ..., 10^18 and 2^63 - 1: every digit count.
@@ -215,7 +217,7 @@ def test_saved_edge_list_bytes_equal_per_row_formatting(tmp_path, case):
     edges = _edge_list_case(case)
     path = tmp_path / "edges.tsv"
     save_edge_list(path, edges)
-    assert path.read_bytes() == "".join("%d\t%d\t%d\n" % e for e in edges).encode()
+    assert path.read_bytes() == "".join("%d\t%d\t%d\n" % e for e in edge_rows(edges)).encode()
 
 
 def test_saved_edge_list_bytes_do_not_follow_the_platform_newline(tmp_path, monkeypatch):
@@ -282,7 +284,7 @@ def random_edge_text(seed, fmt, lines=3000):
 def assert_matches_reference(path, fmt):
     edges, n, id_map = load_edge_list(path, fmt)
     ref_edges, ref_n, ref_map = reference_load_edge_list(path, fmt)
-    assert list(edges) == ref_edges
+    assert edge_rows(edges) == ref_edges
     assert n == ref_n
     assert list(id_map.items()) == list(ref_map.items())
 
@@ -307,9 +309,10 @@ def test_common_files_skip_the_per_line_reader(tmp_path, monkeypatch, case):
     fmt, text, _ = PARSER_CASES[case]
     path = tmp_path / "e.txt"
     path.write_bytes(text.encode())
-    expected = load_edge_list(path, fmt)
+    edges, n, id_map = load_edge_list(path, fmt)
     forbid_per_line_reader(monkeypatch)
-    assert load_edge_list(path, fmt) == expected
+    again, n_again, map_again = load_edge_list(path, fmt)
+    assert (edge_rows(again), n_again, map_again) == (edge_rows(edges), n, id_map)
 
 
 # Every id the parser takes must come back from the id map file, among them
@@ -328,6 +331,12 @@ def test_id_map_roundtrip_keeps_every_parsed_id(tmp_path, case):
     _, _, id_map = load_edge_list(path, fmt)
     save_id_map(tmp_path / "idmap.tsv", id_map)
     assert load_id_map(tmp_path / "idmap.tsv") == id_map
+
+
+def test_id_map_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "idmap.tsv"
+    path.write_bytes(b"\xef\xbb\xbf7\t0\n8\t1\n")
+    assert load_id_map(path) == {"7": 0, "8": 1}
 
 
 # A line with no tab, a line whose dense id is not an integer, and a line
@@ -362,8 +371,8 @@ def outcome(read, *args):
         return type(exc), str(exc)
     if isinstance(got, tuple):
         edges, n, id_map = got
-        return [tuple(e) for e in edges], n, list(id_map.items())
-    return [tuple(e) for e in got]
+        return edge_rows(edges), n, list(id_map.items())
+    return edge_rows(got)
 
 
 @pytest.mark.parametrize("fmt, layout", [
@@ -392,7 +401,7 @@ def test_load_duplicate_keeps_first_position_and_last_sign(tmp_path, fmt, text):
     path = tmp_path / "e.txt"
     path.write_text(text)
     edges, _, _ = load_edge_list(path, fmt)
-    assert list(edges) == [SignedEdge(0, 1, -1), SignedEdge(2, 3, 1)]
+    assert edge_rows(edges) == [SignedEdge(0, 1, -1), SignedEdge(2, 3, 1)]
 
 
 @pytest.mark.parametrize("fmt, text, message", [
@@ -457,7 +466,7 @@ def test_read_edge_tsv_bad_line_matches_reference(tmp_path, text):
 def test_read_edge_tsv_matches_reference(tmp_path, text):
     path = tmp_path / "e.tsv"
     path.write_text(text)
-    assert list(read_edge_tsv(path)) == reference_read_edge_tsv(path)
+    assert edge_rows(read_edge_tsv(path)) == reference_read_edge_tsv(path)
 
 
 def test_read_edge_tsv_rejects_ids_beyond_int64(tmp_path):
@@ -470,14 +479,17 @@ def test_read_edge_tsv_rejects_ids_beyond_int64(tmp_path):
 # ---------------------------------------------------------------- edge columns
 
 
-def test_edge_list_is_a_sequence_of_signed_edges():
+def test_edge_list_holds_signed_edges_as_columns():
     edges = as_edge_list([SignedEdge(0, 1, 1), (2, 0, -1), SignedEdge(1, 2, 1)])
     assert len(edges) == 3
-    assert edges[1] == SignedEdge(2, 0, -1) and type(edges[1]) is SignedEdge
-    assert list(edges) == [(0, 1, 1), (2, 0, -1), (1, 2, 1)]
-    assert list(edges[np.array([2, 0])]) == [(1, 2, 1), (0, 1, 1)]
-    assert edges[1:] == EdgeList([2, 1], [0, 2], [-1, 1])
+    rows = edge_rows(edges)
+    assert rows[1] == SignedEdge(2, 0, -1) and type(rows[1]) is SignedEdge
+    assert rows == [(0, 1, 1), (2, 0, -1), (1, 2, 1)]
+    assert edge_rows(edges[np.array([2, 0])]) == [(1, 2, 1), (0, 1, 1)]
+    assert edge_rows(edges[1:]) == edge_rows(EdgeList([2, 1], [0, 2], [-1, 1]))
     assert as_edge_list(edges) is edges
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(edges)
     assert len(as_edge_list([])) == 0
     with pytest.raises(ValueError):
         edges.src[0] = 5
@@ -495,8 +507,8 @@ def test_selected_edges_are_frozen_and_copied_once():
     finally:
         tracemalloc.stop()
     sliced = edges[10:]
-    assert list(picked[:2]) == [(order[0], m - 1 - order[0], 1), (order[1], m - 1 - order[1], 1)]
-    assert list(sliced[:1]) == [(10, m - 11, 1)]
+    assert edge_rows(picked[:2]) == [(order[0], m - 1 - order[0], 1), (order[1], m - 1 - order[1], 1)]
+    assert edge_rows(sliced[:1]) == [(10, m - 11, 1)]
     # The three selected columns; a second copy of them would make six.
     assert peak < 3.5 * m * 8
     for col in (picked.src, picked.dst, picked.sign, sliced.src):
@@ -506,7 +518,7 @@ def test_selected_edges_are_frozen_and_copied_once():
 def test_graph_edges_keep_input_order_and_repeats():
     edges = [SignedEdge(2, 0, -1), SignedEdge(0, 1, 1), SignedEdge(2, 0, -1)]
     g = build_graph(edges, 3)
-    assert list(g.edges) == edges
+    assert edge_rows(g.edges) == edges
     assert g.m == 3 and np.count_nonzero(g.a.data < 0) == 1
 
 
@@ -536,6 +548,8 @@ def test_build_graph_rejects_out_of_range():
     ([SignedEdge(0, 1, 1), SignedEdge(-1, 0, 1)], r"edge \(-1->0\) out of range"),
     ([SignedEdge(0, 1, 1), SignedEdge(1, 0, 2), SignedEdge(0, 9, 1)], r"edge \(1->0\) has invalid sign 2"),
     ([SignedEdge(1, 0, 0)], "invalid sign 0"),
+    (EdgeList([0, 1, 0], [1, 0, 9], [1, 2, 1]), exactly("edge (1->0) has invalid sign 2")),
+    (EdgeList([0, 0], [1, 5], [1, 2]), exactly("edge (0->5) out of range for n=2")),
 ])
 def test_build_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):

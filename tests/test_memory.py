@@ -63,10 +63,10 @@ from sgdnet.model import (
     loss_grad_logits,
     save_checkpoint,
 )
-from sgdnet.synthetic import random_signed_graph
 from sgdnet.training import TrainConfig, backward, forward_loss, train
 
 from helpers import ARTIFACT_DIMS, BYTE_MUTATIONS, write_edge_file, write_mutated_artifact
+from synthetic import random_signed_graph
 
 N, D0, D = 4000, 128, 32
 PARSE_LINES = 50_000

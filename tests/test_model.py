@@ -24,9 +24,9 @@ from sgdnet.model import (
     save_checkpoint,
     softmax,
 )
-from sgdnet.synthetic import random_signed_graph
 
 from helpers import reference_loss_grad_logits, reference_loss_total, reference_softmax
+from synthetic import random_signed_graph
 
 
 def zero_cfg(c=0.5, k=2):
@@ -212,9 +212,9 @@ def test_only_the_direct_path_keeps_h0(monkeypatch, precomputed):
     h_final, cache = model_forward(na, x, params, cfg, x_diffused=x_diffused)
     assert len(refs) == 1
     if precomputed:
-        assert refs[0]() is None and cache.h0 is None and cache.layers[0].h_prev is None
+        assert refs[0]() is None and cache.layers[0].h_prev is None
     else:
-        assert cache.h0 is refs[0]() is cache.layers[0].h_prev is not None
+        assert refs[0]() is cache.layers[0].h_prev is not None
 
 
 def test_layer_output_in_open_unit_interval():

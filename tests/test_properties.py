@@ -48,6 +48,7 @@ from helpers import (
     adjoint,
     assert_precompute_matches_direct_path,
     dense_block_operator,
+    edge_rows,
     reference_load_edge_list,
     reference_load_id_map,
     reference_read_config_file,
@@ -310,12 +311,12 @@ TEXT_READERS = {
 
 
 def as_plain(result):
-    """A reader's result as the reference states it: edges as tuples, and for
+    """A reader's result as the reference states it: edges as rows, and for
     `load_edge_list` n and the id map's items in insertion order."""
     if isinstance(result, tuple):
         edges, n, id_map = result
-        return [tuple(e) for e in edges], n, list(id_map.items())
-    return [tuple(e) for e in result]
+        return edge_rows(edges), n, list(id_map.items())
+    return edge_rows(result)
 
 
 @pytest.mark.parametrize("fmt", sorted(TEXT_READERS))

@@ -12,10 +12,11 @@ import sgdnet.diffusion
 import sgdnet.model
 import sgdnet.training
 from sgdnet.diffusion import DiffusionConfig
-from sgdnet.graph import build_graph, normalize
+from sgdnet.graph import EdgeList, build_graph, normalize
 from sgdnet.model import (
     EdgeBatch,
     ForwardCache,
+    LayerParams,
     ModelParams,
     NumericError,
     diffuse_inputs,
@@ -24,7 +25,6 @@ from sgdnet.model import (
     loss_grad_logits,
     model_forward,
 )
-from sgdnet.synthetic import planted_partition_graph, random_signed_graph
 from sgdnet.training import (
     Adam,
     TrainConfig,
@@ -36,6 +36,7 @@ from sgdnet.training import (
 from sgdnet.evaluation import f1_macro, predict_edges
 
 from helpers import assert_precompute_matches_direct_path, exactly, grad_check
+from synthetic import planted_partition_graph, random_signed_graph
 
 
 def zero_cfg(c=0.5, k=3):
@@ -127,9 +128,18 @@ def test_backward_head_matches_concatenation_reference():
     batch = EdgeBatch(uv=uv, signs=np.ones(len(uv), dtype=np.int64))
     n, d = 9, 4
     rng = np.random.default_rng(13)
-    h = rng.standard_normal((n, d))
+    w_in = rng.standard_normal((n, d))
     w_head = rng.standard_normal((2 * d, 2))
     grad_logits = rng.standard_normal((len(uv), 2))
+
+    # One layer with zero transform and mixing weights, on identity input
+    # features: h_final = tanh(w_in), and the w_in gradient is
+    # d(loss)/d(h_final) times tanh's derivative 1 - h_final^2.
+    zero = LayerParams(w_t=np.zeros((d, d)), w_n=np.zeros((2 * d, d)))
+    params = ModelParams(w_in=w_in, layers=[zero], w_head=w_head)
+    na = normalize(build_graph(EdgeList(uv[:, 0], uv[:, 1], batch.signs), n))
+    h, cache = model_forward(na, np.eye(n), params, zero_cfg())
+    assert np.array_equal(h, np.tanh(w_in))
 
     z = np.hstack([h[uv[:, 0]], h[uv[:, 1]]])
     ref_w_head = z.T @ grad_logits
@@ -138,13 +148,8 @@ def test_backward_head_matches_concatenation_reference():
     np.add.at(ref_dh, uv[:, 0], dz[:, :d])
     np.add.at(ref_dh, uv[:, 1], dz[:, d:])
 
-    # With no layers and identity input features, h_final is w_in and the
-    # w_in gradient is d(loss)/d(h_final) itself.
-    params = ModelParams(w_in=h, layers=[], w_head=w_head)
-    cache = ForwardCache(na=None, cfg=None, params=params, x=np.eye(n), x_diffused=None,
-                         h0=h, layers=[])
     grads = backward(cache, batch, grad_logits)
-    for got, ref in ((grads["w_head"], ref_w_head), (grads["w_in"], ref_dh)):
+    for got, ref in ((grads["w_head"], ref_w_head), (grads["w_in"], (1.0 - h * h) * ref_dh)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.all(grads["w_in"][7:] == 0.0)
