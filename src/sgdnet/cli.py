@@ -249,7 +249,7 @@ def cmd_eval(args) -> int:
     from .evaluation import predict_edges, score_report
     from .features import load_features
     from .graph import build_graph, read_edge_tsv
-    from .model import EdgeBatch, load_checkpoint
+    from .model import load_checkpoint
 
     params, dcfg = load_checkpoint(os.path.join(args.run_dir, "checkpoint.sgdn"))
     x = load_features(os.path.join(args.run_dir, "train_features.sgdf"))
@@ -257,19 +257,18 @@ def cmd_eval(args) -> int:
     n = x.shape[0]
     graph = build_graph(train_edges, n)
 
-    test_edges = read_edge_tsv(args.test_edges)
-    batch = EdgeBatch.from_edges(test_edges)
-    p_plus, preds = predict_edges(graph, x, params, dcfg, batch)
-    report = score_report(p_plus, preds, batch.signs)
+    test = read_edge_tsv(args.test_edges)
+    p_plus, preds = predict_edges(graph, x, params, dcfg, test)
+    report = score_report(p_plus, preds, test.sign)
 
     out_path = args.out or os.path.join(args.run_dir, "predictions.csv")
     with atomic_write(out_path) as fh:
         fh.write("u,v,label,p_plus,pred\n")
-        for (u, v), label, prob, pred in zip(batch.uv, batch.signs, p_plus, preds):
+        for u, v, label, prob, pred in zip(test.src, test.dst, test.sign, p_plus, preds):
             fh.write(f"{u},{v},{label},{prob:.10g},{pred}\n")
 
     auc_text = "NA" if report.auc is None else f"{report.auc:.4f}"
-    print(f"edges     {len(batch)}")
+    print(f"edges     {len(test)}")
     print(f"auc       {auc_text}")
     print(f"f1_macro  {report.f1_macro:.4f}")
     for sign, name in ((1, "positive"), (-1, "negative")):

@@ -17,7 +17,7 @@ import numpy as np
 from .diffusion import DiffusionConfig
 from .features import init_features
 from .graph import EdgeList, SignedDigraph, as_edge_list, build_graph, normalize
-from .model import EdgeBatch, ModelParams, edge_logits, model_forward, softmax
+from .model import ModelParams, edge_logits, model_forward, softmax
 from .seeding import run_seeds
 from .training import ModelConfig, TrainConfig, train
 
@@ -123,12 +123,12 @@ def predict_edges(
     x: np.ndarray,
     params: ModelParams,
     dcfg: DiffusionConfig,
-    batch: EdgeBatch,
+    edges: EdgeList,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score edges with a deterministic forward pass (zero negative-channel
+    """Score `edges` with a deterministic forward pass (zero negative-channel
     start), returning positive-class probabilities and argmax signs."""
     h_final, _ = model_forward(normalize(graph), x, params, replace(dcfg, m0_mode="zero"))
-    logits = edge_logits(h_final, batch, params.w_head)
+    logits = edge_logits(h_final, edges, params.w_head)
     probs = softmax(logits)
     p_plus = probs[:, 0]
     preds = np.where(p_plus >= 0.5, 1, -1)
@@ -178,12 +178,11 @@ def run_seed(edges, n: int, config: ExperimentConfig, seed: int) -> SeedResult:
     tcfg = config.train_config(train_seed)
     params, _ = train(train_graph, x, tcfg)
 
-    test_batch = EdgeBatch.from_edges(split.test)
-    p_plus, preds = predict_edges(train_graph, x, params, tcfg.diffusion(), test_batch)
+    p_plus, preds = predict_edges(train_graph, x, params, tcfg.diffusion(), split.test)
     return SeedResult(
         seed=seed,
-        auc=auc(p_plus, test_batch.signs),
-        f1_macro=f1_macro(preds, test_batch.signs),
+        auc=auc(p_plus, split.test.sign),
+        f1_macro=f1_macro(preds, split.test.sign),
     )
 
 

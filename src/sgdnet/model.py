@@ -38,7 +38,7 @@ import numpy as np
 from . import diffusion
 from .diffusion import DiffusionConfig
 from .features import _read_artifact, _write_artifact
-from .graph import NormalizedAdjacency, as_edge_list
+from .graph import EdgeList, NormalizedAdjacency, as_edge_list
 
 # Columns of x per `diffuse_inputs` block.
 _INPUT_BLOCK = 32
@@ -60,12 +60,29 @@ class LayerParams:
 
 @dataclass
 class ModelParams:
+    """Every trainable matrix, as views of one float64 vector (`from_flat`)."""
+
+    flat: np.ndarray
     w_in: np.ndarray  # d0 x d input projection
     layers: list[LayerParams]
     w_head: np.ndarray  # 2d x 2 prediction head
 
+    @classmethod
+    def from_flat(cls, flat: np.ndarray | None, d0: int, d: int, n_layers: int) -> ModelParams:
+        """Views of `flat` in `named()` order; of a new vector if it is None."""
+        shapes = [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
+        ends = np.cumsum([rows * cols for rows, cols in shapes])
+        flat = np.empty(ends[-1]) if flat is None else flat
+        w_in, *ws, w_head = map(np.reshape, np.split(flat, ends[:-1]), shapes)
+        layers = [LayerParams(w_t=w_t, w_n=w_n) for w_t, w_n in zip(ws[::2], ws[1::2])]
+        return cls(flat, w_in, layers, w_head)
+
+    def copy(self) -> ModelParams:
+        """A new vector, with views of its own."""
+        return ModelParams.from_flat(self.flat.copy(), *self.dims)
+
     def named(self) -> list[tuple[str, np.ndarray]]:
-        """Stable (name, matrix) listing used by the optimizer and gradients."""
+        """Stable (name, matrix) listing, in the order of `flat`."""
         out = [("w_in", self.w_in)]
         for i, layer in enumerate(self.layers):
             out.append((f"layers.{i}.w_t", layer.w_t))
@@ -80,22 +97,16 @@ class ModelParams:
 
 
 def init_params(d0: int, d: int, n_layers: int, seed: int = 0) -> ModelParams:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization per matrix."""
+    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization per matrix,
+    drawn in `named()` order; a matrix's fan-in is its row count."""
     if d0 < 1 or d < 1 or n_layers < 1:
         raise ValueError(f"dimensions must be positive, got d0={d0}, d={d}, layers={n_layers}")
     rng = np.random.default_rng(seed)
-
-    def uniform(fan_in, shape):
-        bound = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    w_in = uniform(d0, (d0, d))
-    layers = [
-        LayerParams(w_t=uniform(d, (d, d)), w_n=uniform(2 * d, (2 * d, d)))
-        for _ in range(n_layers)
-    ]
-    w_head = uniform(2 * d, (2 * d, 2))
-    return ModelParams(w_in=w_in, layers=layers, w_head=w_head)
+    params = ModelParams.from_flat(None, d0, d, n_layers)
+    for _, w in params.named():
+        bound = np.sqrt(1.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 class LayerCache(NamedTuple):
@@ -223,29 +234,23 @@ def model_forward(
     return h, ForwardCache(na, cfg, params, x, x_diffused, caches)
 
 
-class EdgeBatch(NamedTuple):
-    uv: np.ndarray  # b x 2 int64 endpoint ids
-    signs: np.ndarray  # b int64 labels, +1 or -1
+class EdgeBatch:
+    """Kept for the benchmark harness; the loss batch is the `EdgeList` itself."""
 
-    @classmethod
-    def from_edges(cls, edges) -> "EdgeBatch":
-        edges = as_edge_list(edges)
-        return cls(uv=np.stack([edges.src, edges.dst], axis=1), signs=edges.sign)
-
-    def __len__(self) -> int:
-        return self.uv.shape[0]
+    from_edges = staticmethod(as_edge_list)
 
 
-def edge_logits(h_final: np.ndarray, batch: EdgeBatch, w_head: np.ndarray) -> np.ndarray:
-    """Score each (u, v) pair as [h_u || h_v] @ w_head, no bias.
+def edge_logits(h_final: np.ndarray, edges: EdgeList, w_head: np.ndarray) -> np.ndarray:
+    """Score each edge (src, dst) as [h_src || h_dst] @ w_head, no bias.
 
-    Computed in factored form, h_u @ w_head[:d] + h_v @ w_head[d:], so the
-    gather is of n x 2 node scores rather than b x 2d endpoint rows.
+    Computed in factored form, h_src @ w_head[:d] + h_dst @ w_head[d:], so
+    the gather is of n x 2 node scores rather than b x 2d endpoint rows.
     """
     n, d = h_final.shape
-    if len(batch) and (batch.uv.min() < 0 or batch.uv.max() >= n):
+    src, dst = edges.src, edges.dst
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         raise ValueError(f"edge batch references node ids outside 0..{n - 1}")
-    return (h_final @ w_head[:d])[batch.uv[:, 0]] + (h_final @ w_head[d:])[batch.uv[:, 1]]
+    return (h_final @ w_head[:d])[src] + (h_final @ w_head[d:])[dst]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -287,8 +292,9 @@ def loss_grad_logits(logits: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
-    """Write a model checkpoint: magic, version, dims, c, K, then the matrices
-    in `ModelParams.named` order (`features._write_artifact`)."""
+    """Write a model checkpoint: magic, version, dims, c, K, then the bytes of
+    `ModelParams.flat`, written per matrix in `named` order so that
+    `features._write_artifact` masks one matrix at a time."""
     d0, d, n_layers = params.dims
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, d0, d, n_layers,
                           cfg.c, cfg.k_steps)
@@ -308,13 +314,9 @@ def _payload_size(d0, d, n_layers, c, k_steps) -> int:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:
-    """Read a `save_checkpoint` file (`features._read_artifact`). The matrices
-    are views of the one payload array, so the file is read into memory once."""
+    """Read a `save_checkpoint` file (`features._read_artifact`). The payload
+    becomes `ModelParams.flat`, so the file is read into memory once."""
     (d0, d, n_layers, c, k_steps), payload = _read_artifact(
         path, "checkpoint", _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _payload_size
     )
-    shapes = [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
-    ends = np.cumsum([rows * cols for rows, cols in shapes])
-    w_in, *ws, w_head = map(np.reshape, np.split(payload, ends[:-1]), shapes)
-    layers = [LayerParams(w_t=w_t, w_n=w_n) for w_t, w_n in zip(ws[::2], ws[1::2])]
-    return ModelParams(w_in=w_in, layers=layers, w_head=w_head), DiffusionConfig(c, k_steps)
+    return ModelParams.from_flat(payload, d0, d, n_layers), DiffusionConfig(c, k_steps)

@@ -1,6 +1,10 @@
 """Reverse-mode gradients for the whole model, the Adam optimizer, and the
 full-batch epoch loop.
 
+The parameters and their gradients are each one vector, `ModelParams.flat`,
+which Adam, the weight decay, the finiteness checks and the last-good
+snapshot read whole. The loss reads the training graph's `EdgeList` as is.
+
 Layer 1 can read the input features' diffusion, computed once per training
 graph as interleaved x_p/x_m rows (see `model.diffuse_inputs`), instead of
 diffusing x @ w_in @ w_t in every epoch. Its backward pass then needs no
@@ -42,7 +46,6 @@ adjoint's walks share memory only with the layers below. A cache serves one
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,9 +54,8 @@ import numpy as np
 
 from . import diffusion as _diffusion
 from .diffusion import DiffusionConfig
-from .graph import SignedDigraph, normalize
+from .graph import EdgeList, SignedDigraph, normalize
 from .model import (
-    EdgeBatch,
     ForwardCache,
     ModelParams,
     NumericError,
@@ -69,12 +71,13 @@ from .seeding import spawn_seeds
 
 def backward(
     cache: ForwardCache,
-    batch: EdgeBatch,
+    edges: EdgeList,
     grad_logits: np.ndarray,
     weight_decay: float = 0.0,
-) -> dict[str, np.ndarray]:
+) -> ModelParams:
     """Exact gradients of the total loss for every parameter matrix, from the
-    pass that built `cache` and `grad_logits`, its loss gradient on `batch`.
+    pass that built `cache` and `grad_logits`, its loss gradient on `edges`,
+    written into the views of one new `ModelParams`.
 
     Composes the head adjoint, each layer's tanh/skip/mixing adjoints, the
     diffusion adjoint, and the input projection adjoint, then adds the
@@ -96,29 +99,30 @@ def backward(
         )
     d = params.w_in.shape[1]
     h_final = layers[-1].h_next
-    g_u = _scatter_to_nodes(batch.uv[:, 0], grad_logits, h_final.shape[0])
-    g_v = _scatter_to_nodes(batch.uv[:, 1], grad_logits, h_final.shape[0])
+    g_u = _scatter_to_nodes(edges.src, grad_logits, h_final.shape[0])
+    g_v = _scatter_to_nodes(edges.dst, grad_logits, h_final.shape[0])
 
-    grads: dict[str, np.ndarray] = {}
-    grads["w_head"] = np.vstack([h_final.T @ g_u, h_final.T @ g_v])
+    grads = ModelParams.from_flat(None, *params.dims)
+    np.matmul(h_final.T, g_u, out=grads.w_head[:d])
+    np.matmul(h_final.T, g_v, out=grads.w_head[d:])
     del h_final
     dh = g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T
 
     dw_in = 0.0  # w_in's gradient through layer 1's W = w_in @ w_t
     for i in reversed(range(len(params.layers))):
-        layer = params.layers[i]
+        layer, grad = params.layers[i], grads.layers[i]
         h_prev, pm, h_next = layers.pop()
         dpre = h_next * h_next
         del h_next
         np.subtract(1.0, dpre, out=dpre)
         dpre *= dh
         del dh
-        grads[f"layers.{i}.w_n"] = pm.T @ dpre
+        np.matmul(pm.T, dpre, out=grad.w_n)
         del pm
         dpm = dpre @ layer.w_n.T
         if i == 0 and x_diffused is not None:
             dw = x_diffused.T @ dpm.reshape(-1, d)  # x_p^T dp + x_m^T dm
-            grads[f"layers.{i}.w_t"] = params.w_in.T @ dw
+            np.matmul(params.w_in.T, dw, out=grad.w_t)
             dw_in = dw @ layer.w_t.T
         else:
             # Handed over in a list (see `_diffusion._adjoint`), so that dpm
@@ -126,18 +130,18 @@ def backward(
             owned = [(dpm[:, :d], dpm[:, d:])]
             del dpm
             dh_tilde = _diffusion._adjoint(cache.na, owned, cache.cfg)
-            grads[f"layers.{i}.w_t"] = h_prev.T @ dh_tilde
+            np.matmul(h_prev.T, dh_tilde, out=grad.w_t)
             dpre += dh_tilde @ layer.w_t.T  # the transform path joins the skip path
         dh = dpre
 
-    grads["w_in"] = cache.x.T @ dh + dw_in
+    np.matmul(cache.x.T, dh, out=grads.w_in)
+    grads.w_in += dw_in
 
     if weight_decay:
-        for name, w in params.named():
-            grads[name] = grads[name] + 2.0 * weight_decay * w
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
+        grads.flat += 2.0 * weight_decay * params.flat
+    if not np.all(np.isfinite(grads.flat)):  # named in the order formed: head first
+        name = next(n for n, g in reversed(grads.named()) if not np.all(np.isfinite(g)))
+        raise NumericError(f"non-finite gradient for {name}")
     return grads
 
 
@@ -149,29 +153,25 @@ def _scatter_to_nodes(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam; weight decay enters through the loss gradient."""
+    """Bias-corrected Adam on `ModelParams.flat`; weight decay enters through
+    the loss gradient. The moments start at 0.0, bitwise as zero vectors."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's values
 
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = 0.0
 
-    def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-        """Update every parameter matrix in place."""
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
+        """Update `params.flat` in place."""
         self.t += 1
-        for name, w in params.named():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(w)
-                self.v[name] = np.zeros_like(w)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            w -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = grads.flat
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def forward_loss(
@@ -179,19 +179,19 @@ def forward_loss(
     x: np.ndarray,
     params: ModelParams,
     cfg: DiffusionConfig,
-    batch: EdgeBatch,
+    edges: EdgeList,
     weight_decay: float,
     rng: np.random.Generator | None = None,
     x_diffused: np.ndarray | None = None,
     noise: list | None = None,
 ):
-    """One forward pass through model, head, and loss; `x_diffused` and
-    `noise` as in `model_forward`."""
+    """One forward pass through model, head, and loss on `edges`;
+    `x_diffused` and `noise` as in `model_forward`."""
     h_final, cache = model_forward(
         na, x, params, cfg, rng=rng, x_diffused=x_diffused, noise=noise
     )
-    logits = edge_logits(h_final, batch, params.w_head)
-    loss = loss_total(logits, batch.signs, params, weight_decay)
+    logits = edge_logits(h_final, edges, params.w_head)
+    loss = loss_total(logits, edges.sign, params, weight_decay)
     return loss, logits, cache
 
 
@@ -250,8 +250,7 @@ def train(
     (see the module docstring). Returns the final parameters and the
     per-epoch loss history.
     """
-    na = normalize(graph)
-    batch = EdgeBatch.from_edges(graph.edges)
+    na, edges = normalize(graph), graph.edges
     dcfg = cfg.diffusion()
     init_seed, m0_seed = spawn_seeds(cfg.seed, 2)
     params = init_params(x.shape[1], cfg.dim, cfg.n_layers, seed=init_seed)
@@ -268,7 +267,7 @@ def train(
         draw = functools.partial(_diffusion._noise_state, na, (graph.n, cfg.dim), dcfg, rng)
 
     history: list[float] = []
-    last_good = copy.deepcopy(params)
+    last_good = params.copy()
     with ThreadPoolExecutor(max_workers=1) if draw else contextlib.nullcontext() as worker:
         pending = worker.submit(draw) if worker and cfg.epochs else None
         for epoch in range(cfg.epochs):
@@ -279,7 +278,7 @@ def train(
                 if draw_next and cfg.n_layers == 1:
                     pending = worker.submit(draw)
                 loss, logits, cache = forward_loss(
-                    na, x, params, dcfg, batch, cfg.weight_decay, rng=rng,
+                    na, x, params, dcfg, edges, cfg.weight_decay, rng=rng,
                     x_diffused=x_diffused, noise=noise,
                 )
                 if draw_next and cfg.n_layers > 1:
@@ -287,7 +286,7 @@ def train(
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 grads = backward(
-                    cache, batch, loss_grad_logits(logits, batch.signs), cfg.weight_decay
+                    cache, edges, loss_grad_logits(logits, edges.sign), cfg.weight_decay
                 )
                 del cache, logits  # spent; not alive through the next forward
             except NumericError as exc:
@@ -295,10 +294,10 @@ def train(
                     f"training aborted at epoch {epoch}: {exc}", last_good, history
                 ) from exc
             history.append(loss)
-            last_good = copy.deepcopy(params)
+            last_good = params.copy()
             optimizer.step(params, grads)
             # Also on the last epoch, whose result no later loss would check.
-            if not all(np.all(np.isfinite(w)) for _, w in params.named()):
+            if not np.all(np.isfinite(params.flat)):
                 raise TrainingAbort(
                     f"training aborted at epoch {epoch}: non-finite parameters after the"
                     " Adam step", last_good, history,

@@ -15,7 +15,6 @@ from sgdnet.diffusion import DiffusionConfig, _adjoint
 from sgdnet.features import save_features
 from sgdnet.graph import DataError, EdgeList, ParseError, SignedEdge, normalize
 from sgdnet.model import (
-    EdgeBatch,
     diffuse_inputs,
     init_params,
     loss_grad_logits,
@@ -273,7 +272,7 @@ def grad_check(
     na = normalize(g)
     x = np.random.default_rng(x_seed).standard_normal((n, d0))
     params = init_params(d0, d, n_layers, seed=init_seed)
-    batch = EdgeBatch.from_edges(g.edges)
+    batch = g.edges
     cfg = DiffusionConfig(c=c, k_steps=k_steps, m0_mode="zero")
 
     report = {name: 0.0 for name, _ in params.named()}
@@ -290,9 +289,9 @@ def _fd_errors(na, x, params, cfg, batch, weight_decay, fd_step, x_diffused):
     loss, logits, cache = training.forward_loss(
         na, x, params, cfg, batch, weight_decay, x_diffused=x_diffused
     )
-    grads = training.backward(
-        cache, batch, loss_grad_logits(logits, batch.signs), weight_decay
-    )
+    grads = dict(training.backward(
+        cache, batch, loss_grad_logits(logits, batch.sign), weight_decay
+    ).named())
 
     def loss_at() -> float:
         value, _, _ = training.forward_loss(
@@ -331,16 +330,43 @@ def assert_precompute_matches_direct_path(na, x, params, cfg, batch):
         loss, logits, cache = training.forward_loss(
             na, x, params, cfg, batch, 1e-3, rng=rng, x_diffused=x_diffused
         )
-        grads = training.backward(cache, batch, loss_grad_logits(logits, batch.signs), 1e-3)
-        return loss, grads, rng.random()
+        grads = training.backward(cache, batch, loss_grad_logits(logits, batch.sign), 1e-3)
+        return loss, grads.named(), rng.random()
 
     loss, grads, draw = loss_grads_and_next_draw(None)
     loss_pre, grads_pre, draw_pre = loss_grads_and_next_draw(diffuse_inputs(na, x, cfg))
     assert abs(loss_pre - loss) <= 1e-12 * abs(loss)
-    assert list(grads_pre) == list(grads)
-    for name, ref in grads.items():
-        assert np.abs(grads_pre[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert [name for name, _ in grads_pre] == [name for name, _ in grads]
+    for (name, ref), (_, pre) in zip(grads, grads_pre):
+        assert np.abs(pre - ref).max() <= 1e-12 * np.abs(ref).max(), name
     assert draw_pre == draw
+
+
+def reference_adam(lr):
+    """A literal copy of the per-matrix Adam that kept its moments in dicts
+    by matrix name, made as zeros at a name's first step. Returns its
+    `step(params, grads)`, with `grads` a dict by name. An oracle for
+    bitwise-equality tests of the vector Adam."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m: dict[str, np.ndarray] = {}
+    v: dict[str, np.ndarray] = {}
+    t = 0
+
+    def step(params, grads):
+        nonlocal t
+        t += 1
+        for name, w in params.named():
+            g = grads[name]
+            if name not in m:
+                m[name] = np.zeros_like(w)
+                v[name] = np.zeros_like(w)
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1**t)
+            v_hat = v[name] / (1 - beta2**t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    return step
 
 
 # A literal copy of the row-wise loss head that indexed each edge's class

@@ -21,7 +21,6 @@ from sgdnet.diffusion import (
 from sgdnet.evaluation import ExperimentConfig, mean_std, run_seed
 from sgdnet.features import init_features
 from sgdnet.graph import build_graph, load_edge_list, normalize
-from sgdnet.model import EdgeBatch
 from sgdnet.training import TrainConfig, train
 from sgdnet.evaluation import f1_macro, predict_edges
 
@@ -323,9 +322,8 @@ def test_criterion_9_planted_partition_sanity():
             weight_decay=1e-3, epochs=100, m0_mode="uniform", seed=seed,
         )
         params, _ = train(g, x, cfg)
-        batch = EdgeBatch.from_edges(g.edges)
-        _, preds = predict_edges(g, x, params, cfg.diffusion(), batch)
-        scores.append(f1_macro(preds, batch.signs))
+        _, preds = predict_edges(g, x, params, cfg.diffusion(), g.edges)
+        scores.append(f1_macro(preds, g.edges.sign))
     ok = all(s >= 0.95 for s in scores)
     assert _verdict(
         9, "planted two-camp training sanity", ok,

@@ -19,7 +19,7 @@ from sgdnet.evaluation import (
     split_edges,
 )
 from sgdnet.graph import SignedEdge, normalize
-from sgdnet.model import EdgeBatch, edge_logits, model_forward
+from sgdnet.model import edge_logits, model_forward
 from sgdnet.training import ModelConfig, TrainConfig, train
 
 from helpers import brute_force_auc, edge_rows, exactly, reference_midranks, reference_softmax
@@ -324,10 +324,9 @@ def test_predict_edges_probabilities_are_bitwise_the_row_wise_softmax():
     x = np.random.default_rng(1).standard_normal((g.n, 6))
     cfg = TrainConfig(dim=4, n_layers=2, epochs=5, seed=2)
     params, _ = train(g, x, cfg)
-    batch = EdgeBatch.from_edges(g.edges)
-    p_plus, _ = predict_edges(g, x, params, cfg.diffusion(), batch)
+    p_plus, _ = predict_edges(g, x, params, cfg.diffusion(), g.edges)
 
     zero_start = replace(cfg.diffusion(), m0_mode="zero")
     h_final, _ = model_forward(normalize(g), x, params, zero_start)
-    reference = reference_softmax(edge_logits(h_final, batch, params.w_head))[:, 0]
+    reference = reference_softmax(edge_logits(h_final, g.edges, params.w_head))[:, 0]
     assert np.array_equal(p_plus, reference)

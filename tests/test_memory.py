@@ -56,7 +56,6 @@ from sgdnet.graph import (
     save_edge_list,
 )
 from sgdnet.model import (
-    EdgeBatch,
     diffuse_inputs,
     init_params,
     load_checkpoint,
@@ -127,13 +126,13 @@ def direct_epoch_peak(n_layers: int) -> float:
     """Peak of one epoch on the direct path (`forward_loss`, then
     `backward`), uniform mode, with no precomputed input diffusion."""
     g, x = alpha_inputs()
-    na, batch = normalize(g), EdgeBatch.from_edges(g.edges)
+    na, edges = normalize(g), g.edges
     params, cfg = init_params(D0, D, n_layers, seed=3), TrainConfig(dim=D).diffusion()
     rng = np.random.default_rng(3)
 
     def epoch():
-        _, logits, cache = forward_loss(na, x, params, cfg, batch, 1e-3, rng=rng)
-        backward(cache, batch, loss_grad_logits(logits, batch.signs), 1e-3)
+        _, logits, cache = forward_loss(na, x, params, cfg, edges, 1e-3, rng=rng)
+        backward(cache, edges, loss_grad_logits(logits, edges.sign), 1e-3)
 
     return traced_peak(epoch) / (N * D * 8)
 
@@ -141,9 +140,8 @@ def direct_epoch_peak(n_layers: int) -> float:
 def predict_edges_peak() -> float:
     """Peak of `predict_edges` with one layer on every edge of the graph."""
     g, x = alpha_inputs()
-    batch = EdgeBatch.from_edges(g.edges)
     params, cfg = init_params(D0, D, 1, seed=3), TrainConfig(dim=D).diffusion()
-    return traced_peak(lambda: predict_edges(g, x, params, cfg, batch)) / (N * D * 8)
+    return traced_peak(lambda: predict_edges(g, x, params, cfg, g.edges)) / (N * D * 8)
 
 
 def backward_peak() -> float:
@@ -153,16 +151,15 @@ def backward_peak() -> float:
     g = random_signed_graph(n, avg_out_degree=4.0, neg_fraction=0.3, seed=1)
     na = normalize(g)
     x = np.random.default_rng(2).standard_normal((n, 8))
-    params = init_params(8, d, 2, seed=3)
-    batch = EdgeBatch.from_edges(g.edges)
+    params, edges = init_params(8, d, 2, seed=3), g.edges
     cfg = DiffusionConfig(c=0.5, k_steps=4, m0_mode="zero")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
-        grad_logits = loss_grad_logits(logits, batch.signs)
+        _, logits, cache = forward_loss(na, x, params, cfg, edges, 0.0)
+        grad_logits = loss_grad_logits(logits, edges.sign)
         tracemalloc.reset_peak()
-        backward(cache, batch, grad_logits)
+        backward(cache, edges, grad_logits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

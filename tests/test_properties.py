@@ -33,6 +33,7 @@ from sgdnet.cli import _read_config_file, main
 from sgdnet.features import load_features
 from sgdnet.graph import (
     DataError,
+    EdgeList,
     build_graph,
     load_edge_list,
     load_id_map,
@@ -40,7 +41,7 @@ from sgdnet.graph import (
     read_edge_tsv,
     save_id_map,
 )
-from sgdnet.model import EdgeBatch, init_params, load_checkpoint
+from sgdnet.model import init_params, load_checkpoint
 
 from helpers import (
     ARTIFACT_DIMS,
@@ -109,8 +110,8 @@ def test_precomputed_first_layer_gives_the_direct_loss_and_gradients(
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((g.n, d0))
     b = int(rng.integers(1, 2 * g.n + 1))
-    batch = EdgeBatch(uv=rng.integers(0, g.n, size=(b, 2)),
-                      signs=rng.choice(np.array([-1, 1]), size=b))
+    uv = rng.integers(0, g.n, size=(b, 2))
+    batch = EdgeList(uv[:, 0], uv[:, 1], rng.choice(np.array([-1, 1]), size=b))
     params = init_params(d0, d, n_layers, seed=seed)
     cfg = DiffusionConfig(c=c, k_steps=k, m0_mode=m0_mode)
     assert_precompute_matches_direct_path(na, x, params, cfg, batch)

@@ -2,7 +2,6 @@ import importlib
 import inspect
 import sys
 import threading
-import types
 import weakref
 
 import numpy as np
@@ -14,16 +13,16 @@ import sgdnet.training
 from sgdnet.diffusion import DiffusionConfig
 from sgdnet.graph import EdgeList, build_graph, normalize
 from sgdnet.model import (
-    EdgeBatch,
     ForwardCache,
-    LayerParams,
     ModelParams,
     NumericError,
     diffuse_inputs,
     edge_logits,
     init_params,
+    load_checkpoint,
     loss_grad_logits,
     model_forward,
+    save_checkpoint,
 )
 from sgdnet.training import (
     Adam,
@@ -35,7 +34,7 @@ from sgdnet.training import (
 )
 from sgdnet.evaluation import f1_macro, predict_edges
 
-from helpers import assert_precompute_matches_direct_path, exactly, grad_check
+from helpers import assert_precompute_matches_direct_path, exactly, grad_check, reference_adam
 from synthetic import planted_partition_graph, random_signed_graph
 
 
@@ -49,7 +48,7 @@ def zero_cfg(c=0.5, k=3):
 def test_adam_zero_gradient_is_noop():
     params = init_params(3, 2, 1, seed=0)
     before = [w.copy() for _, w in params.named()]
-    grads = {name: np.zeros_like(w) for name, w in params.named()}
+    grads = ModelParams.from_flat(np.zeros_like(params.flat), *params.dims)
     opt = Adam(lr=0.05)
     opt.step(params, grads)
     for (_, w), orig in zip(params.named(), before):
@@ -59,7 +58,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_magnitude():
     # Bias correction makes the first step lr * g / (|g| + eps) ~= lr.
     params = init_params(1, 1, 1, seed=0)
-    grads = {name: np.ones_like(w) for name, w in params.named()}
+    grads = ModelParams.from_flat(np.ones_like(params.flat), *params.dims)
     before = [w.copy() for _, w in params.named()]
     opt = Adam(lr=0.01)
     opt.step(params, grads)
@@ -73,13 +72,75 @@ def test_adam_trajectories_deterministic():
         opt = Adam(lr=0.02)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            grads = {name: rng.standard_normal(w.shape) for name, w in params.named()}
+            grads = ModelParams.from_flat(rng.standard_normal(params.flat.size), *params.dims)
             opt.step(params, grads)
         return [w.copy() for _, w in params.named()]
 
     a, b = run(), run()
     for wa, wb in zip(a, b):
         assert np.array_equal(wa, wb)
+
+
+def test_adam_matches_the_per_matrix_reference_bitwise():
+    # Random gradients with exact zeros and negative zeros, five steps.
+    params = init_params(4, 3, 2, seed=2)
+    ref_params = params.copy()
+    opt, ref_step = Adam(lr=0.03), reference_adam(0.03)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        flat = rng.standard_normal(params.flat.size)
+        flat[::3], flat[1::7] = 0.0, -0.0
+        grads = ModelParams.from_flat(flat, *params.dims)
+        opt.step(params, grads)
+        ref_step(ref_params, dict(grads.named()))
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+
+    # One step on the gradient that `backward` returns with weight decay.
+    g, na, x, params, batch = toy_setup(seed=7)
+    ref_params = params.copy()
+    _, logits, cache = forward_loss(na, x, params, zero_cfg(), batch, 1e-3)
+    grads = backward(cache, batch, loss_grad_logits(logits, batch.sign), 1e-3)
+    Adam(lr=0.01).step(params, grads)
+    reference_adam(0.01)(ref_params, dict(grads.named()))
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+
+
+def test_params_are_views_of_their_own_flat_and_copies_share_nothing(tmp_path, monkeypatch):
+    def assert_views(params):
+        assert all(np.shares_memory(w, params.flat) for _, w in params.named())
+        assert sum(w.size for _, w in params.named()) == params.flat.size
+
+    g, na, x, params, batch = toy_setup(seed=3)
+    assert_views(params)
+    path = tmp_path / "model.sgdn"
+    save_checkpoint(path, params, zero_cfg())
+    assert_views(load_checkpoint(path)[0])
+    _, logits, cache = forward_loss(na, x, params, zero_cfg(), batch, 1e-3)
+    grads = backward(cache, batch, loss_grad_logits(logits, batch.sign), 1e-3)
+    assert_views(grads)
+    assert not np.shares_memory(grads.flat, params.flat)
+    copied = params.copy()
+    assert_views(copied)
+    assert not any(np.shares_memory(w, params.flat) for _, w in copied.named())
+
+    # The last-good parameters a TrainingAbort carries are not the live ones
+    # that the Adam steps go on writing.
+    stepped = []
+
+    class Recording(Adam):
+        def step(self, params, grads):
+            stepped.append(params)
+            super().step(params, grads)
+
+    monkeypatch.setattr(sgdnet.training, "Adam", Recording)
+    g = planted_partition_graph(n=16, seed=1)
+    x = np.random.default_rng(1).standard_normal((16, 5))
+    cfg = TrainConfig(dim=3, n_layers=1, c=0.4, k_steps=3, lr=1e160,
+                      epochs=5, m0_mode="zero", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort) as excinfo:
+        train(g, x, cfg)
+    assert stepped
+    assert not np.shares_memory(excinfo.value.params.flat, stepped[-1].flat)
 
 
 # ---------------------------------------------------------------- backward
@@ -91,8 +152,7 @@ def toy_setup(seed=0, n=6, d0=4, d=3, n_layers=2, k=3, n_extra=0):
     rng = np.random.default_rng(seed + 100)
     x = rng.standard_normal((n, d0))
     params = init_params(d0, d, n_layers, seed=seed)
-    batch = EdgeBatch.from_edges(g.edges)
-    return g, na, x, params, batch
+    return g, na, x, params, g.edges
 
 
 def test_backward_zero_loss_leaves_only_regularization():
@@ -103,8 +163,9 @@ def test_backward_zero_loss_leaves_only_regularization():
     # data term collapses, leaving 2 * lam * w.
     h_final, cache = model_forward(na, x, params, cfg)
     logits = edge_logits(h_final, batch, params.w_head) * 0.0
-    logits[np.arange(len(batch)), (batch.signs < 0).astype(int)] = 50.0
-    grads = backward(cache, batch, loss_grad_logits(logits, batch.signs), weight_decay=lam)
+    logits[np.arange(len(batch)), (batch.sign < 0).astype(int)] = 50.0
+    grads = backward(cache, batch, loss_grad_logits(logits, batch.sign), weight_decay=lam)
+    grads = dict(grads.named())
     for name, w in params.named():
         if name == "w_head":
             # The head still sees the (tiny) softmax slack through z.
@@ -125,7 +186,7 @@ def test_backward_rejects_a_non_finite_gradient():
 def test_backward_head_matches_concatenation_reference():
     # Repeated pairs, u == v pairs, and nodes 7 and 8 in no edge.
     uv = np.array([(0, 1), (0, 1), (2, 2), (1, 0), (3, 0), (0, 3), (5, 5), (6, 2), (0, 0), (4, 6)])
-    batch = EdgeBatch(uv=uv, signs=np.ones(len(uv), dtype=np.int64))
+    batch = EdgeList(uv[:, 0], uv[:, 1], np.ones(len(uv)))
     n, d = 9, 4
     rng = np.random.default_rng(13)
     w_in = rng.standard_normal((n, d))
@@ -135,9 +196,10 @@ def test_backward_head_matches_concatenation_reference():
     # One layer with zero transform and mixing weights, on identity input
     # features: h_final = tanh(w_in), and the w_in gradient is
     # d(loss)/d(h_final) times tanh's derivative 1 - h_final^2.
-    zero = LayerParams(w_t=np.zeros((d, d)), w_n=np.zeros((2 * d, d)))
-    params = ModelParams(w_in=w_in, layers=[zero], w_head=w_head)
-    na = normalize(build_graph(EdgeList(uv[:, 0], uv[:, 1], batch.signs), n))
+    params = init_params(n, d, 1)
+    params.flat[:] = 0.0
+    params.w_in[:], params.w_head[:] = w_in, w_head
+    na = normalize(build_graph(batch, n))
     h, cache = model_forward(na, np.eye(n), params, zero_cfg())
     assert np.array_equal(h, np.tanh(w_in))
 
@@ -148,7 +210,7 @@ def test_backward_head_matches_concatenation_reference():
     np.add.at(ref_dh, uv[:, 0], dz[:, :d])
     np.add.at(ref_dh, uv[:, 1], dz[:, d:])
 
-    grads = backward(cache, batch, grad_logits)
+    grads = dict(backward(cache, batch, grad_logits).named())
     for got, ref in ((grads["w_head"], ref_w_head), (grads["w_in"], (1.0 - h * h) * ref_dh)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -159,13 +221,13 @@ def test_data_gradient_shrinks_as_correct_margins_double():
     g, na, x, params, batch = toy_setup(seed=4)
     cfg = zero_cfg()
     correct = np.zeros((len(batch), 2))
-    correct[np.arange(len(batch)), (batch.signs < 0).astype(int)] = 1.0
+    correct[np.arange(len(batch)), (batch.sign < 0).astype(int)] = 1.0
     norms = []
     for margin in (1.0, 2.0, 4.0, 8.0):
         _, cache = model_forward(na, x, params, cfg)  # backward spends its cache
         logits = margin * (2 * correct - 1)  # +margin for the true sign
-        grads = backward(cache, batch, loss_grad_logits(logits, batch.signs), weight_decay=0.0)
-        norms.append(np.sqrt(sum(float((g_ * g_).sum()) for g_ in grads.values())))
+        grads = backward(cache, batch, loss_grad_logits(logits, batch.sign), weight_decay=0.0)
+        norms.append(np.sqrt(sum(float((g_ * g_).sum()) for _, g_ in grads.named())))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -175,13 +237,13 @@ def test_channel_mixing_gradient_equals_the_stacked_channels_bytewise():
     _, logits, cache = forward_loss(na, x, params, zero_cfg(), batch, 0.0)
     h_prev, pm, h_next = cache.layers[0]
     p, m = pm[:, :d].copy(), pm[:, d:].copy()
-    grad_logits = loss_grad_logits(logits, batch.signs)
+    grad_logits = loss_grad_logits(logits, batch.sign)
     # The top layer's dpre, formed as `backward` forms it.
-    g_u = sgdnet.training._scatter_to_nodes(batch.uv[:, 0], grad_logits, g.n)
-    g_v = sgdnet.training._scatter_to_nodes(batch.uv[:, 1], grad_logits, g.n)
+    g_u = sgdnet.training._scatter_to_nodes(batch.src, grad_logits, g.n)
+    g_v = sgdnet.training._scatter_to_nodes(batch.dst, grad_logits, g.n)
     dpre = (1.0 - h_next * h_next) * (g_u @ params.w_head[:d].T + g_v @ params.w_head[d:].T)
     del h_prev, pm, h_next
-    grads = backward(cache, batch, grad_logits)
+    grads = dict(backward(cache, batch, grad_logits).named())
     assert grads["layers.0.w_n"].tobytes() == (np.hstack([p, m]).T @ dpre).tobytes()
 
 
@@ -199,7 +261,7 @@ def test_forward_loss_and_backward_make_no_hstack(monkeypatch, precomputed):
     monkeypatch.setattr(np, "hstack", counted)
     _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0,
                                     rng=np.random.default_rng(0), x_diffused=x_diffused)
-    backward(cache, batch, loss_grad_logits(logits, batch.signs))
+    backward(cache, batch, loss_grad_logits(logits, batch.sign))
     assert calls == []
 
 
@@ -220,7 +282,7 @@ def test_backward_frees_each_layer_before_its_adjoint(monkeypatch):
         return adjoint(*args, **kwargs)
 
     monkeypatch.setattr(sgdnet.diffusion, "_adjoint", watched)
-    backward(cache, batch, loss_grad_logits(logits, batch.signs))
+    backward(cache, batch, loss_grad_logits(logits, batch.sign))
     assert alive == [[False] * 2, [False] * 2]
     assert cache.layers == []
 
@@ -245,7 +307,7 @@ def test_backward_frees_dpm_before_the_adjoint_walks(monkeypatch):
 
     monkeypatch.setattr(sgdnet.diffusion, "_adjoint", watched_adjoint)
     monkeypatch.setattr(sgdnet.diffusion, "_run_walks", watched_walks)
-    backward(cache, batch, loss_grad_logits(logits, batch.signs))
+    backward(cache, batch, loss_grad_logits(logits, batch.sign))
     assert alive == [[True, False], [True, False]]
 
 
@@ -253,7 +315,7 @@ def test_second_backward_on_a_spent_cache_raises():
     g, na, x, params, batch = toy_setup(seed=6)
     cfg = zero_cfg()
     _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
-    grad_logits = loss_grad_logits(logits, batch.signs)
+    grad_logits = loss_grad_logits(logits, batch.sign)
     backward(cache, batch, grad_logits)
     with pytest.raises(ValueError, match="run forward_loss again"):
         backward(cache, batch, grad_logits)
@@ -359,9 +421,8 @@ def test_train_planted_partition_reaches_high_f1():
     cfg = TrainConfig(dim=16, n_layers=1, c=0.35, k_steps=10, lr=0.01,
                       epochs=100, m0_mode="uniform", seed=2)
     params, _ = train(g, x, cfg)
-    batch = EdgeBatch.from_edges(g.edges)
-    _, preds = predict_edges(g, x, params, cfg.diffusion(), batch)
-    assert f1_macro(preds, batch.signs) >= 0.95
+    _, preds = predict_edges(g, x, params, cfg.diffusion(), g.edges)
+    assert f1_macro(preds, g.edges.sign) >= 0.95
 
 
 def test_train_numeric_blowup_aborts_with_last_good_params():
@@ -489,8 +550,8 @@ def test_precomputed_first_layer_matches_direct_path(graph_name, n_layers, m0_mo
     na = normalize(g)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((g.n, 7))
-    batch = EdgeBatch(uv=rng.integers(0, g.n, size=(40, 2)),
-                      signs=rng.choice(np.array([-1, 1]), size=40))
+    uv = rng.integers(0, g.n, size=(40, 2))
+    batch = EdgeList(uv[:, 0], uv[:, 1], rng.choice(np.array([-1, 1]), size=40))
     params = init_params(7, 5, n_layers, seed=2)
     cfg = DiffusionConfig(c=0.4, k_steps=6, m0_mode=m0_mode)
     assert_precompute_matches_direct_path(na, x, params, cfg, batch)
@@ -581,7 +642,7 @@ def test_precomputed_first_layer_rejects_nonfinite_weights(name):
     dict(params.named())[name][0, 1] = np.inf
     cfg = zero_cfg()
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-        forward_loss(na, x, params, cfg, EdgeBatch.from_edges(g.edges), 0.0,
+        forward_loss(na, x, params, cfg, g.edges, 0.0,
                      x_diffused=diffuse_inputs(na, x, cfg))
 
 
@@ -699,10 +760,10 @@ def test_train_reraises_a_failure_of_the_worker_task(monkeypatch, n_layers):
 def test_train_leaves_no_thread_behind(monkeypatch, outcome):
     use_cpus(monkeypatch, 2)
     if outcome == "raise before the loop":
-        def deepcopy(obj):
+        def copy(params):
             raise RuntimeError("copy failed")
 
-        monkeypatch.setattr(sgdnet.training, "copy", types.SimpleNamespace(deepcopy=deepcopy))
+        monkeypatch.setattr(ModelParams, "copy", copy)
     elif outcome == "abort":
         real_loss = sgdnet.training.loss_total
         losses = []
