@@ -51,7 +51,15 @@ the tests check it against the per-sign block system built from the graph.
 `model.diffuse_inputs` calls it. The model's layers call the same pass
 unchecked (`_diffuse`) and check their features themselves, raising
 NumericError. The adjoint has only the unchecked form `_adjoint`, which
-`training.backward` calls and whose returned gradients it checks.
+`training.backward` calls and whose returned gradients it checks. It takes
+the n x 2d block [dp || dm], the layout `_diffuse` returns.
+
+A walk owns the start it is called with: a generator call returns at once,
+and rebinding the parameter at the first step frees z_0 unless the caller
+keeps it. A plain call's caller holds each argument until it returns, so a
+call that should free its input takes it in a one-element list and pops
+it: `_adjoint` its block, layer 1 its noise pair (`model.model_forward`),
+and `features._orthonormal` its sketch.
 """
 
 from __future__ import annotations
@@ -98,19 +106,17 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _restart_walk(op, start: list, inject, decay: float, k_steps: int):
-    """Yield z_1 .. z_K of z' = decay * (op @ z) + inject on one n x d channel,
-    one sparse product per step. `inject` is an n x d array, None (add
-    nothing), or a float c for an inject of c * z_0: the walk then scales z_0
-    by c in place once the first product has read it and injects that, so it
-    keeps no copy. The decay is folded into a scaled copy of op's values once
-    per walk, on op's own index arrays, so no step makes an extra pass over z.
-    `start` is a one-element list holding z_0; the walk pops it, so that z_0
-    is freed after the first step, or, with a float inject, is the walk's own
-    to scale."""
-    op = type(op)((op.data * decay, op.indices, op.indptr), shape=op.shape)
-    z = start.pop()
-    for step in range(k_steps):
+def _restart_walk(op, z: np.ndarray, inject, cfg: DiffusionConfig):
+    """Yield z_1 .. z_K of z' = (1 - c) * (op @ z) + inject on one n x d
+    channel from its start z_0 = `z`, one sparse product per step. `inject`
+    is an n x d array, None (add nothing), or the float c for an inject of
+    c * z_0: the walk then scales z_0 by c in place once the first product
+    has read it and injects that, so it keeps no copy. The decay 1 - c is
+    folded into a scaled copy of op's values once per walk, on op's own
+    index arrays, so no step makes an extra pass over z. Each step rebinds
+    `z`, so past the first product the walk holds z_0 only as that inject."""
+    op = type(op)((op.data * (1.0 - cfg.c), op.indices, op.indptr), shape=op.shape)
+    for step in range(cfg.k_steps):
         z_prev, z = z, op @ z
         if step == 0 and isinstance(inject, float):
             z_prev *= inject
@@ -172,20 +178,14 @@ def _draw_m0(shape: tuple[int, int], cfg: DiffusionConfig, rng) -> np.ndarray | 
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, rng):
-    """Draw m0 and build the sum and difference walks from T0 = (h, m0),
-    injecting c * h at every step. Returns (m0, walk_s, walk_d). In zero
-    mode m0 is None and both walks start from h itself, which no walk
-    writes to."""
-    m0 = _draw_m0(h.shape, cfg, rng)
+def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, m0: np.ndarray | None):
+    """The sum and difference walks from T0 = (h, m0), injecting c * h at
+    every step. In zero mode m0 is None and both walks start from h itself,
+    which no walk writes to."""
     start_s, start_d = (h, h) if m0 is None else (h + m0, h - m0)
     inject = cfg.c * h
-    decay = 1.0 - cfg.c
-    return (
-        m0,
-        _restart_walk(na.adj[0].T, [start_s], inject, decay, cfg.k_steps),
-        _restart_walk(na.adj[1].T, [start_d], inject, decay, cfg.k_steps),
-    )
+    return (_restart_walk(na.adj[0].T, start_s, inject, cfg),
+            _restart_walk(na.adj[1].T, start_d, inject, cfg))
 
 
 def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> DiffusionState:
@@ -198,12 +198,10 @@ def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> Diffu
     dropped as soon as they are spent. Runs no public function of this
     package, so `training.train` may call it on a worker thread."""
     m0 = _draw_m0(shape, cfg, rng)
-    start_d = [np.negative(m0)]
-    start_s = [m0]
+    walk_s = _restart_walk(na.adj[0].T, m0, None, cfg)
+    walk_d = _restart_walk(na.adj[1].T, np.negative(m0), None, cfg)
     del m0
-    decay = 1.0 - cfg.c
-    s = _last(_restart_walk(na.adj[0].T, start_s, None, decay, cfg.k_steps))
-    d = _last(_restart_walk(na.adj[1].T, start_d, None, decay, cfg.k_steps))
+    s, d = _last(walk_s), _last(walk_d)
     # The pair 0.5 * (s + d), 0.5 * (s - d): m overwrites d, and s is
     # freed before the halving passes.
     p = s + d
@@ -223,7 +221,8 @@ def diffusion_steps(
     """Yield T0, T1, ..., T_K one step at a time. T0 is (h_tilde, m0), with
     m0 zero or a seeded uniform draw in [-1, 1] per cfg.m0_mode."""
     h = _check_features(na, h_tilde)
-    m0, walk_s, walk_d = _forward_walks(na, h, cfg, rng)
+    m0 = _draw_m0(h.shape, cfg, rng)
+    walk_s, walk_d = _forward_walks(na, h, cfg, m0)
     yield DiffusionState(h, np.zeros_like(h) if m0 is None else m0)
     for s, d in zip(walk_s, walk_d):
         yield _state(_readout(s, d))
@@ -243,8 +242,7 @@ def diffuse(
 def _diffuse(na, h: np.ndarray, cfg: DiffusionConfig, rng) -> np.ndarray:
     """`diffuse` on n x d float64 features that the caller has checked to be
     finite, returned as the n x 2d block [p || m]."""
-    # Slicing off m0 frees it: the walks hold their own start states.
-    walks = _forward_walks(na, h, cfg, rng)[1:]
+    walks = _forward_walks(na, h, cfg, _draw_m0(h.shape, cfg, rng))
     return _readout(*_run_walks(*walks))
 
 
@@ -271,7 +269,7 @@ def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> Diffu
     return _state(_readout(*map(solve, na.adj)))
 
 
-def _adjoint(na, grads: list, cfg: DiffusionConfig) -> np.ndarray:
+def _adjoint(na, owned: list, cfg: DiffusionConfig) -> np.ndarray:
     """Reverse-mode pass through the diffusion: d(loss)/d(h_tilde).
 
     The gradient is the positive-channel part of
@@ -283,20 +281,19 @@ def _adjoint(na, grads: list, cfg: DiffusionConfig) -> np.ndarray:
     difference channels of g with the pair `adj`, one sparse product per
     step and channel.
 
-    `grads` is a one-element list holding the pair (grad_p, grad_m) of
-    equal-shape n x d float64 gradients that the caller vouches for. The
-    adjoint pops it, so that a caller that keeps no other reference has the
-    pair freed once the two start sums exist; it writes to neither. Each
-    walk then scales its own start by c in place and injects it.
+    `owned` is a one-element list holding the n x 2d float64 block
+    [grad_p || grad_m] that the caller vouches for. The adjoint pops it and
+    never writes to it, so that a caller that keeps no other reference has
+    it freed once the two start sums exist, before the walks run. Each walk
+    then scales its own start by c in place and injects it.
     """
-    grad_p, grad_m = grads.pop()
-    start_s, start_d = [grad_p + grad_m], [grad_p - grad_m]
-    del grad_p, grad_m
-    c, decay = float(cfg.c), 1.0 - cfg.c  # a float inject: c * the walk's own start
-    s, d = _run_walks(
-        _restart_walk(na.adj[0], start_s, c, decay, cfg.k_steps),
-        _restart_walk(na.adj[1], start_d, c, decay, cfg.k_steps),
-    )
+    g = owned.pop()
+    k = g.shape[1] // 2
+    c = float(cfg.c)  # a float inject: c * the walk's own start
+    walks = (_restart_walk(na.adj[0], g[:, :k] + g[:, k:], c, cfg),
+             _restart_walk(na.adj[1], g[:, :k] - g[:, k:], c, cfg))
+    del g
+    s, d = _run_walks(*walks)
     s += d  # 0.5 * (s + d), in s's own memory
     s *= 0.5
     return s

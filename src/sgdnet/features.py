@@ -31,6 +31,7 @@ _HEADER = struct.Struct("<4sIQQ")  # magic, version, n, d
 _SVQB_MIN_RATIO = 1e-8
 
 OVERSAMPLE = 10  # extra sketch columns; Halko et al. 2011, section 4.2, find 10 ample
+_FINITE_BLOCK = 16384  # values per artifact finiteness check: a 16 KiB mask
 
 
 def _svqb(y: np.ndarray) -> np.ndarray:
@@ -156,16 +157,22 @@ def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
     return u
 
 
-def _write_artifact(path, kind, header, matrices) -> None:
-    """Write a binary artifact: `header`, then each matrix as row-major
+def _all_finite(flat: np.ndarray) -> bool:
+    """Whether every value of a 1-D array is finite, `_FINITE_BLOCK` at a time."""
+    return all(np.isfinite(flat[i:i + _FINITE_BLOCK]).all()
+               for i in range(0, flat.size, _FINITE_BLOCK))
+
+
+def _write_artifact(path, kind, header, array) -> None:
+    """Write a binary artifact: `header`, then `array` as row-major
     little-endian float64. A non-finite entry is refused before the file is
     opened, so neither `path` nor a temporary file is left behind."""
-    matrices = [np.ascontiguousarray(m, dtype="<f8") for m in matrices]
-    if not all(np.all(np.isfinite(m)) for m in matrices):
+    flat = np.ascontiguousarray(array, dtype="<f8").reshape(-1)
+    if not _all_finite(flat):
         raise ValueError(f"{path}: {kind} not written: non-finite entries")
     with atomic_write(path, binary=True) as fh:
         fh.write(header)
-        fh.writelines(memoryview(m).cast("B") for m in matrices)
+        fh.write(memoryview(flat).cast("B"))
 
 
 def _read_artifact(path, kind, header, magic, version, payload_size):
@@ -196,7 +203,7 @@ def _read_artifact(path, kind, header, magic, version, payload_size):
         if 8 * count < left:
             raise ValueError(f"{path}: trailing bytes after {kind} payload")
         payload = np.fromfile(fh, dtype="<f8", count=count)
-    if not np.all(np.isfinite(payload)):
+    if not _all_finite(payload):
         raise ValueError(f"{path}: {kind} contains non-finite entries")
     return fields, payload
 
@@ -207,7 +214,7 @@ def save_features(path, x: np.ndarray) -> None:
     if x.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
     header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *x.shape)
-    _write_artifact(path, "feature file", header, [x])
+    _write_artifact(path, "feature file", header, x)
 
 
 def load_features(path) -> np.ndarray:

@@ -293,12 +293,11 @@ def loss_grad_logits(logits: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
     """Write a model checkpoint: magic, version, dims, c, K, then the bytes of
-    `ModelParams.flat`, written per matrix in `named` order so that
-    `features._write_artifact` masks one matrix at a time."""
+    `ModelParams.flat`, its matrices in `named` order."""
     d0, d, n_layers = params.dims
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, d0, d, n_layers,
                           cfg.c, cfg.k_steps)
-    _write_artifact(path, "checkpoint", header, [w for _, w in params.named()])
+    _write_artifact(path, "checkpoint", header, params.flat)
 
 
 def _payload_size(d0, d, n_layers, c, k_steps) -> int:

@@ -38,9 +38,9 @@ the last epoch's arrays are alive when the next epoch's arrays are made.
 `backward` reads the operator, config, parameters and inputs from the
 `ForwardCache` of the pass it differentiates, and spends it: it pops each
 layer's entry as it reaches that layer, drops the layer's channel block and
-h_next, and hands dpm over to the adjoint (see `diffusion`), so each
-adjoint's walks share memory only with the layers below. A cache serves one
-`backward`; a second call raises.
+h_next, and hands the block's gradient [dp || dm] to the adjoint to free
+(see `diffusion`), so each adjoint's walks share memory only with the
+layers below. A cache serves one `backward`; a second call raises.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ def backward(
     instead of an adjoint pass.
 
     Spends `cache`: each layer's entry is popped from `cache.layers`, and
-    its channel block and h_next, and then dpm, are dropped before that
-    layer's diffusion adjoint runs its walks. A second call on the same
-    cache raises ValueError; run `forward_loss` (or `model_forward`) again
-    for a new one.
+    its channel block, h_next and the block's gradient [dp || dm], which
+    the adjoint takes over, are dropped before that layer's diffusion
+    adjoint runs its walks. A second call on the same cache raises
+    ValueError; run `forward_loss` (or `model_forward`) again for a new one.
     """
     params, x_diffused, layers = cache.params, cache.x_diffused, cache.layers
     if len(layers) != len(params.layers):
@@ -119,17 +119,13 @@ def backward(
         del dh
         np.matmul(pm.T, dpre, out=grad.w_n)
         del pm
-        dpm = dpre @ layer.w_n.T
+        # dpre @ w_n^T is [dp || dm]; the adjoint frees it (see `_diffusion._adjoint`).
         if i == 0 and x_diffused is not None:
-            dw = x_diffused.T @ dpm.reshape(-1, d)  # x_p^T dp + x_m^T dm
+            dw = x_diffused.T @ (dpre @ layer.w_n.T).reshape(-1, d)  # x_p^T dp + x_m^T dm
             np.matmul(params.w_in.T, dw, out=grad.w_t)
             dw_in = dw @ layer.w_t.T
         else:
-            # Handed over in a list (see `_diffusion._adjoint`), so that dpm
-            # is freed once the adjoint's start sums exist.
-            owned = [(dpm[:, :d], dpm[:, d:])]
-            del dpm
-            dh_tilde = _diffusion._adjoint(cache.na, owned, cache.cfg)
+            dh_tilde = _diffusion._adjoint(cache.na, [dpre @ layer.w_n.T], cache.cfg)
             np.matmul(h_prev.T, dh_tilde, out=grad.w_t)
             dpre += dh_tilde @ layer.w_t.T  # the transform path joins the skip path
         dh = dpre

@@ -200,8 +200,8 @@ def exactly(message):
 
 def adjoint(na, grad_p, grad_m, cfg):
     """d(loss)/d(h_tilde) by the library's adjoint `_adjoint`, for the output
-    gradient pair (grad_p, grad_m); it writes to neither."""
-    return _adjoint(na, [(grad_p, grad_m)], cfg)
+    gradient pair (grad_p, grad_m), handed over as the block [grad_p || grad_m]."""
+    return _adjoint(na, [np.hstack([grad_p, grad_m])], cfg)
 
 
 # Checkers for the paper's invariants, on the library's own operators.

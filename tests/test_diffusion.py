@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,8 +544,9 @@ def test_sum_and_difference_share_int32_indices():
         assert getattr(s, name).dtype == np.int32
         assert np.shares_memory(getattr(s, name), getattr(d, name))
     z0 = np.ones((na.n, 2))
+    cfg = DiffusionConfig(c=0.5, k_steps=1)
     for op in (s, d, s.T, d.T):
-        walk = diffusion_module._restart_walk(op, [z0], z0, 0.5, 1)
+        walk = diffusion_module._restart_walk(op, z0, z0, cfg)
         next(walk)
         scaled = walk.gi_frame.f_locals["op"]
         assert type(scaled) is type(op)
@@ -552,6 +554,56 @@ def test_sum_and_difference_share_int32_indices():
         assert np.shares_memory(scaled.indptr, s.indptr)
         assert not np.shares_memory(scaled.data, op.data)
         assert np.array_equal(scaled.data, op.data * 0.5)
+
+
+@pytest.mark.parametrize("inject", ["array", "none"])
+def test_restart_walk_frees_its_start_after_the_first_product(inject):
+    # The walk's frame owns its start: rebinding `z` at the first step drops
+    # the only reference a caller that kept none leaves behind.
+    na = normalize(BITWISE_GRAPHS["random"]())
+    rng = np.random.default_rng(3)
+    z0 = rng.standard_normal((na.n, 2))
+    ref = weakref.ref(z0)
+    add = rng.standard_normal(z0.shape) if inject == "array" else None
+    walk = diffusion_module._restart_walk(na.adj[0].T, z0, add, DiffusionConfig(0.3, 3))
+    del z0
+    assert ref() is not None
+    next(walk)
+    assert ref() is None
+
+
+def test_restart_walk_scales_its_start_into_the_float_inject():
+    na = normalize(BITWISE_GRAPHS["random"]())
+    z0 = np.random.default_rng(4).standard_normal((na.n, 2))
+    scaled = 0.3 * z0
+    walk = diffusion_module._restart_walk(na.adj[0], z0, 0.3, DiffusionConfig(0.3, 3))
+    next(walk)
+    inject = walk.gi_frame.f_locals["inject"]
+    assert np.shares_memory(inject, z0)
+    assert z0.tobytes() == scaled.tobytes()
+
+
+def test_adjoint_leaves_a_block_the_caller_keeps_unchanged():
+    na = normalize(BITWISE_GRAPHS["random"]())
+    g = np.random.default_rng(5).standard_normal((na.n, 6))
+    kept = g.copy()
+    diffusion_module._adjoint(na, [g], DiffusionConfig(0.3, 3))
+    assert g.tobytes() == kept.tobytes()
+
+
+def test_adjoint_frees_the_block_before_its_walks(monkeypatch):
+    na = normalize(BITWISE_GRAPHS["random"]())
+    owned = [np.random.default_rng(6).standard_normal((na.n, 6))]
+    ref = weakref.ref(owned[0])
+    run_walks, alive = diffusion_module._run_walks, []
+
+    def watched(walk_s, walk_d):
+        alive.append(ref() is not None)
+        return run_walks(walk_s, walk_d)
+
+    monkeypatch.setattr(diffusion_module, "_run_walks", watched)
+    diffusion_module._adjoint(na, owned, DiffusionConfig(0.3, 3))
+    assert owned == [] and alive == [False]
 
 
 def test_concurrent_callers_get_identical_results(monkeypatch):

@@ -312,19 +312,21 @@ MEMORY_TABLE = {
     # diffusion's walks set the peak, on two CPUs both at once. Measured
     # 6.17 / 7.35, margin 0.33 / 0.4.
     "predict_edges": Row(predict_edges_peak, "n x d", 6.5, 7.75),
-    # The writers write the arrays' own buffers; only one finiteness mask
-    # (1/8 of a matrix) is made at a time. A copy of the payload would add
-    # 1. Measured 0.125 (x) and 0.075 (the checkpoint, whose largest
-    # matrix w_in is 0.57 of it); margin 0.125 and 0.05.
-    "save_features": Row(save_features_peak, "bytes per payload byte", 0.25, 0.25),
-    "save_checkpoint": Row(save_checkpoint_peak, "bytes per payload byte", 0.125, 0.125),
+    # The writers write the array's own buffer, and check its finiteness
+    # 16 KiB of mask at a time. A copy of the payload would add 1, and a
+    # mask of the whole payload 0.125 (one per matrix: 0.075 on the
+    # checkpoint, whose largest matrix w_in is 0.57 of it). Measured 0.0044
+    # (x, 4 MB) and 0.0392 (the checkpoint, 0.46 MB); margin 0.027 and
+    # 0.023.
+    "save_features": Row(save_features_peak, "bytes per payload byte", 0.03125, 0.03125),
+    "save_checkpoint": Row(save_checkpoint_peak, "bytes per payload byte", 0.0625, 0.0625),
     # The sketch, Q and U are n x (rank + OVERSAMPLE) or narrower, and each
     # step frees the one it read. Keeping the sketch through a product or an
     # SVQB pass, or A^T Q through U = Q W, makes three. Measures 2.01.
     "init_features": Row(init_features_peak, "sketch arrays", 2.25, 2.25),
-    # The payload, its finiteness mask (1/8 of it) and 16 KiB of Python's
-    # own. The files are 6 KB to 1 MB: above about 19 KB, a second copy of
-    # the payload breaks the bound. Measures 5.0.
+    # The payload, its finiteness mask (1/8 of it, at most 16 KiB) and
+    # 16 KiB of Python's own. The files are 6 KB to 1 MB: above about 19 KB,
+    # a second copy of the payload breaks the bound. Measures 5.0.
     "binary readers": Row(reader_peak, "KiB above 9/8 of the file", 16.0, 16.0),
     # Each block's rows go through one tuple of Python ints (about 2.4 MiB
     # at 12-digit ids); formatting the four blocks at once would take ~9 MiB.

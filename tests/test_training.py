@@ -288,8 +288,9 @@ def test_backward_frees_each_layer_before_its_adjoint(monkeypatch):
 
 
 def test_backward_frees_dpm_before_the_adjoint_walks(monkeypatch):
-    # dpm, the n x 2d gradient of the layer's channel block, reaches the
-    # adjoint only as two views; once the start sums exist nothing holds it.
+    # dpm, the n x 2d gradient [dp || dm] of the layer's channel block,
+    # reaches the adjoint only in the list it empties; once the start sums
+    # exist nothing holds it.
     g, na, x, params, batch = toy_setup(seed=5)
     cfg = zero_cfg()
     _, logits, cache = forward_loss(na, x, params, cfg, batch, 0.0)
@@ -297,7 +298,7 @@ def test_backward_frees_dpm_before_the_adjoint_walks(monkeypatch):
     refs, alive = [], []  # alive: is dpm alive at the adjoint's entry, at its walks?
 
     def watched_adjoint(na, grads, cfg):
-        refs.append(weakref.ref(grads[0][0].base))
+        refs.append(weakref.ref(grads[0]))
         alive.append([refs[-1]() is not None])
         return adjoint(na, grads, cfg)
 
