@@ -5,6 +5,9 @@ over the target with `os.replace` only once the write has finished. An
 interrupted or failed write leaves the previous file untouched and removes
 the temporary one. The data is not fsynced: this guards against a crashed or
 killed process, not against a power loss.
+
+`write_lines` writes a text table through it, one line at a time; every
+text artifact goes through it.
 """
 
 from __future__ import annotations
@@ -29,3 +32,10 @@ def atomic_write(path, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_lines(path, lines) -> None:
+    """Write each of `lines` followed by a newline to `path`, atomically."""
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n")

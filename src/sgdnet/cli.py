@@ -13,8 +13,9 @@ import argparse
 import os
 import re
 import sys
+from itertools import chain
 
-from .atomic import atomic_write
+from .atomic import write_lines
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -91,6 +92,16 @@ def _model_settings(args, **extra) -> dict:
     values = dict(dim=args.dim, n_layers=args.layers, c=args.c, k_steps=args.k, lr=args.lr,
                   weight_decay=args.weight_decay, epochs=args.epochs, m0_mode=args.m0, **extra)
     return {name: value for name, value in values.items() if value is not None}
+
+
+def _read_inputs(directory, prefix=""):
+    """(edges, features) from `<prefix>edges.tsv` and `<prefix>features.sgdf`
+    in `directory`; the node count n is the features' row count."""
+    from .features import load_features
+    from .graph import read_edge_tsv
+
+    edges = read_edge_tsv(os.path.join(directory, f"{prefix}edges.tsv"))
+    return edges, load_features(os.path.join(directory, f"{prefix}features.sgdf"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,8 +188,7 @@ def cmd_prep(args) -> int:
 
     header = "n\tm\tm_plus\tm_minus\trho_plus\trho_minus"
     row = f"{n}\t{m}\t{n_pos}\t{n_neg}\t{100.0 * n_pos / m:.2f}%\t{100.0 * n_neg / m:.2f}%"
-    with atomic_write(os.path.join(args.out_dir, "summary.txt")) as fh:
-        fh.write(header + "\n" + row + "\n")
+    write_lines(os.path.join(args.out_dir, "summary.txt"), [header, row])
     print(header)
     print(row)
     print(f"features: {x.shape[0]} x {x.shape[1]} (rank {rank})")
@@ -187,8 +197,8 @@ def cmd_prep(args) -> int:
 
 def cmd_train(args) -> int:
     from .evaluation import _split_features
-    from .features import load_features, save_features
-    from .graph import build_graph, read_edge_tsv, save_edge_list
+    from .features import save_features
+    from .graph import build_graph, save_edge_list
     from .model import save_checkpoint
     from .seeding import run_seeds
     from .training import TrainConfig, TrainingAbort, train
@@ -203,20 +213,18 @@ def cmd_train(args) -> int:
 
     cfg = TrainConfig(**_model_settings(args))
 
-    edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
-    x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
-    n = x.shape[0]
+    edges, x = _read_inputs(args.prep_dir)
     # After the reads, so that a missing prep dir leaves no out-dir behind.
     out_dir = args.out_dir or args.prep_dir
     os.makedirs(out_dir, exist_ok=True)
 
     if args.split_ratio > 0:
         split, graph, x, cfg.seed = _split_features(
-            edges, n, args.split_ratio, args.svd_rank or x.shape[1], args.seed
+            edges, len(x), args.split_ratio, args.svd_rank or x.shape[1], args.seed
         )
         save_edge_list(os.path.join(out_dir, "test_edges.tsv"), split.test)
     else:
-        graph = build_graph(edges, n)
+        graph = build_graph(edges, len(x))
         cfg.seed = run_seeds(args.seed).train
 
     save_edge_list(os.path.join(out_dir, "train_edges.tsv"), graph.edges)
@@ -230,10 +238,10 @@ def cmd_train(args) -> int:
 
     checkpoint_path = os.path.join(out_dir, "checkpoint.sgdn")
     save_checkpoint(checkpoint_path, params, cfg.diffusion())
-    with atomic_write(os.path.join(out_dir, "loss.csv")) as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{loss:.10g}\n")
+    write_lines(
+        os.path.join(out_dir, "loss.csv"),
+        ["epoch,loss", *(f"{epoch},{loss:.10g}" for epoch, loss in enumerate(history))],
+    )
     if abort is not None:
         print(f"error: {abort}", file=sys.stderr)
         print(f"last good checkpoint written to {checkpoint_path}", file=sys.stderr)
@@ -246,33 +254,32 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import predict_edges, score_report
-    from .features import load_features
+    from .evaluation import MetricError, auc, class_metrics, f1_macro, predict_edges
     from .graph import build_graph, read_edge_tsv
     from .model import load_checkpoint
 
     params, dcfg = load_checkpoint(os.path.join(args.run_dir, "checkpoint.sgdn"))
-    x = load_features(os.path.join(args.run_dir, "train_features.sgdf"))
-    train_edges = read_edge_tsv(os.path.join(args.run_dir, "train_edges.tsv"))
-    n = x.shape[0]
-    graph = build_graph(train_edges, n)
+    train_edges, x = _read_inputs(args.run_dir, "train_")
+    graph = build_graph(train_edges, len(x))
 
     test = read_edge_tsv(args.test_edges)
     p_plus, preds = predict_edges(graph, x, params, dcfg, test)
-    report = score_report(p_plus, preds, test.sign)
+    try:
+        auc_text = f"{auc(p_plus, test.sign):.4f}"
+    except MetricError:  # one class only
+        auc_text = "NA"
 
     out_path = args.out or os.path.join(args.run_dir, "predictions.csv")
-    with atomic_write(out_path) as fh:
-        fh.write("u,v,label,p_plus,pred\n")
-        for u, v, label, prob, pred in zip(test.src, test.dst, test.sign, p_plus, preds):
-            fh.write(f"{u},{v},{label},{prob:.10g},{pred}\n")
+    rows = zip(test.src, test.dst, test.sign, p_plus, preds)
+    lines = (f"{u},{v},{label},{prob:.10g},{pred}" for u, v, label, prob, pred in rows)
+    write_lines(out_path, chain(["u,v,label,p_plus,pred"], lines))
 
-    auc_text = "NA" if report.auc is None else f"{report.auc:.4f}"
     print(f"edges     {len(test)}")
     print(f"auc       {auc_text}")
-    print(f"f1_macro  {report.f1_macro:.4f}")
+    print(f"f1_macro  {f1_macro(preds, test.sign):.4f}")
+    per_class = class_metrics(preds, test.sign)
     for sign, name in ((1, "positive"), (-1, "negative")):
-        pc = report.per_class[sign]
+        pc = per_class[sign]
         print(
             f"{name}  precision {pc['precision']:.4f}  recall {pc['recall']:.4f}"
             f"  f1 {pc['f1']:.4f}"
@@ -292,41 +299,29 @@ def cmd_diffuse(args) -> int:
         exact_solve,
         l1_distance,
     )
-    from .features import load_features
-    from .graph import build_graph, normalize, read_edge_tsv
+    from .graph import build_graph, normalize
 
     cfg = DiffusionConfig(c=args.c, k_steps=args.k, m0_mode=args.m0)
     rng = np.random.default_rng(args.seed)
 
-    edges = read_edge_tsv(os.path.join(args.prep_dir, "edges.tsv"))
-    x = load_features(os.path.join(args.prep_dir, "features.sgdf"))
-    n = x.shape[0]
-    graph = build_graph(edges, n)
-    na = normalize(graph)
+    edges, x = _read_inputs(args.prep_dir)
+    na = normalize(build_graph(edges, len(x)))
+    t_star = exact_solve(na, x, args.c) if na.n <= EXACT_MAX_N else None
 
-    with_exact = n <= EXACT_MAX_N
-    t_star = exact_solve(na, x, args.c) if with_exact else None
-
-    rows = []
-    prev = None
-    t0 = None
-    for k, state in enumerate(diffusion_steps(na, x, cfg, rng=rng)):
-        if k == 0:
-            t0 = state
-        residual = "" if prev is None else f"{l1_distance(state, prev):.10g}"
-        if with_exact:
-            err = l1_distance(state, t_star)
-            bound = error_bound(t0, t_star, args.c, k)
-            rows.append(f"{k},{residual},{err:.10g},{bound:.10g}")
-        else:
-            rows.append(f"{k},{residual}")
+    # The trace streams: T0 (for the bound) and the previous state stay alive.
+    rows = ["step,residual" + ("" if t_star is None else ",error,bound")]
+    steps = diffusion_steps(na, x, cfg, rng=rng)
+    t0, prev = next(steps), None
+    for k, state in enumerate(chain([t0], steps)):
+        row = f"{k}," + ("" if prev is None else f"{l1_distance(state, prev):.10g}")
+        if t_star is not None:
+            err, bound = l1_distance(state, t_star), error_bound(t0, t_star, args.c, k)
+            row += f",{err:.10g},{bound:.10g}"
+        rows.append(row)
         prev = state
 
     out_path = args.out or os.path.join(args.prep_dir, "diffusion.csv")
-    header = "step,residual,error,bound" if with_exact else "step,residual"
-    with atomic_write(out_path) as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
+    write_lines(out_path, rows)
     print(f"diffusion trace ({args.k} steps): {out_path}")
     return 0
 
@@ -355,14 +350,11 @@ def cmd_experiment(args) -> int:
     f1_mean, f1_std = mean_std([row.f1_macro for row in rows])
 
     out_path = os.path.join(args.out_dir, "runs.csv")
-    with atomic_write(out_path) as fh:
-        fh.write("dataset,seed,auc,f1_macro\n")
-        for row in rows:
-            fh.write(f"{args.dataset},{row.seed},{row.auc:.10g},{row.f1_macro:.10g}\n")
-        fh.write(
-            f"{args.dataset},summary,{auc_mean:.4f}+/-{auc_std:.4f},"
-            f"{f1_mean:.4f}+/-{f1_std:.4f}\n"
-        )
+    write_lines(out_path, [
+        "dataset,seed,auc,f1_macro",
+        *(f"{args.dataset},{row.seed},{row.auc:.10g},{row.f1_macro:.10g}" for row in rows),
+        f"{args.dataset},summary,{auc_mean:.4f}+/-{auc_std:.4f},{f1_mean:.4f}+/-{f1_std:.4f}",
+    ])
 
     print(f"{'dataset':<16}{'AUC':<20}{'F1-macro':<20}")
     print(

@@ -100,24 +100,6 @@ def f1_macro(predictions, labels) -> float:
     return 0.5 * (per_class[1]["f1"] + per_class[-1]["f1"])
 
 
-@dataclass
-class MetricReport:
-    auc: float | None
-    f1_macro: float
-    per_class: dict[int, dict[str, float]]
-
-
-def score_report(scores, predictions, labels) -> MetricReport:
-    """Assemble a MetricReport; AUC is None when undefined."""
-    try:
-        auc_value = auc(scores, labels)
-    except MetricError:
-        auc_value = None
-    return MetricReport(
-        auc_value, f1_macro(predictions, labels), class_metrics(predictions, labels)
-    )
-
-
 def predict_edges(
     graph: SignedDigraph,
     x: np.ndarray,

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_lines
 
 
 class DataError(ValueError):
@@ -384,9 +384,7 @@ def load_edge_list(path, fmt: str = "tsv-sign"):
 
 
 def save_id_map(path, id_map) -> None:
-    with atomic_write(path) as fh:
-        for raw, dense in id_map.items():
-            fh.write(f"{raw}\t{dense}\n")
+    write_lines(path, (f"{raw}\t{dense}" for raw, dense in id_map.items()))
 
 
 def load_id_map(path) -> dict[str, int]:

@@ -95,6 +95,24 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["edges.tsv"]
 
 
+def test_interrupted_write_lines_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(PREVIOUS)
+    written = []
+
+    def interrupted():
+        for i in range(10):
+            written.append(i)
+            yield f"row {i}"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        sgdnet.atomic.write_lines(path, interrupted())
+    assert written  # the interrupt came after some lines were written
+    assert path.read_bytes() == PREVIOUS
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
 def test_edge_list_interrupted_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     # Rows are written a block at a time: three blocks of edges, and a budget
     # that lets the first block through and interrupts the second.

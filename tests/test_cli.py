@@ -406,6 +406,8 @@ def test_eval_single_class_reports_na(tmp_path, prep_dir, capsys):
     out = capsys.readouterr().out
     assert "auc       NA" in out
     assert "f1_macro" in out
+    f1_line = next(line for line in out.splitlines() if line.startswith("f1_macro"))
+    assert 0.0 <= float(f1_line.split()[1]) <= 1.0
 
 
 # ---------------------------------------------------------------- diffuse

@@ -15,7 +15,6 @@ from sgdnet.evaluation import (
     mean_std,
     predict_edges,
     run_seed,
-    score_report,
     split_edges,
 )
 from sgdnet.graph import SignedEdge, normalize
@@ -226,12 +225,6 @@ def test_class_metrics_fields():
     assert metrics[1]["precision"] == 2.0 / 3.0
     assert metrics[1]["recall"] == 1.0
     assert metrics[-1]["recall"] == 0.5
-
-
-def test_score_report_single_class_auc_is_none():
-    report = score_report([0.6, 0.7], [1, 1], [1, 1])
-    assert report.auc is None
-    assert 0.0 <= report.f1_macro <= 1.0
 
 
 # ---------------------------------------------------------------- experiments
