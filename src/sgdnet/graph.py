@@ -101,7 +101,7 @@ class SignedDigraph:
             (int64 only past 2^31 - 1). `normalize` builds its operators on
             this same `indices`/`indptr` pair.
         out_degree: per-node count of distinct out-neighbours over both
-            signs.
+            signs, so also the entry count of each row of `a`.
     """
 
     __slots__ = ("n", "edges", "a", "out_degree", "_normalized")
@@ -499,8 +499,9 @@ def normalize(g: SignedDigraph) -> NormalizedAdjacency:
     a = g.a
     # Each entry over its row's degree, repeated along the row; no array of
     # row indices is formed. The degrees are exact in float64, which spares
-    # the division a cast buffer.
-    data = a.data / np.repeat(g.out_degree.astype(np.float64), np.diff(a.indptr))
+    # the division a cast buffer. A row's degree is its entry count, so the
+    # stored degrees are also the repeat counts.
+    data = a.data / np.repeat(g.out_degree.astype(np.float64), g.out_degree)
     d = sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
     g._normalized = NormalizedAdjacency(g.n, d)
     return g._normalized

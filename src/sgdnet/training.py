@@ -31,9 +31,11 @@ taken, with more only after the forward pass, whose layers 2..L draw inside
 it. On one usable CPU `model_forward` draws the pair inline. Either way the
 losses and parameters are bitwise the same. The pool's thread is joined
 when `train` returns or raises. The loop hands each pair to the forward
-pass in a list that layer 1 empties, and drops each epoch's spent forward
-cache and logits once `backward` returns, so that neither the pair nor
-the last epoch's arrays are alive when the next epoch's arrays are made.
+pass in a list that layer 1 empties. It drops each epoch's logits once
+their gradient exists, before `backward` runs, and the spent forward
+cache and that gradient once `backward` returns, so that neither the pair
+nor the last epoch's arrays are alive when the next epoch's arrays are
+made.
 
 `backward` reads the operator, config, parameters and inputs from the
 `ForwardCache` of the pass it differentiates, and spends it: it pops each
@@ -281,10 +283,10 @@ def train(
                     pending = worker.submit(draw)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                grads = backward(
-                    cache, edges, loss_grad_logits(logits, edges.sign), cfg.weight_decay
-                )
-                del cache, logits  # spent; not alive through the next forward
+                grad_logits = loss_grad_logits(logits, edges.sign)
+                del logits  # not alive through `backward`
+                grads = backward(cache, edges, grad_logits, cfg.weight_decay)
+                del cache, grad_logits  # spent; not alive through the next forward
             except NumericError as exc:
                 raise TrainingAbort(
                     f"training aborted at epoch {epoch}: {exc}", last_good, history

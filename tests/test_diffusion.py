@@ -537,6 +537,21 @@ def test_walks_are_bitwise_equal_to_stored_transpose_layout(
     )
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("graph", sorted(BITWISE_GRAPHS))
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 13, 32])
+def test_adjoint_is_bitwise_the_column_by_column_adjoint(monkeypatch, cpus, graph, d):
+    # The adjoint walks its channels in column blocks; each column must come
+    # out as it does when its pair [g_p[:, j] || g_m[:, j]] is walked alone.
+    use_cpus(monkeypatch, cpus)
+    na = normalize(BITWISE_GRAPHS[graph]())
+    cfg = DiffusionConfig(0.55, 10)
+    g = np.random.default_rng(d).standard_normal((na.n, 2 * d))
+    columns = [diffusion_module._adjoint(na, [g[:, [j, d + j]]], cfg) for j in range(d)]
+    got = diffusion_module._adjoint(na, [g], cfg)
+    assert got.tobytes() == np.hstack(columns).tobytes()
+
+
 def test_sum_and_difference_share_int32_indices():
     na = normalize(BITWISE_GRAPHS["random"]())
     s, d = na.adj

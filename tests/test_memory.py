@@ -283,31 +283,37 @@ MEMORY_TABLE = {
     # the backward's dense arrays. On two CPUs the noise worker draws and
     # diffuses the next pair meanwhile; its own peak is 3.17 (m0, -m0 and a
     # walk's two states), and the worst interleaving, which puts it at the
-    # calling thread's peak, is the measured 17.61. On one CPU: 14.43.
-    # Margin 0.3 / 0.4. Keeping the spent noise pair, pre beside tanh(pre),
-    # the last epoch's cache and h0 measured 17.00 / 20.49.
-    "epoch loop, L = 1": Row(functools.partial(epoch_loop_peak, 1), "n x d", 14.75, 18.0),
-    # Layer 2 diffuses directly, so the top adjoint's walks set the peak; on
-    # two CPUs with the noise worker's 3.17 at its worst beside them.
-    # Measured 17.74 / 23.09, margin 0.25 / 0.4; before: 21.26 / 24.09.
-    "epoch loop, L = 2": Row(functools.partial(epoch_loop_peak, 2), "n x d", 18.0, 23.5),
-    # The peak falls inside the top layer's adjoint. Live there: what the
-    # layer below still needs (h0, its channel block and its h_next, 4 n x d
-    # arrays), dpre, the two walks' start states, which are their injects,
-    # and each walk's current and next state while a product runs: about 11
-    # arrays when the two walks' products overlap. Inline, the difference
-    # walk starts after the sum walk has ended: about 9 arrays in all.
-    # Separate c * start inject copies beside the start states measured 10.7
-    # on one CPU; keeping dpm through the walks adds 2 more (11.7 there).
-    # Measures 9.77 / 9.84.
-    "backward, L = 2": Row(backward_peak, "n x d", 10.25, 12.25),
+    # calling thread's peak, is the measured 17.00. On one CPU: 13.83.
+    # Margin 0.27 / 0.4. Keeping the logits through `backward` measured
+    # 14.16 / 17.33; keeping the spent noise pair, pre beside tanh(pre), the
+    # last epoch's cache and h0, 17.00 / 20.49.
+    "epoch loop, L = 1": Row(functools.partial(epoch_loop_peak, 1), "n x d", 14.1, 17.4),
+    # Layer 2 diffuses directly, so the top adjoint sets the peak as it
+    # forms its two start sums; on two CPUs with the noise worker's 3.17 at
+    # its worst beside them. Measured 17.09 / 20.27, margin 0.26 / 0.38;
+    # with whole-width adjoint walks and the logits kept through `backward`:
+    # 17.47 / 22.82.
+    "epoch loop, L = 2": Row(functools.partial(epoch_loop_peak, 2), "n x d", 17.35, 20.65),
+    # The peak falls inside the top layer's adjoint, as it forms the two
+    # start sums from dpm = [dp || dm]. Live there: what the layer below
+    # still needs (h0, its channel block and its h_next, 4 n x d arrays),
+    # dpre, dpm (2) and the two sums (2). dpm is freed before the walks,
+    # which walk 8 columns at a time: each holds its start, a block copy
+    # (its inject) and the block's current and next state, 3/4 of an array
+    # at d = 32. The walks reach 8.52 inline and 9.40 with both at once.
+    # Measured 9.82 / 9.82, margin 0.28 / 0.38. Whole-width walks measured
+    # 9.82 / 11.89 (6 arrays of walk state on two CPUs); keeping dpm
+    # through the walks adds 2 to theirs.
+    "backward, L = 2": Row(backward_peak, "n x d", 10.1, 10.2),
     # One epoch on the direct path, counted from before its forward pass, so
-    # the cache is in it. The layer-1 adjoint sets the peak, beside the
-    # cache that backward has not yet spent (h0, the logits and the lower
-    # layers' blocks); on two CPUs both adjoint walks run at once. Measured
-    # 6.99 / 9.16 at L = 1 and 9.99 / 12.16 at L = 2; margin 0.26 / 0.34.
-    "direct epoch, L = 1": Row(functools.partial(direct_epoch_peak, 1), "n x d", 7.25, 9.5),
-    "direct epoch, L = 2": Row(functools.partial(direct_epoch_peak, 2), "n x d", 10.25, 12.5),
+    # the cache is in it. On one CPU the layer-1 adjoint sets the peak as it
+    # forms its start sums, beside the cache that backward has not yet
+    # spent (h0, the logits and the lower layers' blocks); on two CPUs the
+    # top layer's forward walks do, both at once. Measured 6.99 / 7.35 at
+    # L = 1 and 10.01 / 10.35 at L = 2; margin 0.24 to 0.4. Whole-width
+    # adjoint walks measured 7.03 / 9.20 and 10.05 / 12.23.
+    "direct epoch, L = 1": Row(functools.partial(direct_epoch_peak, 1), "n x d", 7.25, 7.75),
+    "direct epoch, L = 2": Row(functools.partial(direct_epoch_peak, 2), "n x d", 10.25, 10.75),
     # One zero-mode forward pass, the node scores and the edge softmax; the
     # diffusion's walks set the peak, on two CPUs both at once. Measured
     # 6.17 / 7.35, margin 0.33 / 0.4.
