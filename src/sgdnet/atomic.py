@@ -1,13 +1,11 @@
-"""All-or-nothing file writes for the saved artifacts.
+"""All-or-nothing file writes for every saved artifact.
 
 `atomic_write` hands out a temporary file next to the target and moves it
 over the target with `os.replace` only once the write has finished. An
 interrupted or failed write leaves the previous file untouched and removes
 the temporary one. The data is not fsynced: this guards against a crashed or
-killed process, not against a power loss.
-
-`write_lines` writes a text table through it, one line at a time; every
-text artifact goes through it.
+killed process, not against a power loss. Text tables go through
+`write_lines`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,6 @@ inspection, and multi-seed experiments with persisted artifacts.
 
 Exit codes: 0 success, 2 usage/config/data or file-system error, 3 numeric
 failure.
-All randomness funnels through one --seed per run, from which `seeding`
-derives each component's sub-stream in a fixed order.
 """
 
 from __future__ import annotations

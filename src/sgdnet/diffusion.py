@@ -1,73 +1,42 @@
-"""Signed random-walk diffusion: the iterative operator, an exact dense solver,
-and the adjoint pass used for gradients.
+"""Signed random-walk diffusion: the walks, an exact dense solver, and the
+adjoint pass used for gradients.
 
-Each node carries a positive-channel and a negative-channel feature vector.
-One diffusion step propagates both channels along the normalized adjacency,
-swapping channels across negative edges, and re-injects a c-weighted copy of
-the local features into the positive channel:
+Each node carries a positive channel p and a negative channel m. One step
+swaps the channels across negative edges and re-injects c * h into p:
 
     p_next = (1 - c) * (NA+^T p + NA-^T m) + c * h
     m_next = (1 - c) * (NA-^T p + NA+^T m)
 
-The stacked state T = [p; m] contracts toward the unique fixed point at rate
-(1 - c) per step, because the block operator's maximum column sum is at most 1:
-its column sums are the row sums of S = NA+ + NA-, 1 at a node with
-out-edges and 0 at a deadend.
+The sum and difference channels s = p + m and d = p - m decouple into two
+walks on the stored pair `na.adj` = (S, D), S = NA+ + NA-, D = NA+ - NA-:
 
-The iteration runs on the sum and difference channels s = p + m and
-d = p - m, which decouple:
+    s_next = (1 - c) * S^T s + c * h,    d_next = (1 - c) * D^T d + c * h
 
-    s_next = (1 - c) * S^T s + c * h,    S = NA+ + NA-
-    d_next = (1 - c) * D^T d + c * h,    D = NA+ - NA-
+Column sums of |S^T| and |D^T| are at most 1, so each channel contracts at
+rate (1 - c) per step: the (1 - c)^K error bound. The forward walks
+multiply by S.T and D.T, views that copy nothing, and the adjoint walks by
+S and D. p = (s + d) / 2 and m = (s - d) / 2 are formed once, at the end,
+in the two halves of one n x 2d block [p || m].
 
-Neither walk ever reads the other's state, so they run as two independent
-n x d walks, one sparse product per step each, with no synchronization
-between steps. The forward walks multiply by S.T and D.T, CSC views of the
-stored CSR pair `na.adj` = (S, D) that copy nothing; the adjoint walks
-multiply by S and D. When the process may run on two or more CPUs, the
-forward pass and the adjoint run the difference walk on a short-lived
-worker thread while the calling thread runs the sum walk (scipy's
-sparse-times-dense product releases the GIL). On a single usable CPU (per
-the process's CPU affinity) both walks run inline, one after the other,
-which measured faster there. The worker pool lives for one call: a pool
-kept across calls would leave a thread behind that a forked child cannot
-use. Each walk does the same arithmetic in either case, so the results are
-bitwise the same. `diffusion_steps` advances both walks in lockstep on the
-calling thread. The only other thread that runs code of this module is
-`training.train`'s noise worker, which runs `_noise_state`; like the walk
-worker it runs only private code, so no public function of the package
-ever runs off the calling thread.
+The walk worker: neither walk reads the other's state, so with two or more
+usable CPUs (by CPU affinity) the forward pass and the adjoint run the
+difference walk on a one-thread pool while the calling thread runs the sum
+walk; scipy's sparse product releases the GIL. On one CPU both run inline,
+which measured faster. The pool lives for one call: a pool kept across
+calls would leave a thread that a forked child cannot use. Each walk does
+the same arithmetic either way, so results are bitwise equal on any CPU
+count. No public function of the package runs off the calling thread.
 
-The adjoint walks each channel in blocks of _ADJOINT_BLOCK columns, left
-to right: a channel holds its n x d start, which ends up holding the final
-states, plus a block's inject and two states, instead of three n x d
-arrays. A sparse product computes each column on its own, so the blocks
-change no output bit. The forward walks, `_noise_state` and
-`diffusion_steps` stay whole-width: blocking them too made a
-Bitcoin-Alpha-shaped seed run 7% slower and saved 2 MB.
+The adjoint walks each channel in blocks of `_ADJOINT_BLOCK` columns, so
+a walk holds one block's inject and states beside its start, not three
+whole-width arrays. A sparse product computes each column on its own, so
+the blocks change no output bit. Blocking the forward walks measured slower
+and saved little.
 
-Column sums of |S^T| and |D^T| are at most 1, so the (1 - c)^K contraction
-bound holds for each channel on its own. The p/m state is recovered once,
-as p = (s + d) / 2 and m = (s - d) / 2, written into the two halves of one
-n x 2d block [p || m]. `diffuse`, `diffusion_steps` and `exact_solve`
-return the halves as views; the model's layers keep the block, which they
-mix and the backward pass reads without a copy. `exact_solve` solves the two
-channels' fixed points densely, for graphs of at most EXACT_MAX_N nodes;
-the tests check it against the per-sign block system built from the graph.
-
-`diffuse` checks that its features are finite and raises ValueError;
-`model.diffuse_inputs` calls it. The model's layers call the same pass
-unchecked (`_diffuse`) and check their features themselves, raising
-NumericError. The adjoint has only the unchecked form `_adjoint`, which
-`training.backward` calls and whose returned gradients it checks. It takes
-the n x 2d block [dp || dm], the layout `_diffuse` returns.
-
-A walk owns the start it is called with: a generator call returns at once,
-and rebinding the parameter at the first step frees z_0 unless the caller
-keeps it. A plain call's caller holds each argument until it returns, so a
-call that should free its input takes it in a one-element list and pops
-it: `_adjoint` its block, layer 1 its noise pair (`model.model_forward`),
-and `features._orthonormal` its sketch.
+A walk owns its start and rebinds it at the first step, which frees it
+unless the caller keeps it. A plain call's caller holds each argument until
+the call returns, so a call that should free an input pops it from a
+one-element list.
 """
 
 from __future__ import annotations
@@ -121,14 +90,11 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
 
 
 def _restart_walk(op, z: np.ndarray, inject, cfg: DiffusionConfig):
-    """Yield z_1 .. z_K of z' = (1 - c) * (op @ z) + inject on one n x d
-    channel from its start z_0 = `z`, one sparse product per step. `inject`
-    is an n x d array, None (add nothing), or the float c for an inject of
-    c * z_0: the walk then scales z_0 by c in place once the first product
-    has read it and injects that, so it keeps no copy. The decay 1 - c is
-    folded into a scaled copy of op's values once per walk, on op's own
-    index arrays, so no step makes an extra pass over z. Each step rebinds
-    `z`, so past the first product the walk holds z_0 only as that inject."""
+    """Yield z_1 .. z_K of z' = (1 - c) * (op @ z) + inject from the start
+    z_0 = `z`. `inject` is an array, None (add nothing), or the float c for
+    c * z_0, which the walk makes by scaling z_0 in place once the first
+    product has read it. The decay 1 - c is folded into a scaled copy of
+    op's values once per walk, so no step makes an extra pass over z."""
     op = type(op)((op.data * (1.0 - cfg.c), op.indices, op.indptr), shape=op.shape)
     for step in range(cfg.k_steps):
         z_prev, z = z, op @ z
@@ -142,12 +108,10 @@ def _restart_walk(op, z: np.ndarray, inject, cfg: DiffusionConfig):
 
 
 def _block_walks(op, z: np.ndarray, cfg: DiffusionConfig):
-    """Walk the n x d start `z` with the float inject c * z_0, _ADJOINT_BLOCK
-    columns at a time, and yield `z` holding the final states. Each block
-    walks a contiguous copy of its columns, which the walk scales into its
-    inject, and its final state is written back into its columns of `z`.
-    Walking strided views of `z` in place measured 32% slower (205 against
-    270 ms in the setting of _ADJOINT_BLOCK's comment)."""
+    """Walk the start `z` with the inject c * z_0, `_ADJOINT_BLOCK` columns
+    at a time, and yield `z` holding the final states. Each block walks a
+    contiguous copy of its columns, written back at its end: contiguous
+    block copies beat strided views of `z`."""
     c = float(cfg.c)  # a float inject: c * the block's own start
     for j in range(0, z.shape[1], _ADJOINT_BLOCK):
         cols = z[:, j:j + _ADJOINT_BLOCK]
@@ -174,8 +138,8 @@ def _usable_cpus() -> int:
 
 
 def _run_walks(walk_s, walk_d) -> tuple[np.ndarray, np.ndarray]:
-    """Final states of the sum and difference walks, the difference walk on
-    a worker thread with two or more usable CPUs (see the module docstring)."""
+    """Final states of the sum and difference walks, on the walk worker
+    with two or more usable CPUs."""
     if _usable_cpus() < 2:
         return _last(walk_s), _last(walk_d)
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -211,9 +175,8 @@ def _draw_m0(shape: tuple[int, int], cfg: DiffusionConfig, rng) -> np.ndarray | 
 
 
 def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, m0: np.ndarray | None):
-    """The sum and difference walks from T0 = (h, m0), injecting c * h at
-    every step. In zero mode m0 is None and both walks start from h itself,
-    which no walk writes to."""
+    """The sum and difference walks from T0 = (h, m0), injecting c * h. In
+    zero mode m0 is None and both walks start from h, which none writes."""
     start_s, start_d = (h, h) if m0 is None else (h + m0, h - m0)
     inject = cfg.c * h
     return (_restart_walk(na.adj[0].T, start_s, inject, cfg),
@@ -222,13 +185,10 @@ def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, m0: np.ndarray | Non
 
 def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> DiffusionState:
     """diffuse(na, np.zeros(shape), cfg, rng) in uniform mode, bit for bit,
-    with the same single draw of m0 from rng: the K-step diffusion of T0 =
-    (0, m0). With h = 0 there is nothing to inject, so the walks start from
-    m0 and -m0 and add no c * h term; adding +0.0 would change no bit,
-    because a sparse product starts from +0.0 and never yields -0.0. Both
-    walks run inline, one after the other, and m0 and each walk's states are
-    dropped as soon as they are spent. Runs no public function of this
-    package, so `training.train` may call it on a worker thread."""
+    from the same single draw of m0. The walks start from m0 and -m0 and
+    inject nothing: a sparse product never yields -0.0, so adding +0.0
+    would change no bit. Both walks run inline, and m0 and each spent state
+    are freed at once."""
     m0 = _draw_m0(shape, cfg, rng)
     walk_s = _restart_walk(na.adj[0].T, m0, None, cfg)
     walk_d = _restart_walk(na.adj[1].T, np.negative(m0), None, cfg)
@@ -250,8 +210,8 @@ def diffusion_steps(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
-    """Yield T0, T1, ..., T_K one step at a time. T0 is (h_tilde, m0), with
-    m0 zero or a seeded uniform draw in [-1, 1] per cfg.m0_mode."""
+    """Yield T0, T1, ..., T_K, both walks in lockstep on the calling thread.
+    T0 is (h_tilde, m0), m0 zero or drawn from U(-1, 1) per cfg.m0_mode."""
     h = _check_features(na, h_tilde)
     m0 = _draw_m0(h.shape, cfg, rng)
     walk_s, walk_d = _forward_walks(na, h, cfg, m0)
@@ -266,29 +226,23 @@ def diffuse(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
-    """Run the signed random-walk diffusion for cfg.k_steps steps; the
-    checked form of `_diffuse` (see the module docstring)."""
+    """T_K of the diffusion; raises ValueError on non-finite features."""
     return _state(_diffuse(na, _check_features(na, h_tilde), cfg, rng))
 
 
 def _diffuse(na, h: np.ndarray, cfg: DiffusionConfig, rng) -> np.ndarray:
-    """`diffuse` on n x d float64 features that the caller has checked to be
-    finite, returned as the n x 2d block [p || m]."""
+    """`diffuse` on features the caller has checked, as the block [p || m]."""
     walks = _forward_walks(na, h, cfg, _draw_m0(h.shape, cfg, rng))
     return _readout(*_run_walks(*walks))
 
 
 def exact_solve(na: NormalizedAdjacency, h_tilde: np.ndarray, c: float) -> DiffusionState:
-    """Dense fixed-point solver on the two channels: (I - (1-c) S^T) s* = c h
-    and (I - (1-c) D^T) d* = c h, returned as p* = (s* + d*) / 2 and
-    m* = (s* - d*) / 2.
-
-    Oracle-scale only; refuses graphs with n > EXACT_MAX_N. Both systems
-    are nonsingular for c in (0, 1): the column sums of |S^T| and |D^T| are
-    at most 1, so each matrix is strictly diagonally dominant by columns.
+    """The fixed point T*, from the dense systems (I - (1-c) S^T) s* = c h
+    and (I - (1-c) D^T) d* = c h, for graphs of at most EXACT_MAX_N nodes.
+    Both are nonsingular for c in (0, 1): the column sums of |S^T| and
+    |D^T| are at most 1, so each is strictly diagonally dominant by columns.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"local injection ratio c must lie in (0, 1), got {c}")
+    DiffusionConfig(c=c, k_steps=1)  # raises on a bad c
     h_tilde = _check_features(na, h_tilde)
     if na.n > EXACT_MAX_N:
         raise ValueError(f"exact_solve is limited to n <= {EXACT_MAX_N}, got n={na.n}")
@@ -305,20 +259,13 @@ def _adjoint(na, owned: list, cfg: DiffusionConfig) -> np.ndarray:
     """Reverse-mode pass through the diffusion: d(loss)/d(h_tilde).
 
     The gradient is the positive-channel part of
-    (M^K + c * (M^(K-1) + ... + I)) g with M = (1-c) B^T and g the stacked
-    output gradient: the c-weighted injection at every step plus the initial
-    positive channel (the local features). The initial negative channel is
-    a constant, so its path is dropped. Horner's rule turns the polynomial
-    into the forward recurrence with g re-injected, run on the sum and
-    difference channels of g with the pair `adj`, one sparse product per
-    step and channel.
+    (M^K + c * (M^(K-1) + ... + I)) g, with M = (1-c) B^T and g the stacked
+    output gradient; the initial negative channel is a constant, so its
+    path is dropped. Horner's rule turns this into the walk recurrence with
+    g re-injected, run on the sum and difference of g with the pair (S, D).
 
-    `owned` is a one-element list holding the n x 2d float64 block
-    [grad_p || grad_m] that the caller vouches for. The adjoint pops it and
-    never writes to it, so that a caller that keeps no other reference has
-    it freed once the two start sums exist, before the walks run. Each
-    channel then walks its start sum in column blocks (`_block_walks`; see
-    the module docstring), the sum channel on the calling thread.
+    Pops the float64 block [grad_p || grad_m] from `owned` and never writes
+    to it, so it is freed once the two start sums exist, before the walks.
     """
     g = owned.pop()
     k = g.shape[1] // 2

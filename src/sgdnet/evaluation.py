@@ -1,11 +1,9 @@
 """Edge splitting, AUC and F1-macro metrics, and the multi-seed experiment runner.
 
-The protocol per seed: split the edges 8:2, rebuild the diffusion graph from
-the training edges only, compute SVD features on that training graph, train,
-then score the held-out edges. AUC uses the positive-class softmax
-probability; F1-macro uses the argmax sign. `run_seed` runs the protocol
-for one seed, and `mean_std` aggregates one metric over the seeds as its
-mean and sample standard deviation.
+The protocol per seed (`run_seed`): split the edges 8:2, rebuild the graph
+and its SVD features from the training edges only, train, then score the
+held-out edges. AUC uses the positive-class probability; F1-macro uses the
+argmax sign.
 """
 
 from __future__ import annotations
@@ -50,22 +48,16 @@ def split_edges(edges, ratio: float, seed: int) -> Split:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their ranks.
-
-    A tie group of `count` values ends at rank `end`, so its mean rank is
-    end - (count - 1) / 2. Each NaN is a group of its own.
-    """
+    """Ranks starting at 1; tied values share the mean of their ranks, and
+    each NaN is a group of its own."""
     _, group, counts = np.unique(values, return_inverse=True, return_counts=True, equal_nan=False)
     ends = np.cumsum(counts)
     return (ends - 0.5 * (counts - 1))[group]
 
 
 def auc(scores, labels) -> float:
-    """Rank-statistic AUC with midranks for ties.
-
-    `labels` hold the positive class as +1 (anything > 0). Raises MetricError
-    when only one class is present.
-    """
+    """Rank-statistic AUC with midranks for ties; a label > 0 is positive.
+    Raises MetricError when only one class is present."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = labels > 0

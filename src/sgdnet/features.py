@@ -1,13 +1,9 @@
 """Initial node features from a randomized truncated SVD of the signed adjacency.
 
-The graph's signed adjacency `SignedDigraph.a` = A+ - A- keeps the sign
-information, and the features are X = U * S for its leading singular
-triplets. This is a one-time preprocessing step; features are persisted so
-training never repeats it. `init_features` computes them with `_svd`, a
-randomized range finder that never forms the right factor V.
-
-`_write_artifact` and `_read_artifact` hold the binary container and its
-checks for both the feature file and `model`'s checkpoint.
+The features are X = U * S for the leading singular triplets of the
+signed adjacency `SignedDigraph.a` = A+ - A-, which keeps the sign
+information. `_write_artifact` and `_read_artifact` hold the binary
+container and its checks for the feature file and `model`'s checkpoint.
 """
 
 from __future__ import annotations
@@ -36,12 +32,9 @@ _FINITE_BLOCK = 16384  # values per artifact finiteness check: a 16 KiB mask
 
 def _svqb(y: np.ndarray) -> np.ndarray:
     """A well-conditioned basis of range(y), by SVQB: y @ V diag(lambda)^(-1/2)
-    from the eigendecomposition y^T y = V diag(lambda) V^T.
-
-    Eigenvalues are floored at max(lambda_max * eps, tiny), so a zero or
-    rank-deficient y gives finite columns instead of a division by zero. The
-    result is orthonormal up to about eps * cond(y)^2, which is all a power
-    step needs.
+    from y^T y = V diag(lambda) V^T, with lambda floored at
+    max(lambda_max * eps, tiny) so a zero or rank-deficient y stays finite.
+    Orthonormal up to about eps * cond(y)^2, all that a power step needs.
     """
     lam, vec = np.linalg.eigh(y.T @ y)
     info = np.finfo(y.dtype)
@@ -50,15 +43,14 @@ def _svqb(y: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal(owned: list) -> np.ndarray:
-    """An orthonormal basis Q of range(y), with Q Q^T y = y, for the y
-    popped from `owned`, so that y is freed after the first SVQB pass.
+    """An orthonormal basis Q of range(y), Q Q^T y = y, for the y popped from
+    `owned`, which is freed after the first pass.
 
-    Two SVQB passes when cond(y) < 1e4 (see `_SVQB_MIN_RATIO`): the second
-    pass restores the orthonormality the first loses to eps * cond^2, so Q is
-    orthonormal to working precision (the bound Yamamoto, Nakatsukasa,
-    Yanagisawa & Fukaya 2015, ETNA 44, prove for CholeskyQR2). A zero,
-    rank-deficient or wide-spectrum y takes a Householder QR, the only one of
-    the two that is accurate there.
+    Two SVQB passes while cond(y) < 1e4 (`_SVQB_MIN_RATIO`): the second
+    restores the orthonormality the first loses (the bound of Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya 2015, ETNA 44, for CholeskyQR2). A
+    zero, rank-deficient or wide-spectrum y takes a Householder QR, the one
+    that is accurate there.
     """
     y = owned.pop()
     lam, vec = np.linalg.eigh(y.T @ y)
@@ -71,39 +63,30 @@ def _orthonormal(owned: list) -> np.ndarray:
 
 def _svd(m, rank, oversample, power_iters, seed):
     """The leading `rank` left singular vectors and values (u, s) of m, before
-    the sign fix: u has orthonormal columns and s is non-increasing.
-    Deterministic for a fixed seed in single-threaded mode.
+    the sign fix: u has orthonormal columns and s is non-increasing. V is
+    never formed. Deterministic for a fixed seed with one BLAS thread.
 
     The Gaussian range finder with power iterations of Halko, Martinsson &
-    Tropp 2011 (arXiv:0909.4061, Algorithms 4.3/4.4 and 5.1). The sketch
-    Y = m Omega is refined by `power_iters` steps Y <- m (m^T svqb(Y)):
-    between power steps any well-conditioned basis of the sketch's range will
-    do (their section 4.5), so each step normalizes it once with SVQB
-    (Stathopoulos & Wu 2002, "A block orthogonalization procedure with
-    constant synchronization requirements"), an eigendecomposition of the
-    small Gram matrix instead of a Householder QR of the tall sketch. The
-    Rayleigh-Ritz step takes an orthonormal basis Q = `_orthonormal(Y)` and
-    B^T = m^T Q. While the Gram B B^T = W diag(lambda) W^T has
-    lambda_min > 1e-8 lambda_max, that is cond(B^T) < 1e4 (about 5 on the
-    benchmark graphs), the top `rank` pairs give U = Q W and S = sqrt(lambda).
-    Otherwise (a zero or rank-deficient matrix, or a spectrum wide enough
-    that the Gram would lose it) B^T = Q2 C by a Householder QR and the SVD
-    of the small C = Uc S Vc^T gives U = Q Vc.
+    Tropp 2011 (arXiv:0909.4061, Algorithms 4.3/4.4 and 5.1). Any
+    well-conditioned basis will do between power steps (their section 4.5),
+    so each takes one SVQB (Stathopoulos & Wu 2002), not a tall QR.
+    Rayleigh-Ritz takes Q = `_orthonormal(Y)` and B^T = m^T Q; while
+    cond(B^T) < 1e4, the Gram B B^T = W diag(lambda) W^T gives U = Q W and
+    S = sqrt(lambda); else a Householder QR B^T = Q2 C and the SVD
+    C = Uc S Vc^T give U = Q Vc.
 
-    Accuracy limit: the Gram branch squares cond(B^T). A singular value
-    sigma_j has relative error about eps * (sigma_1 / sigma_j)^2, against
-    eps * sigma_1 / sigma_j on the Householder branch; U stays orthonormal
-    to working precision. SVQB also squares the condition number of each
-    sketch it normalizes: while the top rank + oversample singular values
-    span less than about 1e10 the result matches a QR after every product;
-    beyond that, singular vectors with sigma_j below about 1e-10 * sigma_1
-    lose accuracy, though the rank-`rank` projection error
-    ||m - U U^T m|| stays of order sigma_(rank+1) + 1e-9 * sigma_1.
+    Accuracy limit: the Gram branch gives sigma_j a relative error of about
+    eps * (sigma_1 / sigma_j)^2, against eps * sigma_1 / sigma_j on the
+    Householder branch; U stays orthonormal to working precision. While the
+    top rank + oversample singular values span less than about 1e10 the
+    result matches a QR after every product; beyond that, vectors with
+    sigma_j below about 1e-10 * sigma_1 lose accuracy, though the
+    projection error ||m - U U^T m|| stays of order
+    sigma_(rank+1) + 1e-9 * sigma_1.
 
-    The sketch lives only in a list that each product pops, so that each
-    step frees the array it reads. On the Gram branch at most two
-    n x (rank + oversample) arrays are alive at a time, the sketch and its
-    product or Q and U; the Householder branch holds a third.
+    The sketch lives only in a list that each product pops, so each step
+    frees the array it reads: the Gram branch holds at most the sketch and
+    its product, or Q and U, at a time; the Householder branch one more.
     """
     rng = np.random.default_rng(seed)
     sketch = [m @ rng.standard_normal((m.shape[1], rank + oversample))]
@@ -132,20 +115,17 @@ def _svd(m, rank, oversample, power_iters, seed):
 
 def _sign_flips(u: np.ndarray) -> np.ndarray:
     """The columns of u whose largest-magnitude entry (the first, on a tie)
-    is negative: negating them fixes the sign ambiguity of each singular
-    pair. The row of that entry is found from the column maxima and minima,
-    so that no u-sized |u| array is made."""
+    is negative, found from the column maxima and minima so that no |u| is
+    made; negating them fixes the sign of each singular pair."""
     a = np.maximum(u.max(axis=0), -u.min(axis=0))
     top = np.argmax((u == a) | (u == -a), axis=0)
     return u[top, np.arange(u.shape[1])] < 0
 
 
 def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
-    """Compute the n x rank feature matrix X = U * S for the signed adjacency.
-
-    The recipe is fixed: `_svd` with two power steps and `OVERSAMPLE` extra
-    sketch columns, clipped to n - rank, then each column of U sign-fixed by
-    `_sign_flips` and scaled by its singular value in one pass.
+    """The n x rank features X = U * S of the signed adjacency, by a fixed
+    recipe: `_svd` with two power steps and `OVERSAMPLE` extra sketch
+    columns (at most n - rank), then U sign-fixed and scaled in one pass.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -177,12 +157,9 @@ def _write_artifact(path, kind, header, array) -> None:
 
 def _read_artifact(path, kind, header, magic, version, payload_size):
     """Read a `_write_artifact` file: the header fields after the magic and
-    version, and the flat float64 payload of `payload_size(*fields)` values.
-
-    The size is checked against the file before anything is read, so a
-    corrupt header cannot ask for the memory. Every failure, including a
-    `ValueError` from `payload_size` and a non-finite value, is a
-    `ValueError` that names `path`.
+    version, and the flat float64 payload of `payload_size(*fields)` values,
+    whose size is checked against the file before anything is read. Every
+    failure, a non-finite value included, is a `ValueError` naming `path`.
     """
     with open(path, "rb") as fh:
         raw = fh.read(header.size)

@@ -1,14 +1,11 @@
-"""Signed directed graphs and their sign-split normalized adjacency operators.
+"""Signed directed graphs and their normalized adjacency operators.
 
-Edges carry a +1 (trust) or -1 (distrust) label. They travel from parse to
-save as an `EdgeList`: three int64 columns `src`, `dst`, `sign`. Edge files
-are parsed whole with numpy; a file that this parse does not accept is read
-line by line, which names the first bad line. Each stage of the parse frees
-its temporaries before it allocates what it returns: glibc's heap shrinks
-only from its top, so an output allocated above freed temporaries would
-keep their pages resident. The graph is stored as one
-signed CSR adjacency A = A+ - A-, and `normalize` divides its rows by the
-out-degree into the operators that drive the random-walk diffusion.
+Edges carry a +1 (trust) or -1 (distrust) label and travel from parse to
+save as an `EdgeList`. Edge files are parsed whole with numpy; a file that
+this parse does not accept is read line by line, which names the first bad
+line. Each stage of the parse frees its temporaries before it allocates
+what it returns: glibc's heap shrinks only from its top, so an output
+allocated above freed temporaries would keep their pages resident.
 """
 
 from __future__ import annotations
@@ -98,8 +95,7 @@ class SignedDigraph:
             and collapses to one entry in the adjacency.
         a: the signed adjacency A = A+ - A- as canonical CSR (sorted
             indices, no duplicates) with +1/-1 entries, on int32 indices
-            (int64 only past 2^31 - 1). `normalize` builds its operators on
-            this same `indices`/`indptr` pair.
+            (int64 only past 2^31 - 1).
         out_degree: per-node count of distinct out-neighbours over both
             signs, so also the entry count of each row of `a`.
     """
@@ -126,22 +122,18 @@ class SignedDigraph:
 
 
 class NormalizedAdjacency:
-    """The out-degree-normalized adjacency, stored once as the pair (S, D).
+    """The out-degree-normalized adjacency, stored once as the pair `adj`.
 
     With NA+ and NA- the per-sign adjacency divided row-wise by the total
-    out-degree, S = NA+ + NA- and D = NA+ - NA- = diag(1/deg) A. Every row u
-    of S sums to 1 when u has outgoing edges and is all-zero when u is a
-    deadend. The signs are disjoint, so S = |D| entrywise and both have the
-    sparsity pattern of A: they are CSR matrices on the graph's own
-    `indices`/`indptr` pair, which they share with `SignedDigraph.a`. One
-    adjoint step of the sum or the difference channel is a product with S
-    or D; one diffusion step is a product with S.T or D.T, a CSC view that
-    copies nothing.
+    out-degree, `adj` = (S, D), S = NA+ + NA- and D = NA+ - NA- =
+    diag(1/deg) A. Each row of S sums to 1, or to 0 at a deadend. The signs
+    are disjoint, so S = |D| entrywise, and both are CSR matrices on the
+    `indices`/`indptr` pair of `SignedDigraph.a`.
 
     `na_plus` and `na_minus` rebuild NA+ and NA- exactly on each read, for
-    the benchmark's flop count; the package itself never reads them. S + D
-    doubles one sign and cancels the other, whose zeros are dropped, so
-    halving it gives NA+'s values, indices and indptr (S - D: NA-'s).
+    the benchmark's flop count; the package never reads them. S + D doubles
+    one sign and cancels the other, whose zeros are dropped, so halving it
+    gives NA+'s values, indices and indptr (S - D: NA-'s).
     """
 
     __slots__ = ("n", "adj")
@@ -222,15 +214,13 @@ _NUMBER_MARKS = np.frombuffer(b"+-.eE", dtype=np.uint8)
 
 
 def _read_table(path, sep: str, width, dtype):
-    """Parse a whole edge file with numpy, or return None for the per-line
-    reader to decide.
+    """Parse a whole edge file with numpy into a (lines, width) array of
+    `dtype`, or return None for the per-line reader to decide.
 
     Lines that are empty or begin with `#` are skipped. Each other line must
     hold `width` fields (None: as many as the first line, at least 3) split
-    by `sep`, and each field must parse as one number. The first two fields
-    must be ids written as decimal digits with no leading zero, and the
-    others may hold no character but digits and `+-.eE`. Returns a
-    (lines, width) array of `dtype`.
+    by `sep`. The two ids must be decimal digits with no leading zero, and
+    the other fields may hold only digits and `+-.eE`.
     """
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         text = fh.read()
@@ -342,17 +332,13 @@ def _collapse_repeats(src, dst, sign, n: int) -> EdgeList:
 
 
 def load_edge_list(path, fmt: str = "tsv-sign"):
-    """Parse a signed edge file.
+    """Parse a signed edge file into (edges, n, id_map): an EdgeList, the
+    node count, and the map from raw id string to dense id.
 
-    Raw node ids are remapped to a dense 0..n-1 range by first appearance;
-    they are compared as strings, so "007" and "7" are two nodes. A repeated
-    (src, dst) pair keeps the position of its first occurrence and the sign
-    of its last. `#`-prefixed lines, blank lines and a leading UTF-8 BOM are
-    skipped.
-
-    Returns:
-        (edges, n, id_map): an EdgeList, the node count, and a map from raw
-        id string to dense id.
+    Raw ids get dense ids 0..n-1 by first appearance; they are compared as
+    strings, so "007" and "7" are two nodes. A repeated (src, dst) pair
+    keeps the position of its first occurrence and the sign of its last.
+    `#` lines, blank lines and a leading UTF-8 BOM are skipped.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown edge format {fmt!r}; expected one of {sorted(_FORMATS)}")
@@ -412,12 +398,8 @@ _ROW_BLOCK = 1 << 14
 
 
 def save_edge_list(path, edges) -> None:
-    r"""Write edges as dense-id TSV (src, dst, sign), loadable as tsv-sign.
-
-    Each `_ROW_BLOCK` of rows is formatted by one printf-style `%` with
-    "%d\t%d\t%d\n" per row and written as bytes, so the newline is the same
-    on every platform.
-    """
+    """Write edges as dense-id TSV (src, dst, sign), loadable as tsv-sign.
+    Written as bytes, so the newline is the same on every platform."""
     edges = as_edge_list(edges)
     cols = (edges.src, edges.dst, edges.sign)
     with atomic_write(path, binary=True) as fh:
@@ -488,12 +470,9 @@ def build_graph(edges, n: int) -> SignedDigraph:
 
 
 def normalize(g: SignedDigraph) -> NormalizedAdjacency:
-    """Divide each adjacency row by the node's total out-degree.
-
-    Deadend rows stay all-zero; no teleport or renormalization is applied.
-    The graph is immutable, so the result is kept on it and later calls
-    return the same operators.
-    """
+    """Divide each adjacency row by the node's total out-degree; deadend
+    rows stay all-zero. The graph is immutable, so the result is kept on it
+    and later calls return the same operators."""
     if g._normalized is not None:
         return g._normalized
     a = g.a

@@ -1,30 +1,21 @@
-"""Diffusion layers, the full forward pass, edge scoring, and the training loss.
+"""Diffusion layers, the full forward pass, edge scoring, the loss, and the
+checkpoint format.
 
-A layer transforms its input, diffuses the transformed features over the
-signed graph, mixes the two diffusion channels, and adds a skip connection:
+A layer transforms its input, diffuses it, mixes the diffusion's n x 2d
+block [p || m] (kept as `LayerCache.pm`) and adds a skip connection:
 
     h_next = tanh([p || m] @ w_n + h_prev)
 
-[p || m] is the diffusion's n x 2d block (see `diffusion`), kept as
-`LayerCache.pm`; tanh is written into the buffer of the pre-activation.
-
-The diffusion is linear in the features it carries. Layer 1 diffuses
-h_tilde = x @ w_in @ w_t, so diffuse(x @ W) = diffuse(x) @ W with
-W = w_in @ w_t, and the zero-start diffusion (x_p, x_m) of the raw input
-features can be run once per training graph (`diffuse_inputs`), as 2n x d0
-rows: row 2i is node i's x_p and row 2i + 1 its x_m. Given them, layer 1
-forms [p || m] as one product, rows @ W read as n x 2d, with no sparse
-work. In uniform mode it adds the parameter-free pair
-diffuse(0, m0), the "noise" (`diffusion._noise_state`), handed over in a
-one-element list that layer 1 pops, so the pair is freed once added. On
-this path no cache keeps layer 1's input h0 = x @ w_in, which the backward
-pass reads only when layer 1 diffuses directly. `training.train` decides
-when the precompute pays and schedules the noise (see there). Layers 2
-and up always diffuse directly.
-
-The prediction head scores an edge (u, v) from the concatenated endpoint
-embeddings, with class 0 meaning a positive sign and class 1 a negative sign.
-The head is linear, so it is applied per node before the endpoint gather.
+The precompute identity: the diffusion is linear in the features it
+carries, and layer 1 diffuses x @ w_in @ w_t, so with W = w_in @ w_t,
+diffuse(x @ W) = diffuse(x) @ W. `diffuse_inputs` runs the zero-start
+diffusion (x_p, x_m) of x once per training graph, as 2n x d0 rows: row 2i
+is node i's x_p and row 2i + 1 its x_m. Layer 1 then forms [p || m] as one
+product, rows @ W read as n x 2d, plus in uniform mode the parameter-free
+noise pair diffuse(0, m0). Its backward needs no adjoint: G = x_p^T dp +
+x_m^T dm is one product of the rows with [dp || dm] read as 2n x d, and
+the gradients are w_in^T G for w_t and x^T dpre + G w_t^T for w_in.
+Layers 2 and up always diffuse directly.
 """
 
 from __future__ import annotations
@@ -148,11 +139,9 @@ def _first_layer_forward(
     params: LayerParams,
     noise: list | None,
 ) -> tuple[np.ndarray, LayerCache]:
-    """Layer 1 from the precomputed diffusion of x: diffuse(x) @ (w_in @ w_t),
-    plus the diffusion of (0, m0) if `noise` holds one. `noise` is a
-    one-element list that this pops, so that a caller that keeps no other
-    reference has the pair freed once it is added. The cache keeps no h0:
-    `training.backward` reads layer 1's input only on the direct path."""
+    """Layer 1 from the rows of `diffuse_inputs`, plus the noise pair popped
+    from `noise` if it holds one, which is freed once added. The cache keeps
+    no h0, which the backward reads only on the direct path."""
     w = w_in @ params.w_t
     d = w.shape[1]
     # Row 2i of the product is node i's p and row 2i + 1 its m.
@@ -180,14 +169,12 @@ def _mix(h_prev, pm, params: LayerParams) -> tuple[np.ndarray, LayerCache]:
 def diffuse_inputs(
     na: NormalizedAdjacency, x: np.ndarray, cfg: DiffusionConfig
 ) -> np.ndarray:
-    """The zero-start diffusion of the input features that layer 1 reuses,
-    as 2n x d0 rows: row 2i is node i's x_p and row 2i + 1 its x_m.
+    """The zero-start diffusion of x as the 2n x d0 rows that layer 1 reads
+    (see the module docstring).
 
-    Runs `diffusion.diffuse` on _INPUT_BLOCK columns of x at a time and
-    writes each block's p and m into one n x 2 x d0 array, so only one
-    block's walks are live at once. Each output column takes the same
-    sparse products in the same order as in one whole diffusion, so the
-    result is bitwise the same."""
+    Diffuses `_INPUT_BLOCK` columns of x at a time, so only one block's
+    walks are live at once. Each column takes the same sparse products as
+    in one whole diffusion, so the result is bitwise the same."""
     x = diffusion._check_features(na, x)  # so that an error names x's own shape
     zero = replace(cfg, m0_mode="zero")
     out = np.empty((na.n, 2, x.shape[1]))
@@ -209,12 +196,9 @@ def model_forward(
     """Project the input features and apply every diffusion layer in order.
 
     With `x_diffused` (from `diffuse_inputs` on the same na, x and cfg),
-    layer 1 runs without a diffusion of its own and adds the diffusion of
-    (0, m0) (`diffusion._noise_state`) that `noise` hands over: a
-    one-element list, which layer 1 pops, so that the pair is freed once it
-    is added. In uniform mode without it, layer 1 draws that pair from
-    `rng`. On this path the returned cache keeps no h0 = x @ w_in, which
-    `training.backward` reads only on the direct path.
+    layer 1 adds the noise pair that `noise` hands over in a one-element
+    list, which it pops; in uniform mode without one, it draws the pair
+    from `rng`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (na.n, params.w_in.shape[0]):
@@ -241,11 +225,9 @@ class EdgeBatch:
 
 
 def edge_logits(h_final: np.ndarray, edges: EdgeList, w_head: np.ndarray) -> np.ndarray:
-    """Score each edge (src, dst) as [h_src || h_dst] @ w_head, no bias.
-
-    Computed in factored form, h_src @ w_head[:d] + h_dst @ w_head[d:], so
-    the gather is of n x 2 node scores rather than b x 2d endpoint rows.
-    """
+    """Score each edge (src, dst) as [h_src || h_dst] @ w_head, no bias. The
+    head is linear, so it scores the nodes before the endpoint gather:
+    h_src @ w_head[:d] + h_dst @ w_head[d:]."""
     n, d = h_final.shape
     src, dst = edges.src, edges.dst
     if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):

@@ -3,46 +3,29 @@ full-batch epoch loop.
 
 The parameters and their gradients are each one vector, `ModelParams.flat`,
 which Adam, the weight decay, the finiteness checks and the last-good
-snapshot read whole. The loss reads the training graph's `EdgeList` as is.
+snapshot read whole.
 
-Layer 1 can read the input features' diffusion, computed once per training
-graph as interleaved x_p/x_m rows (see `model.diffuse_inputs`), instead of
-diffusing x @ w_in @ w_t in every epoch. Its backward pass then needs no
-adjoint: with W = w_in @ w_t and G = x_p^T dp + x_m^T dm, one product of
-those rows with [dp || dm] read as 2n x d, the gradients are w_t: w_in^T G
-and w_in: x^T dpre + G w_t^T.
+The precompute rule: `train` runs layer 1 from `model.diffuse_inputs` (see
+`model`) when that pays. The precompute diffuses d0 columns once; each
+epoch then diffuses d fewer columns in uniform mode (the adjoint) and 2d
+fewer in zero mode (the forward and the adjoint). The cost of a diffusion
+is linear in its column count, so `train` precomputes when
+epochs * (columns saved per epoch) >= d0, and holds the rows to the end.
 
-`train` precomputes when it pays: the precompute diffuses d0 columns once,
-and each epoch then runs d fewer diffusion columns in uniform mode (the
-adjoint) and 2d fewer in zero mode (the forward and the adjoint). The cost
-of a diffusion is linear in its column count, so the rule is
-epochs * (columns saved per epoch) >= d0. The precomputed state holds
-2 * n * d0 float64 for the whole run (270 MB at Epinions size, d0 = 128).
+The noise worker: on that path in uniform mode, layer 1 adds a fresh noise
+pair each epoch, drawn from the training rng (`diffusion._noise_state`).
+It does not depend on the parameters, so with two or more usable CPUs a
+one-thread pool that lives for one `train` call draws and diffuses epoch
+e + 1's pair while the calling thread runs epoch e. The draws keep the
+direct path's rng order, layer 1 and then layers 2..L: with one layer the
+next draw is submitted as soon as this epoch's pair is taken, with more
+only after the forward pass. On one usable CPU `model_forward` draws the
+pair inline. Either way the losses and parameters are bitwise the same.
+The pool's thread is joined when `train` returns or raises.
 
-On that path in uniform mode, layer 1 still adds a fresh noise pair each
-epoch: the diffusion of (0, m0), with m0 drawn from the training rng
-(`diffusion._noise_state`). It does not depend on the parameters, so with
-two or more usable CPUs `train` runs its epoch loop beside a one-thread
-pool that draws and diffuses epoch e + 1's pair while the calling thread
-runs epoch e's forward, loss, backward and Adam step. The draws keep the
-direct path's rng order, layer 1 and then layers 2..L, epoch by epoch:
-with one layer the next draw is submitted as soon as this epoch's pair is
-taken, with more only after the forward pass, whose layers 2..L draw inside
-it. On one usable CPU `model_forward` draws the pair inline. Either way the
-losses and parameters are bitwise the same. The pool's thread is joined
-when `train` returns or raises. The loop hands each pair to the forward
-pass in a list that layer 1 empties. It drops each epoch's logits once
-their gradient exists, before `backward` runs, and the spent forward
-cache and that gradient once `backward` returns, so that neither the pair
-nor the last epoch's arrays are alive when the next epoch's arrays are
-made.
-
-`backward` reads the operator, config, parameters and inputs from the
-`ForwardCache` of the pass it differentiates, and spends it: it pops each
-layer's entry as it reaches that layer, drops the layer's channel block and
-h_next, and hands the block's gradient [dp || dm] to the adjoint to free
-(see `diffusion`), so each adjoint's walks share memory only with the
-layers below. A cache serves one `backward`; a second call raises.
+The loop drops each epoch's logits before `backward` runs, and the spent
+cache and logit gradient once it returns, so none of them is alive when
+the next epoch's arrays are made.
 """
 
 from __future__ import annotations
@@ -77,21 +60,15 @@ def backward(
     grad_logits: np.ndarray,
     weight_decay: float = 0.0,
 ) -> ModelParams:
-    """Exact gradients of the total loss for every parameter matrix, from the
-    pass that built `cache` and `grad_logits`, its loss gradient on `edges`,
-    written into the views of one new `ModelParams`.
-
-    Composes the head adjoint, each layer's tanh/skip/mixing adjoints, the
-    diffusion adjoint, and the input projection adjoint, then adds the
-    analytic 2 * weight_decay * W regularization term. If the forward pass
-    read a precomputed `x_diffused`, layer 1's gradients come from it
-    instead of an adjoint pass.
+    """Exact gradients of the total loss, with the 2 * weight_decay * W
+    term, from the pass that built `cache` and `grad_logits`, its loss
+    gradient on `edges`, written into the views of one new `ModelParams`.
+    Layer 1 of a precomputed pass needs no adjoint (see `model`).
 
     Spends `cache`: each layer's entry is popped from `cache.layers`, and
     its channel block, h_next and the block's gradient [dp || dm], which
-    the adjoint takes over, are dropped before that layer's diffusion
-    adjoint runs its walks. A second call on the same cache raises
-    ValueError; run `forward_loss` (or `model_forward`) again for a new one.
+    the adjoint takes over, are dropped before that layer's adjoint walks.
+    A second call on the same cache raises ValueError.
     """
     params, x_diffused, layers = cache.params, cache.x_diffused, cache.layers
     if len(layers) != len(params.layers):
@@ -240,13 +217,9 @@ def train(
     x: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, list[float]]:
-    """Full-batch training on all edges of `graph` (train edges only).
-
-    One gradient step per epoch; the negative diffusion channel is redrawn
-    each epoch in uniform mode. Layer 1 reads the input features' diffusion,
-    computed once, when the epochs save more diffusion columns than it costs
+    """Full-batch training on all edges of `graph`, one Adam step per epoch
     (see the module docstring). Returns the final parameters and the
-    per-epoch loss history.
+    per-epoch loss history; raises TrainingAbort on a non-finite value.
     """
     na, edges = normalize(graph), graph.edges
     dcfg = cfg.diffusion()
