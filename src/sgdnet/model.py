@@ -49,6 +49,12 @@ class LayerParams:
     w_n: np.ndarray  # 2d x d channel-mixing transform
 
 
+def _shapes(d0: int, d: int, n_layers: int):
+    if d0 < 1 or d < 1 or n_layers < 1:
+        raise ValueError(f"dimensions must be positive, got d0={d0}, d={d}, layers={n_layers}")
+    return (d0, d), [(d, d), (2 * d, d)], (2 * d, 2)
+
+
 @dataclass
 class ModelParams:
     """Every trainable matrix, as views of one float64 vector (`from_flat`)."""
@@ -61,7 +67,8 @@ class ModelParams:
     @classmethod
     def from_flat(cls, flat: np.ndarray | None, d0: int, d: int, n_layers: int) -> ModelParams:
         """Views of `flat` in `named()` order; of a new vector if it is None."""
-        shapes = [(d0, d)] + [(d, d), (2 * d, d)] * n_layers + [(2 * d, 2)]
+        first, layer, last = _shapes(d0, d, n_layers)
+        shapes = [first] + layer * n_layers + [last]
         ends = np.cumsum([rows * cols for rows, cols in shapes])
         flat = np.empty(ends[-1]) if flat is None else flat
         w_in, *ws, w_head = map(np.reshape, np.split(flat, ends[:-1]), shapes)
@@ -90,8 +97,6 @@ class ModelParams:
 def init_params(d0: int, d: int, n_layers: int, seed: int = 0) -> ModelParams:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) initialization per matrix,
     drawn in `named()` order; a matrix's fan-in is its row count."""
-    if d0 < 1 or d < 1 or n_layers < 1:
-        raise ValueError(f"dimensions must be positive, got d0={d0}, d={d}, layers={n_layers}")
     rng = np.random.default_rng(seed)
     params = ModelParams.from_flat(None, d0, d, n_layers)
     for _, w in params.named():
@@ -284,14 +289,9 @@ def save_checkpoint(path, params: ModelParams, cfg: DiffusionConfig) -> None:
 
 def _payload_size(d0, d, n_layers, c, k_steps) -> int:
     """The float64 count of a checkpoint's matrices, from its header fields."""
-    # Checked before the size: a zero dimension would zero it whatever the
-    # layer count.
-    if d0 < 1 or d < 1 or n_layers < 1:
-        raise ValueError(
-            f"checkpoint dimensions must be positive, got d0={d0}, d={d}, layers={n_layers}"
-        )
+    (r0, c0), layer, (r1, c1) = _shapes(d0, d, n_layers)
     DiffusionConfig(c=c, k_steps=k_steps)  # raises on a bad c or K
-    return d0 * d + n_layers * 3 * d * d + 2 * d * 2
+    return r0 * c0 + n_layers * sum(rows * cols for rows, cols in layer) + r1 * c1
 
 
 def load_checkpoint(path) -> tuple[ModelParams, DiffusionConfig]:

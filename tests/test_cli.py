@@ -1,6 +1,7 @@
 import csv
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,15 +105,23 @@ def test_prep_feature_file_shape(prep_dir):
     assert x.shape == (40, 16)
 
 
+# A second prep of the same file, and preps of copies that start with a
+# UTF-8 byte-order mark or end their lines in CRLF, write the same bytes.
 def test_prep_deterministic(tmp_path, dataset):
-    out_a = str(tmp_path / "a")
-    out_b = str(tmp_path / "b")
-    for out in (out_a, out_b):
-        assert run_cli("prep", "--input", dataset, "--out-dir", out,
-                       "--svd-rank", "8", "--seed", "5") == 0
-    bytes_a = open(os.path.join(out_a, "features.sgdf"), "rb").read()
-    bytes_b = open(os.path.join(out_b, "features.sgdf"), "rb").read()
-    assert bytes_a == bytes_b
+    def prep(path, out):
+        return run_cli("prep", "--input", str(path), "--out-dir", str(out),
+                       "--svd-rank", "8", "--seed", "5")
+
+    raw = Path(dataset).read_bytes()
+    assert b"\r" not in raw
+    assert prep(dataset, tmp_path / "first") == 0
+    copies = {"plain": raw, "bom": b"\xef\xbb\xbf" + raw, "crlf": raw.replace(b"\n", b"\r\n")}
+    for name, text in copies.items():
+        (tmp_path / f"{name}.tsv").write_bytes(text)
+        assert prep(tmp_path / f"{name}.tsv", tmp_path / name) == 0
+        for artifact in ("edges.tsv", "idmap.tsv", "features.sgdf", "summary.txt"):
+            expected = (tmp_path / "first" / artifact).read_bytes()
+            assert (tmp_path / name / artifact).read_bytes() == expected, (name, artifact)
 
 
 # ---------------------------------------------------------------- train
@@ -129,6 +138,10 @@ def test_train_and_eval_roundtrip(tmp_path, prep_dir):
     for name in ("checkpoint.sgdn", "loss.csv", "train_edges.tsv",
                  "test_edges.tsv", "train_features.sgdf"):
         assert os.path.exists(os.path.join(run_dir, name))
+    # The split neither drops nor repeats a prepared edge.
+    split_rows = [row for name in ("train_edges.tsv", "test_edges.tsv")
+                  for row in Path(run_dir, name).read_bytes().splitlines()]
+    assert sorted(split_rows) == sorted(Path(prep_dir, "edges.tsv").read_bytes().splitlines())
 
     loss_rows = read_csv(os.path.join(run_dir, "loss.csv"))
     assert len(loss_rows) == 40
@@ -423,6 +436,14 @@ def test_diffuse_trace_bounds(tmp_path, prep_dir):
     assert rows[0]["residual"] == ""
     for row in rows:
         assert float(row["error"]) <= float(row["bound"]) + 1e-12
+    # From a uniform m0 the bound holds too, and the seed alone fixes the trace.
+    traces = [tmp_path / "uniform.csv", tmp_path / "uniform-again.csv"]
+    for trace in traces:
+        assert run_cli("diffuse", "--prep-dir", prep_dir, "--c", "0.5", "--k", "10",
+                       "--m0", "uniform", "--seed", "3", "--out", str(trace)) == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
+    for row in read_csv(traces[0]):
+        assert float(row["error"]) <= float(row["bound"]) + 1e-12
 
 
 def test_diffuse_k1_two_rows(tmp_path, prep_dir):
@@ -464,19 +485,26 @@ def test_diffuse_bad_c_exits_2_before_loading(tmp_path, capsys):
 # ---------------------------------------------------------------- experiment
 
 
-def test_experiment_smoke(tmp_path, dataset, capsys):
-    out_dir = str(tmp_path / "exp")
-    code = run_cli(
-        "experiment", "--dataset", "generic-tsv", "--input", dataset,
-        "--seeds", "2", "--epochs", "10", "--svd-rank", "8", "--dim", "8",
-        "--k", "3", "--out-dir", out_dir,
-    )
-    assert code == 0
-    rows = read_csv(os.path.join(out_dir, "runs.csv"))
+# On one usable CPU and on two, which runs the walks and the noise draws on
+# worker threads, experiment writes the same runs.csv.
+def test_experiment_smoke(tmp_path, dataset, capsys, monkeypatch):
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: cpus)
+        out_dir = tmp_path / f"exp-{cpus}"
+        code = run_cli(
+            "experiment", "--dataset", "generic-tsv", "--input", dataset,
+            "--seeds", "2", "--epochs", "10", "--svd-rank", "8", "--dim", "8",
+            "--k", "3", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        runs[cpus] = (out_dir / "runs.csv").read_bytes()
+        out = capsys.readouterr().out
+        assert "AUC" in out and "F1-macro" in out
+    assert runs[1] == runs[2]
+    rows = read_csv(tmp_path / "exp-1" / "runs.csv")
     assert len(rows) == 3  # 2 seeds + summary
     assert rows[-1]["seed"] == "summary"
-    out = capsys.readouterr().out
-    assert "AUC" in out and "F1-macro" in out
 
 
 def test_experiment_out_dir_that_is_a_file_exits_2_before_any_seed(
@@ -612,18 +640,26 @@ def test_config_file_bad_choice_exits_2_before_writing(tmp_path, prep_dir, capsy
     assert not run_dir.exists()
 
 
+# A config file trains as the same flags do, and leaving a model flag out
+# trains as spelling it at its default does.
 def test_config_driven_train_matches_flags(tmp_path, prep_dir):
     settings = {"dim": "8", "epochs": "3", "k": "3", "weight_decay": "0.01", "seed": "4"}
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
     flags = [token for key, value in settings.items()
              for token in (f"--{key.replace('_', '-')}", value)]
-    for name, extra in (("flags", flags), ("config", ["--config", str(cfg)])):
+    defaults = ["--layers", "1", "--c", "0.35", "--k", "10", "--dim", "32", "--lr", "0.01",
+                "--weight-decay", "0.001", "--m0", "uniform"]
+    runs = {"flags": flags, "config": ["--config", str(cfg)],
+            "bare": ["--epochs", "3"], "defaults": ["--epochs", "3", *defaults]}
+    for name, extra in runs.items():
         assert run_cli("train", "--prep-dir", prep_dir,
                        "--out-dir", str(tmp_path / name), *extra) == 0
     for artifact in ("checkpoint.sgdn", "loss.csv"):
         flag_run = (tmp_path / "flags" / artifact).read_bytes()
         assert (tmp_path / "config" / artifact).read_bytes() == flag_run
+        bare_run = (tmp_path / "bare" / artifact).read_bytes()
+        assert (tmp_path / "defaults" / artifact).read_bytes() == bare_run
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -677,6 +713,53 @@ def test_console_process_exit_code_on_bad_input(tmp_path):
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+
+
+# In a fresh interpreter: pin the process to the CPU named by the first
+# argument (unless it is empty) before sgdnet is imported, then run `main` on
+# each JSON argument list that follows, stopping at the first failure.
+_PINNED_RUNS = r"""
+import json, os, sys
+
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from sgdnet.cli import main
+
+for args in sys.argv[2:]:
+    if main(json.loads(args)):
+        sys.exit(f"failed: {args}")
+"""
+
+
+# With two or more usable CPUs the diffusion and the noise draws use worker
+# threads; pinned to one CPU they run inline. Layer 1 runs from precomputed
+# inputs here, and at --layers 2 layer 2 runs the adjoint in a full and a
+# partial column block. Every run writes the same bytes either way.
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity API and two usable CPUs")
+def test_runs_pinned_to_one_cpu_write_the_bytes_of_unpinned_runs(tmp_path, prep_dir):
+    import json
+    import subprocess
+    import sys
+
+    cpu = min(os.sched_getaffinity(0))
+    for side, pin in (("unpinned", ""), ("pinned", str(cpu))):
+        l1, l2 = tmp_path / side / "l1", tmp_path / side / "l2"
+        commands = [
+            ["train", "--prep-dir", prep_dir, "--out-dir", str(l1), "--dim", "8",
+             "--epochs", "2", "--threads", "1"],
+            ["eval", "--run-dir", str(l1), "--test-edges", str(l1 / "test_edges.tsv")],
+            ["train", "--prep-dir", prep_dir, "--out-dir", str(l2), "--layers", "2",
+             "--dim", "12", "--epochs", "2", "--threads", "1"],
+        ]
+        proc = subprocess.run([sys.executable, "-c", _PINNED_RUNS, pin,
+                               *map(json.dumps, commands)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    compared = ["l1/checkpoint.sgdn", "l1/loss.csv", "l1/predictions.csv",
+                "l2/checkpoint.sgdn", "l2/loss.csv"]
+    differ = [name for name in compared if (tmp_path / "unpinned" / name).read_bytes()
+              != (tmp_path / "pinned" / name).read_bytes()]
+    assert differ == []
 
 
 # In a fresh interpreter: run `main` on the arguments after the script name,

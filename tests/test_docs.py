@@ -1,6 +1,6 @@
-"""The README's design map, the package docstring's submodule list and the
-README's command examples name what the code holds, so that neither can
-drift from it."""
+"""The README's design map, the package docstring's submodule list, the
+README's command examples and the CI workflow's console-script step name
+what the code holds, so that none can drift from it."""
 
 import argparse
 import re
@@ -10,6 +10,7 @@ import sgdnet
 from sgdnet.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 
 def modules():
@@ -39,12 +40,30 @@ def test_package_docstring_lists_each_module_once():
     assert sorted(named) == modules()
 
 
-def test_command_line_section_shows_each_subcommand():
+def subcommands():
     (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(subs.choices)
+
+
+def private_names(texts):
+    """The texts that name a private `_name`."""
+    return [text for text in texts if re.search(r"(?<!\w)_[A-Za-z]", text)]
+
+
+def test_command_line_section_shows_each_subcommand():
     shown = {line.split()[1] for line in section("Command line") if line.startswith("sgdnet ")}
-    assert shown == set(subs.choices)
+    assert shown == subcommands()
 
 
 def test_readme_names_no_private_name():
-    spans = re.findall(r"`[^`\n]+`", README.read_text(encoding="utf-8"))
-    assert [span for span in spans if re.search(r"(?<!\w)_[A-Za-z]", span)] == []
+    assert private_names(re.findall(r"`[^`\n]+`", README.read_text(encoding="utf-8"))) == []
+
+
+def test_workflow_comments_name_no_private_name():
+    assert private_names(re.findall(r"^\s*#.*$", WORKFLOW.read_text(encoding="utf-8"), re.M)) == []
+
+
+def test_console_script_step_runs_each_subcommand():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    step = re.search(r"- name: Console script end to end\n(.*?)(?=\n\s*- name: |\Z)", text, re.S)
+    assert set(re.findall(r"^\s*sgdnet (\w+)", step[1], re.M)) == subcommands()

@@ -474,6 +474,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, n_layers):
     assert path.read_bytes() == header + b"".join(w.tobytes() for _, w in params.named())
     loaded, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg.c == cfg.c and loaded_cfg.k_steps == cfg.k_steps
+    # Saving what was loaded writes the same bytes.
+    save_checkpoint(tmp_path / "resaved.sgdn", loaded, loaded_cfg)
+    assert (tmp_path / "resaved.sgdn").read_bytes() == path.read_bytes()
     for (_, wa), (_, wb) in zip(params.named(), loaded.named()):
         assert np.array_equal(wa, wb)
     h_a, _ = model_forward(na, x, params, cfg)
