@@ -36,11 +36,14 @@ and saved little.
 A walk owns its start and rebinds it at the first step, which frees it
 unless the caller keeps it. A plain call's caller holds each argument until
 the call returns, so a call that should free an input pops it from a
-one-element list.
+one-element list. Every step multiplies by the operator with the decay
+1 - c folded into its values, which `_decayed` builds once per channel of
+a call: one copy of a channel's values, however many walks or blocks use it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -89,13 +92,18 @@ def _check_features(na: NormalizedAdjacency, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _decayed(op, cfg: DiffusionConfig):
+    """(1 - c) * op: scaled values over op's own index arrays. A walk steps
+    with it, so that no step makes an extra pass over its state."""
+    return type(op)((op.data * (1.0 - cfg.c), op.indices, op.indptr), shape=op.shape)
+
+
 def _restart_walk(op, z: np.ndarray, inject, cfg: DiffusionConfig):
-    """Yield z_1 .. z_K of z' = (1 - c) * (op @ z) + inject from the start
-    z_0 = `z`. `inject` is an array, None (add nothing), or the float c for
-    c * z_0, which the walk makes by scaling z_0 in place once the first
-    product has read it. The decay 1 - c is folded into a scaled copy of
-    op's values once per walk, so no step makes an extra pass over z."""
-    op = type(op)((op.data * (1.0 - cfg.c), op.indices, op.indptr), shape=op.shape)
+    """Yield z_1 .. z_K of z' = op @ z + inject from the start z_0 = `z`,
+    for an op that `_decayed` made: (1 - c) * (op' @ z) + inject for the
+    op' it scaled. `inject` is an array, None (add nothing), or the float c
+    for c * z_0, which the walk makes by scaling z_0 in place once the
+    first product has read it."""
     for step in range(cfg.k_steps):
         z_prev, z = z, op @ z
         if step == 0 and isinstance(inject, float):
@@ -113,6 +121,7 @@ def _block_walks(op, z: np.ndarray, cfg: DiffusionConfig):
     contiguous copy of its columns, written back at its end: contiguous
     block copies beat strided views of `z`."""
     c = float(cfg.c)  # a float inject: c * the block's own start
+    op = _decayed(op, cfg)
     for j in range(0, z.shape[1], _ADJOINT_BLOCK):
         cols = z[:, j:j + _ADJOINT_BLOCK]
         # A block of all of z is z itself, which the walk may scale in place.
@@ -137,12 +146,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _worker():
+    """A one-thread pool for one `with` block with two or more usable CPUs,
+    else a null context whose value is None."""
+    return ThreadPoolExecutor(max_workers=1) if _usable_cpus() >= 2 else contextlib.nullcontext()
+
+
 def _run_walks(walk_s, walk_d) -> tuple[np.ndarray, np.ndarray]:
     """Final states of the sum and difference walks, on the walk worker
     with two or more usable CPUs."""
-    if _usable_cpus() < 2:
-        return _last(walk_s), _last(walk_d)
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with _worker() as worker:
+        if worker is None:
+            return _last(walk_s), _last(walk_d)
         future_d = worker.submit(_last, walk_d)
         s = _last(walk_s)
         return s, future_d.result()
@@ -174,26 +189,36 @@ def _draw_m0(shape: tuple[int, int], cfg: DiffusionConfig, rng) -> np.ndarray | 
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def _forward_walks(na, h: np.ndarray, cfg: DiffusionConfig, m0: np.ndarray | None):
-    """The sum and difference walks from T0 = (h, m0), injecting c * h. In
-    zero mode m0 is None and both walks start from h, which none writes."""
-    start_s, start_d = (h, h) if m0 is None else (h + m0, h - m0)
-    inject = cfg.c * h
-    return (_restart_walk(na.adj[0].T, start_s, inject, cfg),
-            _restart_walk(na.adj[1].T, start_d, inject, cfg))
+def _forward_walks(na, owned: list, cfg: DiffusionConfig, m0: np.ndarray | None):
+    """The sum and difference walks from T0 = (h, m0), injecting c * h, for
+    the h popped from `owned`. In uniform mode they write h - m0 into m0 and
+    c * h into h. In zero mode m0 is None and both walks start from h, which
+    none writes and which, unless the caller keeps it, is freed once both
+    have taken a step."""
+    h = owned.pop()
+    if m0 is None:
+        start_s = start_d = h
+        inject = cfg.c * h
+    else:
+        start_s = h + m0
+        start_d = np.subtract(h, m0, out=m0)
+        inject = np.multiply(h, cfg.c, out=h)
+    return (_restart_walk(_decayed(na.adj[0].T, cfg), start_s, inject, cfg),
+            _restart_walk(_decayed(na.adj[1].T, cfg), start_d, inject, cfg))
 
 
 def _noise_state(na, shape: tuple[int, int], cfg: DiffusionConfig, rng) -> DiffusionState:
     """diffuse(na, np.zeros(shape), cfg, rng) in uniform mode, bit for bit,
     from the same single draw of m0. The walks start from m0 and -m0 and
     inject nothing: a sparse product never yields -0.0, so adding +0.0
-    would change no bit. Both walks run inline, and m0 and each spent state
-    are freed at once."""
+    would change no bit. Both walks run inline, one channel's operator at a
+    time, and m0 and each spent state are freed at once."""
     m0 = _draw_m0(shape, cfg, rng)
-    walk_s = _restart_walk(na.adj[0].T, m0, None, cfg)
-    walk_d = _restart_walk(na.adj[1].T, np.negative(m0), None, cfg)
+    walk_s = _restart_walk(_decayed(na.adj[0].T, cfg), m0, None, cfg)
+    start_d = [np.negative(m0)]
     del m0
-    s, d = _last(walk_s), _last(walk_d)
+    s = _last(walk_s)
+    d = _last(_restart_walk(_decayed(na.adj[1].T, cfg), start_d.pop(), None, cfg))
     # The pair 0.5 * (s + d), 0.5 * (s - d): m overwrites d, and s is
     # freed before the halving passes.
     p = s + d
@@ -211,10 +236,14 @@ def diffusion_steps(
     rng: np.random.Generator | None = None,
 ) -> Iterator[DiffusionState]:
     """Yield T0, T1, ..., T_K, both walks in lockstep on the calling thread.
-    T0 is (h_tilde, m0), m0 zero or drawn from U(-1, 1) per cfg.m0_mode."""
+    T0 is (h_tilde, m0), m0 zero or drawn from U(-1, 1) per cfg.m0_mode.
+    T0 and h_tilde stay as they are."""
     h = _check_features(na, h_tilde)
     m0 = _draw_m0(h.shape, cfg, rng)
-    walk_s, walk_d = _forward_walks(na, h, cfg, m0)
+    if m0 is None:
+        walk_s, walk_d = _forward_walks(na, [h], cfg, None)
+    else:  # uniform-mode walks write into their h and m0
+        walk_s, walk_d = _forward_walks(na, [h.copy()], cfg, m0.copy())
     yield DiffusionState(h, np.zeros_like(h) if m0 is None else m0)
     for s, d in zip(walk_s, walk_d):
         yield _state(_readout(s, d))
@@ -226,13 +255,16 @@ def diffuse(
     cfg: DiffusionConfig,
     rng: np.random.Generator | None = None,
 ) -> DiffusionState:
-    """T_K of the diffusion; raises ValueError on non-finite features."""
-    return _state(_diffuse(na, _check_features(na, h_tilde), cfg, rng))
+    """T_K of the diffusion; raises ValueError on non-finite features.
+    h_tilde stays as it is: uniform-mode walks write into a copy."""
+    h = _check_features(na, h_tilde)
+    return _state(_diffuse(na, [h.copy() if cfg.m0_mode == "uniform" else h], cfg, rng))
 
 
-def _diffuse(na, h: np.ndarray, cfg: DiffusionConfig, rng) -> np.ndarray:
-    """`diffuse` on features the caller has checked, as the block [p || m]."""
-    walks = _forward_walks(na, h, cfg, _draw_m0(h.shape, cfg, rng))
+def _diffuse(na, owned: list, cfg: DiffusionConfig, rng) -> np.ndarray:
+    """`diffuse` on the features popped from `owned`, which the caller has
+    checked and the walks may write (`_forward_walks`), as the block [p || m]."""
+    walks = _forward_walks(na, owned, cfg, _draw_m0(owned[0].shape, cfg, rng))
     return _readout(*_run_walks(*walks))
 
 

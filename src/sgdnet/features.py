@@ -4,6 +4,20 @@ The features are X = U * S for the leading singular triplets of the
 signed adjacency `SignedDigraph.a` = A+ - A-, which keeps the sign
 information. `_write_artifact` and `_read_artifact` hold the binary
 container and its checks for the feature file and `model`'s checkpoint.
+
+The SVD worker: `init_features` runs each pass whose rows do not depend on
+each other in fixed row blocks, which the calling thread and, with two or
+more usable CPUs (`diffusion._usable_cpus`), a one-thread pool that lives
+for one call take in turn. These are the CSR products m @ Y, the dense
+basis changes Y @ R and Q @ W, and the sign fix's column scans and
+scaling; numpy's and scipy's products release the GIL. The blocks depend on
+the shape alone (`_block_count`), and each block computes its rows as the
+whole pass does, so the features are bitwise the same on any CPU count.
+The Gaussian draw, the Grams Y^T Y, their eigendecompositions and the
+scatter-form products m^T @ Y stay whole on the calling thread: splitting
+m^T @ Y by rows would take a gather-form (CSR) copy of m^T, about 0.3 of an
+n x (rank + OVERSAMPLE) sketch array, and the SVD's memory bound of 2.25
+such arrays (`tests/test_memory.py`) has 0.17 of them to spare.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ import struct
 
 import numpy as np
 
+from . import diffusion
 from .atomic import atomic_write
 from .graph import SignedDigraph
 
@@ -29,8 +44,74 @@ _SVQB_MIN_RATIO = 1e-8
 OVERSAMPLE = 10  # extra sketch columns; Halko et al. 2011, section 4.2, find 10 ample
 _FINITE_BLOCK = 16384  # values per artifact finiteness check: a 16 KiB mask
 
+# Row blocks of the SVD worker. A small product runs on other OpenBLAS
+# kernels than a large one, with other bits: with OpenBLAS 0.3.31 on a Xeon
+# a row block matched the whole product's rows above 1.0e6 multiply-adds on
+# one BLAS thread and above 2.7e6 on 2 or 4. So a dense block holds at least
+# `_BLOCK_WORK`. A sparse product takes `_MAX_BLOCKS` blocks, each sliced
+# from m and copied into place, only where each holds `_SPARSE_BLOCK_WORK`:
+# at Bitcoin-Alpha's size one took 2.0 ms whole and 5.2 ms in 32 blocks, at
+# half-Epinions' 117 and 78 ms.
+_MAX_BLOCKS = 32
+_BLOCK_WORK = 2**22
+_SPARSE_BLOCK_WORK = 2**20
 
-def _svqb(y: np.ndarray) -> np.ndarray:
+
+def _block_count(n_rows: int, row_work: int) -> int:
+    """How many row blocks a dense pass over n_rows rows of `row_work`
+    multiply-adds each takes: as many as `_BLOCK_WORK` allows, at most
+    `_MAX_BLOCKS`, and one (the whole) below twice `_BLOCK_WORK`."""
+    return max(1, min(_MAX_BLOCKS, n_rows * row_work // _BLOCK_WORK))
+
+
+def _row_blocks(n_rows: int, count: int) -> list[slice]:
+    """`count` contiguous row blocks of near-equal size."""
+    return [slice(n_rows * i // count, n_rows * (i + 1) // count) for i in range(count)]
+
+
+def _each_block(worker, fn, blocks: list[slice]) -> list:
+    """[fn(rows) for rows in blocks]; with a `worker` pool, it and the
+    calling thread take the blocks in turn, each the next one not taken."""
+    out = [None] * len(blocks)
+    todo = iter(range(len(blocks)))  # next() runs under the GIL: each index once
+
+    def run():
+        for i in todo:
+            out[i] = fn(blocks[i])
+
+    if worker is None or len(blocks) < 2:
+        run()
+    else:
+        done = worker.submit(run)
+        run()
+        done.result()
+    return out
+
+
+def _matmul(a, b: np.ndarray, worker) -> np.ndarray:
+    """a @ b for a dense or CSR a, on the worker, in the row blocks that the
+    comment on `_MAX_BLOCKS` sets out. A one-column b makes a matrix-vector
+    product, whose bits depend on the row offset, so it runs whole."""
+    dense = isinstance(a, np.ndarray)
+    if dense:
+        count = _block_count(a.shape[0], a.shape[1] * b.shape[1])
+    else:
+        count = _MAX_BLOCKS if a.nnz * b.shape[1] >= _MAX_BLOCKS * _SPARSE_BLOCK_WORK else 1
+    if count < 2 or b.shape[1] < 2:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+
+    def block(rows):
+        if dense:
+            np.matmul(a[rows], b, out=out[rows])
+        else:
+            out[rows] = a[rows] @ b
+
+    _each_block(worker, block, _row_blocks(a.shape[0], count))
+    return out
+
+
+def _svqb(y: np.ndarray, worker=None) -> np.ndarray:
     """A well-conditioned basis of range(y), by SVQB: y @ V diag(lambda)^(-1/2)
     from y^T y = V diag(lambda) V^T, with lambda floored at
     max(lambda_max * eps, tiny) so a zero or rank-deficient y stays finite.
@@ -39,10 +120,10 @@ def _svqb(y: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(y.T @ y)
     info = np.finfo(y.dtype)
     floor = max(lam[-1] * info.eps, info.tiny)
-    return y @ (vec / np.sqrt(np.maximum(lam, floor)))
+    return _matmul(y, vec / np.sqrt(np.maximum(lam, floor)), worker)
 
 
-def _orthonormal(owned: list) -> np.ndarray:
+def _orthonormal(owned: list, worker=None) -> np.ndarray:
     """An orthonormal basis Q of range(y), Q Q^T y = y, for the y popped from
     `owned`, which is freed after the first pass.
 
@@ -56,15 +137,16 @@ def _orthonormal(owned: list) -> np.ndarray:
     lam, vec = np.linalg.eigh(y.T @ y)
     if lam[0] > _SVQB_MIN_RATIO * lam[-1]:
         # The first pass reuses this eigendecomposition: it is `_svqb(y)`.
-        y = y @ (vec / np.sqrt(lam))
-        return _svqb(y)
+        y = _matmul(y, vec / np.sqrt(lam), worker)
+        return _svqb(y, worker)
     return np.linalg.qr(y)[0]
 
 
-def _svd(m, rank, oversample, power_iters, seed):
+def _svd(m, rank, oversample, power_iters, seed, worker=None):
     """The leading `rank` left singular vectors and values (u, s) of m, before
     the sign fix: u has orthonormal columns and s is non-increasing. V is
-    never formed. Deterministic for a fixed seed with one BLAS thread.
+    never formed. Deterministic for a fixed seed with one BLAS thread, and
+    bitwise the same with or without the `worker` pool.
 
     The Gaussian range finder with power iterations of Halko, Martinsson &
     Tropp 2011 (arXiv:0909.4061, Algorithms 4.3/4.4 and 5.1). Any
@@ -89,10 +171,10 @@ def _svd(m, rank, oversample, power_iters, seed):
     its product, or Q and U, at a time; the Householder branch one more.
     """
     rng = np.random.default_rng(seed)
-    sketch = [m @ rng.standard_normal((m.shape[1], rank + oversample))]
+    sketch = [_matmul(m, rng.standard_normal((m.shape[1], rank + oversample)), worker)]
     for _ in range(power_iters):
-        sketch.append(m @ (m.T @ _svqb(sketch.pop())))
-    q = _orthonormal(sketch)
+        sketch.append(_matmul(m, m.T @ _svqb(sketch.pop(), worker), worker))
+    q = _orthonormal(sketch, worker)
 
     # Rayleigh-Ritz on b = q^T m through its tall transpose b^T = m^T q, which
     # keeps a sparse m sparse.
@@ -104,7 +186,7 @@ def _svd(m, rank, oversample, power_iters, seed):
         del bt
         s = np.sqrt(lam[::-1][:rank])
         vec = np.ascontiguousarray(vec[:, ::-1][:, :rank])
-        return q @ vec, s
+        return _matmul(q, vec, worker), s
     # A zero, rank-deficient or wide-spectrum b^T: b^T = q2 c with q2 from a
     # Householder QR, and the SVD of the small c.
     q2 = np.linalg.qr(bt)[0]
@@ -113,27 +195,49 @@ def _svd(m, rank, oversample, power_iters, seed):
     return q @ ubt[:rank].T, s[:rank]
 
 
-def _sign_flips(u: np.ndarray) -> np.ndarray:
+def _sign_flips(u: np.ndarray, worker=None) -> np.ndarray:
     """The columns of u whose largest-magnitude entry (the first, on a tie)
     is negative, found from the column maxima and minima so that no |u| is
-    made; negating them fixes the sign of each singular pair."""
-    a = np.maximum(u.max(axis=0), -u.min(axis=0))
-    top = np.argmax((u == a) | (u == -a), axis=0)
-    return u[top, np.arange(u.shape[1])] < 0
+    made; negating them fixes the sign of each singular pair.
+
+    Both scans run in the row blocks of a rank-wide square product,
+    combined exactly: a is the largest block maximum or negated minimum, and a
+    column's pivot is the first match in the first block holding one, or
+    row 0, as np.argmax takes, where no entry matches a (a NaN column)."""
+    n, rank = u.shape
+    blocks, cols = _row_blocks(n, _block_count(n, rank**2)), np.arange(rank)
+    ends = _each_block(worker, lambda rows: (u[rows].max(axis=0), u[rows].min(axis=0)), blocks)
+    a = np.maximum(np.max([hi for hi, _ in ends], axis=0), -np.min([lo for _, lo in ends], axis=0))
+
+    def pivot(rows):
+        block = u[rows]
+        match = (block == a) | (block == -a)
+        top = np.argmax(match, axis=0)
+        return match[top, cols], block[top, cols] < 0
+
+    pivots = _each_block(worker, pivot, blocks)
+    flips = pivots[0][1]
+    for found, negative in reversed(pivots):
+        flips = np.where(found, negative, flips)
+    return flips
 
 
 def init_features(g: SignedDigraph, rank: int, seed: int = 0) -> np.ndarray:
     """The n x rank features X = U * S of the signed adjacency, by a fixed
     recipe: `_svd` with two power steps and `OVERSAMPLE` extra sketch
-    columns (at most n - rank), then U sign-fixed and scaled in one pass.
+    columns (at most n - rank), then U sign-fixed and scaled in one pass,
+    all on the SVD worker (see the module docstring).
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if rank > g.n:
         raise ValueError(f"rank {rank} exceeds node count {g.n}")
-    u, s = _svd(g.a, rank, min(OVERSAMPLE, g.n - rank), 2, seed)
-    # (-u) * s and u * (-s) agree bit for bit, signed zeros included.
-    u *= np.where(_sign_flips(u), -s, s)
+    with diffusion._worker() as worker:
+        u, s = _svd(g.a, rank, min(OVERSAMPLE, g.n - rank), 2, seed, worker)
+        # (-u) * s and u * (-s) agree bit for bit, signed zeros included.
+        scale = np.where(_sign_flips(u, worker), -s, s)
+        _each_block(worker, lambda rows: np.multiply(u[rows], scale, out=u[rows]),
+                    _row_blocks(g.n, _block_count(g.n, rank**2)))
     return u
 
 

@@ -11,7 +11,7 @@ import sgdnet.evaluation
 from sgdnet.cli import _THREAD_ENV_VARS, _read_config_file, main
 from sgdnet.graph import save_edge_list
 
-from synthetic import planted_partition_graph
+from synthetic import planted_partition_graph, random_signed_graph
 
 
 def run_cli(*args):
@@ -731,10 +731,12 @@ for args in sys.argv[2:]:
 """
 
 
-# With two or more usable CPUs the diffusion and the noise draws use worker
-# threads; pinned to one CPU they run inline. Layer 1 runs from precomputed
-# inputs here, and at --layers 2 layer 2 runs the adjoint in a full and a
-# partial column block. Every run writes the same bytes either way.
+# With two or more usable CPUs the SVD, the diffusion and the noise draws use
+# worker threads; pinned to one CPU they run inline. The prep is of a graph
+# of Bitcoin-Alpha's size at rank 128, whose SVD passes split into row
+# blocks. Layer 1 runs from precomputed inputs here, and at --layers 2 layer
+# 2 runs the adjoint in a full and a partial column block. Every run writes
+# the same bytes either way.
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs an affinity API and two usable CPUs")
 def test_runs_pinned_to_one_cpu_write_the_bytes_of_unpinned_runs(tmp_path, prep_dir):
@@ -742,10 +744,14 @@ def test_runs_pinned_to_one_cpu_write_the_bytes_of_unpinned_runs(tmp_path, prep_
     import subprocess
     import sys
 
+    alpha = tmp_path / "alpha.tsv"
+    save_edge_list(alpha, random_signed_graph(3783, avg_out_degree=6.4, seed=0).edges)
     cpu = min(os.sched_getaffinity(0))
     for side, pin in (("unpinned", ""), ("pinned", str(cpu))):
         l1, l2 = tmp_path / side / "l1", tmp_path / side / "l2"
         commands = [
+            ["prep", "--input", str(alpha), "--format", "tsv-sign", "--out-dir",
+             str(tmp_path / side / "prep"), "--svd-rank", "128", "--threads", "1"],
             ["train", "--prep-dir", prep_dir, "--out-dir", str(l1), "--dim", "8",
              "--epochs", "2", "--threads", "1"],
             ["eval", "--run-dir", str(l1), "--test-edges", str(l1 / "test_edges.tsv")],
@@ -755,8 +761,8 @@ def test_runs_pinned_to_one_cpu_write_the_bytes_of_unpinned_runs(tmp_path, prep_
         proc = subprocess.run([sys.executable, "-c", _PINNED_RUNS, pin,
                                *map(json.dumps, commands)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-    compared = ["l1/checkpoint.sgdn", "l1/loss.csv", "l1/predictions.csv",
-                "l2/checkpoint.sgdn", "l2/loss.csv"]
+    compared = ["prep/features.sgdf", "prep/edges.tsv", "l1/checkpoint.sgdn", "l1/loss.csv",
+                "l1/predictions.csv", "l2/checkpoint.sgdn", "l2/loss.csv"]
     differ = [name for name in compared if (tmp_path / "unpinned" / name).read_bytes()
               != (tmp_path / "pinned" / name).read_bytes()]
     assert differ == []

@@ -558,12 +558,9 @@ def test_sum_and_difference_share_int32_indices():
     for name in ("indices", "indptr"):
         assert getattr(s, name).dtype == np.int32
         assert np.shares_memory(getattr(s, name), getattr(d, name))
-    z0 = np.ones((na.n, 2))
     cfg = DiffusionConfig(c=0.5, k_steps=1)
     for op in (s, d, s.T, d.T):
-        walk = diffusion_module._restart_walk(op, z0, z0, cfg)
-        next(walk)
-        scaled = walk.gi_frame.f_locals["op"]
+        scaled = diffusion_module._decayed(op, cfg)
         assert type(scaled) is type(op)
         assert np.shares_memory(scaled.indices, s.indices)
         assert np.shares_memory(scaled.indptr, s.indptr)
@@ -596,6 +593,47 @@ def test_restart_walk_scales_its_start_into_the_float_inject():
     inject = walk.gi_frame.f_locals["inject"]
     assert np.shares_memory(inject, z0)
     assert z0.tobytes() == scaled.tobytes()
+
+
+def test_zero_mode_forward_walks_free_their_start_after_both_first_steps():
+    na = normalize(BITWISE_GRAPHS["random"]())
+    h = np.random.default_rng(3).standard_normal((na.n, 2))
+    ref = weakref.ref(h)
+    walk_s, walk_d = diffusion_module._forward_walks(na, [h], zero_cfg(0.3, 3), None)
+    del h
+    next(walk_s)
+    assert ref() is not None
+    next(walk_d)
+    assert ref() is None
+
+
+def test_uniform_forward_walks_write_into_their_inputs():
+    # c * h goes into h, the inject of both walks, and h - m0 into m0, the
+    # difference walk's start, with the bits of the whole-array expressions.
+    na = normalize(BITWISE_GRAPHS["random"]())
+    rng = np.random.default_rng(4)
+    h, m0 = rng.standard_normal((na.n, 2)), rng.uniform(-1.0, 1.0, size=(na.n, 2))
+    scaled, start_d = 0.3 * h, h - m0
+    walk_s, _ = diffusion_module._forward_walks(na, [h], DiffusionConfig(0.3, 3), m0)
+    assert h.tobytes() == scaled.tobytes()
+    assert m0.tobytes() == start_d.tobytes()
+    next(walk_s)
+    assert walk_s.gi_frame.f_locals["inject"] is h
+
+
+@pytest.mark.parametrize("mode", ["zero", "uniform"])
+def test_public_diffusions_leave_the_callers_features_unchanged(mode):
+    na = normalize(BITWISE_GRAPHS["random"]())
+    h = np.random.default_rng(5).standard_normal((na.n, 3))
+    kept = h.copy()
+    cfg = DiffusionConfig(0.4, 3, m0_mode=mode)
+    diffuse(na, h, cfg, rng=np.random.default_rng(6))
+    assert h.tobytes() == kept.tobytes()
+    t0, *_ = diffusion_steps(na, h, cfg, rng=np.random.default_rng(6))
+    assert h.tobytes() == kept.tobytes()
+    assert t0.p.tobytes() == kept.tobytes()
+    m0 = np.random.default_rng(6).uniform(-1.0, 1.0, size=h.shape)
+    assert t0.m.tobytes() == (np.zeros_like(h) if mode == "zero" else m0).tobytes()
 
 
 def test_adjoint_leaves_a_block_the_caller_keeps_unchanged():
@@ -656,19 +694,22 @@ def test_concurrent_callers_get_identical_results(monkeypatch):
 
 
 class _FailingOperator:
-    """Stands in for one channel's operator and its transpose; reading its
-    values to scale them raises on the thread that runs that channel's walk."""
+    """Stands in for one channel's operator, its transpose and the decayed
+    copy that `_decayed` makes of them; a product with any of them raises on
+    the thread that runs that channel's walk, which it records in `threads`."""
 
-    def __init__(self):
-        self.thread = None
+    threads: list = []
+
+    def __init__(self, arrays=(np.zeros(0), None, None), shape=None):
+        self.data, self.indices, self.indptr = arrays
+        self.shape = shape
 
     @property
     def T(self):
         return self
 
-    @property
-    def data(self):
-        self.thread = threading.get_ident()
+    def __matmul__(self, z):
+        self.threads.append(threading.get_ident())
         raise RuntimeError("walk failed")
 
 
@@ -679,10 +720,11 @@ def test_worker_walk_exception_reraises_in_caller(monkeypatch):
         lambda ops: diffuse(ops, H_TOY, zero_cfg(0.5, 2)),
         lambda ops: adjoint(ops, H_TOY, H_TOY, zero_cfg(0.5, 2)),
     ):
-        failing = _FailingOperator()
+        _FailingOperator.threads.clear()
         with pytest.raises(RuntimeError, match="walk failed"):
-            run(SimpleNamespace(n=na.n, adj=(na.adj[0], failing)))
-        assert failing.thread not in (None, threading.get_ident())
+            run(SimpleNamespace(n=na.n, adj=(na.adj[0], _FailingOperator())))
+        assert _FailingOperator.threads
+        assert threading.get_ident() not in _FailingOperator.threads
 
 
 def _diffuse_in_child(conn, na, h, cfg):

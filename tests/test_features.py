@@ -1,12 +1,21 @@
 import re
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sgdnet.diffusion
+import sgdnet.features
 from sgdnet.features import (
     OVERSAMPLE,
+    _BLOCK_WORK,
+    _block_count,
+    _matmul,
     _orthonormal,
     _sign_flips,
     _svd,
@@ -204,8 +213,6 @@ def test_feature_file_loader_rejects_a_non_finite_value(tmp_path, value):
 def test_runtime_trend_roughly_linear_in_nnz():
     # 8x the edges should cost nowhere near the 64x of a quadratic method.
     # Trend check only; generous slack absorbs machine noise.
-    import time
-
     def run_time(n):
         g = random_signed_graph(n, avg_out_degree=8.0, seed=0)
         init_features(g, rank=16, seed=0)  # warmup allocation paths
@@ -496,3 +503,160 @@ def test_singular_value_accuracy_at_the_gram_switch(monkeypatch, decades, gram):
     growth = (sigma[0] / sigma) ** (2 if gram else 1)
     assert np.all(np.abs(s - sigma) <= 8 * eps * growth * sigma)
     assert np.abs(u.T @ u - np.eye(20)).max() <= 1e-12
+
+
+# --- the SVD worker: fixed row blocks, bitwise on any CPU count ----------------
+
+
+def _spy_blocks(monkeypatch):
+    """Record (worker given, block count) of every `_each_block` call."""
+    calls = []
+    real = sgdnet.features._each_block
+
+    def spy(worker, fn, blocks):
+        calls.append((worker is not None, len(blocks)))
+        return real(worker, fn, blocks)
+
+    monkeypatch.setattr(sgdnet.features, "_each_block", spy)
+    return calls
+
+
+# Every graph of this file, and two whose passes split: Alpha's size at rank
+# 128 (17 dense blocks) and the memory table's at rank 32 (8 dense blocks).
+CPU_COUNT_CASES = {
+    "random-60": (lambda: random_signed_graph(60, seed=5), 8),
+    "random-300": (lambda: random_signed_graph(300, avg_out_degree=6.0, seed=4), 16),
+    "planted-200": (lambda: planted_partition_graph(200, avg_out_degree=8.0, seed=1), 16),
+    "isolated-nodes": (_isolated_nodes_graph, 6),
+    "zero": (lambda: build_graph([], 5), 3),
+    "two-node": (lambda: build_graph([SignedEdge(0, 1, 1)], 2), 1),
+    "alpha-size": (lambda: random_signed_graph(3783, avg_out_degree=6.4, seed=0), 128),
+    "memory-row": (lambda: random_signed_graph(20000, avg_out_degree=8.0, seed=0), 32),
+}
+
+
+@pytest.mark.parametrize("case", CPU_COUNT_CASES)
+def test_init_features_bytes_do_not_depend_on_the_cpu_count(monkeypatch, case):
+    graph, rank = CPU_COUNT_CASES[case]
+    g = graph()
+    calls = _spy_blocks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: cpus)
+        runs.append(init_features(g, rank, seed=3).tobytes())
+    assert runs[0] == runs[1]
+    split = [worker for worker, count in calls if count > 1]
+    assert split == ([False] * (len(split) // 2) + [True] * (len(split) // 2))
+    assert bool(split) == (case in ("alpha-size", "memory-row"))
+
+
+@pytest.mark.parametrize("case", ["alpha-size", "memory-row"])
+def test_init_features_in_blocks_equals_whole_passes(monkeypatch, case):
+    # With one block per pass every product runs whole, as an unsplit SVD
+    # computes it; the blocks, on the worker and the calling thread, must
+    # give the same bits.
+    graph, rank = CPU_COUNT_CASES[case]
+    g = graph()
+    monkeypatch.setattr(sgdnet.diffusion, "_usable_cpus", lambda: 2)
+    split = init_features(g, rank, seed=3)
+    monkeypatch.setattr(sgdnet.features, "_block_count", lambda n_rows, row_work: 1)
+    assert split.tobytes() == init_features(g, rank, seed=3).tobytes()
+
+
+# The SVD's dense products are n x k times k x k (the basis changes) and
+# n x k times k x (k - OVERSAMPLE) (U = Q W), for k = rank + OVERSAMPLE; a
+# one-column product never splits. Each is split, on a worker, at row counts
+# from the least that splits, where blocks are smallest and the small-product
+# kernels nearest, upward.
+DENSE_PRODUCTS = [(k, cols) for k in (11, 17, 42, 138) for cols in (k, k - OVERSAMPLE) if cols > 1]
+
+
+@pytest.mark.parametrize("k, cols", DENSE_PRODUCTS)
+def test_split_dense_products_equal_the_whole_product(k, cols):
+    least = -(-2 * _BLOCK_WORK // (k * cols))
+    rng = np.random.default_rng(k)
+    r = rng.standard_normal((k, cols))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for n in (least - 1, least, least + 1, least + 37, 3 * least + 5):
+            y = rng.standard_normal((n, k))
+            assert (_block_count(n, k * cols) > 1) == (n >= least)
+            assert _matmul(y, r, worker).tobytes() == (y @ r).tobytes(), n
+
+
+def test_one_column_products_run_whole(monkeypatch):
+    monkeypatch.setattr(sgdnet.features, "_BLOCK_WORK", 16)
+    calls = _spy_blocks(monkeypatch)
+    y = np.random.default_rng(0).standard_normal((400, 11))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        assert _matmul(y, y[:11, :1], worker).tobytes() == (y @ y[:11, :1]).tobytes()
+        assert calls == []
+        _matmul(y, y[:11, :2], worker)
+        assert calls == [(True, 32)]
+
+
+def test_sign_flips_in_blocks_equal_one_pass(monkeypatch):
+    # Ties and signed zeros across block boundaries, zero columns and NaN
+    # entries: the blocked scans, with one block of one or two rows per
+    # thread at a time, pick the flips of one pass over u.
+    rng = np.random.default_rng(1)
+    cases = []
+    for _ in range(300):
+        u = rng.integers(-2, 3, size=(int(rng.integers(33, 70)), int(rng.integers(1, 6))))
+        u = u.astype(np.float64)
+        u[rng.random(u.shape) < 0.2] = -0.0
+        u[:, rng.random(u.shape[1]) < 0.15] = 0.0
+        u[rng.random(u.shape) < 0.01] = np.nan
+        cases.append((u, _sign_flips(u)))
+    monkeypatch.setattr(sgdnet.features, "_BLOCK_WORK", 1)
+    assert _block_count(33, 1) == 32
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for u, flips in cases:
+            assert np.array_equal(_sign_flips(u, worker), flips)
+
+
+def test_each_block_runs_every_block_once_under_contention():
+    # Four callers, each with its own worker: eight threads on fewer cores,
+    # switching every microsecond, and each block gives up the GIL as a
+    # product does. A block run twice or skipped shows in the counts, and a
+    # result stored in another block's slot in the order.
+    blocks = sgdnet.features._row_blocks(6400, 32)
+    results, interval = [], sys.getswitchinterval()
+
+    def caller():
+        counts = [0] * len(blocks)
+
+        def fn(rows):
+            time.sleep(0)
+            counts[rows.start // 200] += 1
+            return rows.start
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            for _ in range(50):
+                out = sgdnet.features._each_block(worker, fn, blocks)
+                results.append(out == [rows.start for rows in blocks])
+        results.append(counts == [50] * len(blocks))
+
+    threads = [threading.Thread(target=caller) for _ in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * 51 and all(results)
+
+
+def test_split_sparse_product_equals_the_whole_product(monkeypatch):
+    g = random_signed_graph(3783, avg_out_degree=6.4, seed=1)
+    z = np.random.default_rng(2).standard_normal((g.n, 138))
+    whole = (g.a @ z).tobytes()
+    calls = _spy_blocks(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        assert _matmul(g.a, z, worker).tobytes() == whole
+        assert calls == []  # too little work per block at this size
+        monkeypatch.setattr(sgdnet.features, "_SPARSE_BLOCK_WORK", 1)
+        assert _matmul(g.a, z, worker).tobytes() == whole
+        assert calls == [(True, 32)]

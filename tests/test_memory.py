@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 
 import sgdnet
 import sgdnet.diffusion
+import sgdnet.features
 import sgdnet.graph
 import sgdnet.model
 import sgdnet.training
@@ -166,12 +167,17 @@ def backward_peak() -> float:
     return (peak - before) / (n * d * 8)
 
 
-def init_features_peak() -> float:
+def init_features_peak(split_sparse: bool) -> float:
     """Peak of `init_features` at rank 32 on 20,000 nodes, in sketch arrays
-    of n x (rank + OVERSAMPLE) float64."""
+    of n x (rank + OVERSAMPLE) float64; with `split_sparse`, its sparse
+    products run in row blocks, as on larger graphs."""
     g = random_signed_graph(20000, avg_out_degree=8.0, seed=0)
     rank = 32
-    return traced_peak(lambda: init_features(g, rank, seed=0)) / (g.n * (rank + OVERSAMPLE) * 8)
+    with pytest.MonkeyPatch.context() as mp:
+        if split_sparse:
+            mp.setattr(sgdnet.features, "_SPARSE_BLOCK_WORK", 1)
+        peak = traced_peak(lambda: init_features(g, rank, seed=0))
+    return peak / (g.n * (rank + OVERSAMPLE) * 8)
 
 
 def reader_peak() -> float:
@@ -306,18 +312,21 @@ MEMORY_TABLE = {
     # through the walks adds 2 to theirs.
     "backward, L = 2": Row(backward_peak, "n x d", 10.1, 10.2),
     # One epoch on the direct path, counted from before its forward pass, so
-    # the cache is in it. On one CPU the layer-1 adjoint sets the peak as it
-    # forms its start sums, beside the cache that backward has not yet
-    # spent (h0, the logits and the lower layers' blocks); on two CPUs the
-    # top layer's forward walks do, both at once. Measured 6.99 / 7.35 at
-    # L = 1 and 10.01 / 10.35 at L = 2; margin 0.24 to 0.4. Whole-width
-    # adjoint walks measured 7.03 / 9.20 and 10.05 / 12.23.
-    "direct epoch, L = 1": Row(functools.partial(direct_epoch_peak, 1), "n x d", 7.25, 7.75),
-    "direct epoch, L = 2": Row(functools.partial(direct_epoch_peak, 2), "n x d", 10.25, 10.75),
+    # the cache is in it. The layer-1 adjoint sets the peak as it forms its
+    # start sums, beside the cache that backward has not yet spent (h0, the
+    # logits and the lower layers' blocks). Measured 6.99 / 6.99 at L = 1
+    # and 10.01 / 10.01 at L = 2; margin 0.24 to 0.26. The top layer's
+    # forward walks, both at once on two CPUs, reach 9.35 at L = 2: they
+    # write c * h_tilde into h_tilde and h_tilde - m0 into m0. Making both
+    # as new arrays measured 6.99 / 7.35 and 10.01 / 10.35, and whole-width
+    # adjoint walks 7.03 / 9.20 and 10.05 / 12.23.
+    "direct epoch, L = 1": Row(functools.partial(direct_epoch_peak, 1), "n x d", 7.25, 7.25),
+    "direct epoch, L = 2": Row(functools.partial(direct_epoch_peak, 2), "n x d", 10.25, 10.25),
     # One zero-mode forward pass, the node scores and the edge softmax; the
-    # diffusion's walks set the peak, on two CPUs both at once. Measured
-    # 6.17 / 7.35, margin 0.33 / 0.4.
-    "predict_edges": Row(predict_edges_peak, "n x d", 6.5, 7.75),
+    # diffusion's walks set the peak, on two CPUs both at once, and free
+    # h_tilde once both have taken a step. Measured 5.58 / 6.35, margin
+    # 0.32 / 0.4; keeping h_tilde through the walks measured 6.17 / 7.35.
+    "predict_edges": Row(predict_edges_peak, "n x d", 5.9, 6.75),
     # The writers write the array's own buffer, and check its finiteness
     # 16 KiB of mask at a time. A copy of the payload would add 1, and a
     # mask of the whole payload 0.125 (one per matrix: 0.075 on the
@@ -328,8 +337,15 @@ MEMORY_TABLE = {
     "save_checkpoint": Row(save_checkpoint_peak, "bytes per payload byte", 0.0625, 0.0625),
     # The sketch, Q and U are n x (rank + OVERSAMPLE) or narrower, and each
     # step frees the one it read. Keeping the sketch through a product or an
-    # SVQB pass, or A^T Q through U = Q W, makes three. Measures 2.01.
-    "init_features": Row(init_features_peak, "sketch arrays", 2.25, 2.25),
+    # SVQB pass, or A^T Q through U = Q W, makes three. Measured 2.01 / 2.01.
+    # The sparse products split only on larger graphs (half-Epinions at
+    # rank 128); the second row makes them split here. Their row blocks
+    # (1/32 each) are made apart and copied into place, one at a time per
+    # thread: measured 2.04 / 2.08, and in 8 blocks 2.16 / 2.33.
+    "init_features": Row(functools.partial(init_features_peak, False), "sketch arrays",
+                         2.25, 2.25),
+    "init_features, sparse blocks": Row(functools.partial(init_features_peak, True),
+                                        "sketch arrays", 2.25, 2.25),
     # The payload, its finiteness mask (1/8 of it, at most 16 KiB) and
     # 16 KiB of Python's own. The files are 6 KB to 1 MB: above about 19 KB,
     # a second copy of the payload breaks the bound. Measures 5.0.

@@ -568,9 +568,9 @@ def count_diffusions(monkeypatch):
     real_adjoint = sgdnet.diffusion._adjoint
     calls = {"diffuse": [], "noise": [], "adjoint": 0}
 
-    def diffuse(na, h, cfg, *args, **kwargs):
-        calls["diffuse"].append(np.shape(h)[1])
-        return real_diffuse(na, h, cfg, *args, **kwargs)
+    def diffuse(na, owned, cfg, *args, **kwargs):
+        calls["diffuse"].append(owned[0].shape[1])
+        return real_diffuse(na, owned, cfg, *args, **kwargs)
 
     def noise(na, shape, cfg, rng):
         calls["noise"].append(shape[1])
